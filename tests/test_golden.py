@@ -1,0 +1,83 @@
+"""Golden digests of ``simulate`` output: the seed -> output contract.
+
+Every other determinism test compares the code with itself; these pin the
+bytes.  A change that shifts the random stream (chunk size, uniforms per
+trial, their order) or the sampling rule changes a digest.  The sizes sit
+on both sides of the 65 536-trial chunk boundary and past the second one.
+"""
+
+import hashlib
+
+import pytest
+
+from wigner_lab.cli import main
+
+SEED = "2018"
+SETTINGS = {
+    "alternating": ["--policy", "alternating"],
+    "biased:0.17": ["--policy", "biased:0.17"],
+    "analytic": ["--mode", "analytic"],
+}
+
+# (setting, n) -> (sha256 of the --trace CSV, sha256 of the --format json stdout)
+GOLDEN = {
+    ("alternating", 65_535): (
+        "1862fba3fd63d6f0671957df8a22e42e405a7b58db8d87daad8eb4d9421b029e",
+        "bff53b2c96a0d36a46387997e634123b8c24e4bf63ac2eee72e4f01bf7aaf80c",
+    ),
+    ("alternating", 65_536): (
+        "e68c7e9b1a9b7be6830e6192135c681ebb504a06a66dc765e7cc91e3c6d334bc",
+        "a377bf1106afcc94d9d28489602f1e518b265e4f9a1fe9102e2f92a5709137b5",
+    ),
+    ("alternating", 65_537): (
+        "65fec6e83d302fc3f0f045f1062d4b86bc5ca5eeee2e02dd3920203814c57a1f",
+        "79a1559600ab619d6f510f48650b5eb2278ba2e136e39781b53c3e3ac4e6b8a1",
+    ),
+    ("alternating", 141_000): (
+        "669bc2685e69d30d62b9a64899a1ab93f71df01051830886022f93c2e2049763",
+        "7aced086fca5aefecbd599c545445d5fb402624eccb9e75f7fd96c17d796a627",
+    ),
+    ("biased:0.17", 65_535): (
+        "8466d860630d4e1cfcdba177428fa67e8ed6dc54bd6c790dcdab104a81bde5cf",
+        "a0f48551ecbad0e2fe017d2ae238be8a9cbf9d19c262a6a32ba12e528c20de64",
+    ),
+    ("biased:0.17", 65_536): (
+        "e9991c3d438d93857b0c2220449ee3fdb5879813d953658f6f58cbb572db3fd3",
+        "4d68cad040ed7c641e906a2bbdd5ef1f4ba5b7e54a9d69cf182194d792b1e18d",
+    ),
+    ("biased:0.17", 65_537): (
+        "62b204e32d07ed7d440a2b75c57dcf39520dceaa6f3b0d7a9ece053b1901000d",
+        "efa0ce8d70cde76a0d9e385f09013b72021cad50607597282911f146347432a9",
+    ),
+    ("biased:0.17", 141_000): (
+        "de736d2ec28328900e4850bfc8c064d9ad65fc7a9be3e812f249ce35bba11d67",
+        "2ab2c3dee806480c734d0711ea270151ea9d668ebb686765c2c3d8edd07347ec",
+    ),
+    ("analytic", 65_535): (
+        "cd1767f2d1e9e8d455fbc307b70b39a8c56fecf9db53d95123d874b003aba2b6",
+        "4547d1d703e5ffe9cadbf398f3faf6d137d8769c3ba742d4d3bf8cef9e457a57",
+    ),
+    ("analytic", 65_536): (
+        "fa111c8da115fd6e773159f451da3222016d6817ef8a773f87898d950b1d7996",
+        "918f761ea00e19c1556f1ee218ad85752e52da3387dbefa2b3722ec6c77c32dd",
+    ),
+    ("analytic", 65_537): (
+        "e3ec75844c36198867878eb0ef54db8fd39cefef87e7c05245ffdd180a211a77",
+        "c439d10de8754627fa8df980621dbd19bd5f004cc4df7000d255aed7a7828470",
+    ),
+    ("analytic", 141_000): (
+        "a49163f297e23ab9e3825e074f2fc597480c402f8d13293192c1c83640b2947f",
+        "8c0abd501bbfcdbe931f2363346422165e9ad94b51f47cdfde985b152dc24ef4",
+    ),
+}
+
+
+@pytest.mark.parametrize("setting, n", sorted(GOLDEN))
+def test_trace_and_json_digests(capsys, tmp_path, setting, n):
+    path = tmp_path / "trace.csv"
+    argv = ["simulate", "-n", str(n), "--seed", SEED, *SETTINGS[setting], "--format", "json", "--trace", str(path)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    trace_digest, json_digest = GOLDEN[(setting, n)]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_digest
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == json_digest
