@@ -35,8 +35,12 @@ def main():
         ]
         print(f"{eps:>5.2f}  {cells[0]:>18}  {cells[1]:>18}  {cells[2]:>18}  {'pass' if report.passed else 'FAIL'}")
 
-    alternating = run_trials(TrialConfig(args.trials, args.seed, MistakePolicy.alternating()), collect_traces=True)
-    halves = sum(t.applied_transform == "A_h0" for t in alternating.traces)
+    h0_per_chunk = []
+    alternating = run_trials(
+        TrialConfig(args.trials, args.seed, MistakePolicy.alternating()),
+        collect_traces=lambda chunk: h0_per_chunk.append(int(chunk.apply_h0.sum())),
+    )
+    halves = sum(h0_per_chunk)
     print(
         f"\nalternating: A_h0 applied {halves}/{args.trials} times; "
         f"resultant frequencies {dict((k, round(v, 4)) for k, v in alternating.resultant_states.frequencies.items())}"

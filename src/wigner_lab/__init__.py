@@ -30,8 +30,8 @@ from .core import (
 from .montecarlo import (
     ComparisonReport,
     MistakePolicy,
-    ProtocolTrace,
     RunResult,
+    TraceChunk,
     TrialConfig,
     analytic_mistake_table,
     compare_distributions,

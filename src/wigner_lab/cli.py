@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, jsonio, protocol, synthesis
+from . import core, jsonio, montecarlo, protocol, synthesis
 from .core import StateVector
 from .montecarlo import (
     MistakePolicy,
@@ -97,12 +97,8 @@ def _resolve_state(name: str) -> StateVector:
 
 def _resolve_vector(name: str) -> np.ndarray:
     if Path(name).is_file():
-        data = json.loads(Path(name).read_text(encoding="utf-8"))
-        return jsonio.vector_from_dict(data)
-    obj = protocol.lookup(name)
-    if not isinstance(obj, StateVector):
-        raise ValueError(f"{name!r} names a matrix, not a vector")
-    return np.array(obj.amplitudes)
+        return jsonio.vector_from_dict(json.loads(Path(name).read_text(encoding="utf-8")))
+    return np.array(_resolve_state(name).amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +266,36 @@ def _expected_resultants(config: TrialConfig) -> OutcomeDistribution:
     return analytic_mistake_table(config.policy)
 
 
+# Trace CSV row tails by code ((record + 1) * 3 + state) * 4 + charlie, where the
+# record is heads * 2 + apply_h0, or -1 in analytic mode (no record, no transform).
+_TRACE_TAILS = [
+    f",{alice},{transform},{state},{charlie.replace(core.LABEL_SEP, ',')}\n"
+    for alice, transform in (("-", "-"), ("t", "A_t01"), ("t", "A_h0"), ("h", "A_t01"), ("h", "A_h0"))
+    for state in montecarlo.STATE_LABELS
+    for charlie in montecarlo.CHARLIE_LABELS
+]
+
+
+def _write_trace_rows(handle: io.TextIOBase, chunk: montecarlo.TraceChunk) -> None:
+    """Write one chunk of trace rows with a single write."""
+    code = chunk.state_idx * 4 + chunk.charlie_idx
+    if chunk.heads is not None:
+        code += (chunk.heads * 2 + chunk.apply_h0 + 1) * 12
+    trials = range(chunk.start, chunk.start + len(code))
+    handle.write("".join([str(trial) + _TRACE_TAILS[c] for trial, c in zip(trials, code.tolist())]))
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     config = TrialConfig(n_trials=args.trials, seed=seed, policy=args.policy, mode=args.mode)
     if args.check:
         expected = _expected_resultants(config)  # rejects policies without a closed form
-    result = run_trials(config, collect_traces=args.trace is not None)
-
-    if args.trace is not None:
-        rows = [["trial", "alice_outcome", "transform", "state", "charlie_a", "charlie_b"]]
-        for t in result.traces:
-            rows.append(
-                [
-                    str(t.trial_index),
-                    t.alice_outcome.value if t.alice_outcome is not None else "-",
-                    t.applied_transform if t.applied_transform is not None else "-",
-                    t.resultant_state,
-                    t.charlie_outcome[0],
-                    t.charlie_outcome[1],
-                ]
-            )
-        Path(args.trace).write_text(_csv_text(rows), encoding="utf-8")
+    if args.trace is None:
+        result = run_trials(config)
+    else:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            handle.write("trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
+            result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
 
     report = None
     if args.check and config.n_trials > 0:

@@ -20,8 +20,9 @@ def _pair(z: complex) -> list[float]:
 
 
 def _from_pair(item) -> complex:
-    re, im = item
-    return complex(float(re), float(im))
+    if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(isinstance(x, (int, float)) for x in item)):
+        raise ValueError(f"a complex number must be a [re, im] pair of numbers, got {item!r}")
+    return complex(float(item[0]), float(item[1]))
 
 
 def state_to_dict(v: StateVector) -> dict:
@@ -32,15 +33,18 @@ def state_to_dict(v: StateVector) -> dict:
 
 
 def state_from_dict(data: dict) -> StateVector:
-    state = StateVector([_from_pair(a) for a in data["amplitudes"]])
+    state = StateVector(vector_from_dict(data))
     n = data.get("num_qubits")
-    if n is not None and int(n) != state.num_qubits:
+    if n is not None and n != state.num_qubits:
         raise ValueError(f"num_qubits {n} does not match {len(data['amplitudes'])} amplitudes")
     return state
 
 
 def vector_from_dict(data: dict) -> np.ndarray:
-    """Raw complex vector, no normalization check (for synthesis inputs)."""
+    """Raw complex vector, no normalization check (synthesis inputs; the
+    shape checks behind ``state_from_dict``)."""
+    if not (isinstance(data, dict) and isinstance(data.get("amplitudes"), (list, tuple))):
+        raise ValueError('a state must be a JSON object with an "amplitudes" list')
     return np.array([_from_pair(a) for a in data["amplitudes"]], dtype=np.complex128)
 
 

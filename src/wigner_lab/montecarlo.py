@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import core, protocol
 from .core import OutcomeDistribution
-from .protocol import AliceOutcome
 
 P_HEADS = 1.0 / 3.0
 
 STATE_LABELS = ("AB", "ABht", "ABth")
 CHARLIE_LABELS = ("ok_ok", "ok_fail", "fail_ok", "fail_fail")
-TRANSFORM_LABELS = ("A_h0", "A_t01")
 
 _CHUNK = 1 << 16
 
@@ -107,28 +106,26 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
-class ProtocolTrace:
-    """One trial record; ``alice_outcome`` and ``applied_transform`` are None
-    in analytic mode, where Charlie measures the target state directly."""
+class TraceChunk:
+    """Per-trial columns of trials ``start .. start + len(state_idx) - 1``.
 
-    trial_index: int
-    alice_outcome: AliceOutcome | None
-    applied_transform: str | None
-    resultant_state: str
-    charlie_outcome: tuple[str, str]
+    ``heads`` is Alice's record and ``apply_h0`` whether ``A_h0`` (else
+    ``A_t01``) was applied; both are None in analytic mode, where Charlie
+    measures the target state directly.  ``state_idx`` and ``charlie_idx``
+    index ``STATE_LABELS`` and ``CHARLIE_LABELS``.
+    """
 
-    def __post_init__(self):
-        if self.applied_transform is not None and self.alice_outcome is not None:
-            matches = (self.applied_transform == "A_h0") == (self.alice_outcome is AliceOutcome.HEADS)
-            if (self.resultant_state == "AB") != matches:
-                raise ValueError("resultant state must be AB exactly when the transform matches the record")
+    start: int
+    heads: np.ndarray | None
+    apply_h0: np.ndarray | None
+    state_idx: np.ndarray
+    charlie_idx: np.ndarray
 
 
 @dataclass(frozen=True)
 class RunResult:
     resultant_states: OutcomeDistribution
     charlie: OutcomeDistribution
-    traces: list[ProtocolTrace] | None = None
 
 
 @dataclass(frozen=True)
@@ -148,19 +145,14 @@ class ComparisonReport:
 
 
 @lru_cache(maxsize=None)
-def _charlie_cumulative() -> dict[str, np.ndarray]:
-    """Cumulative Charlie-outcome probabilities per resultant state."""
+def _charlie_thresholds() -> np.ndarray:
+    """Row k < 3 holds, per resultant state, P(Charlie's outcome index <= k)."""
     bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
-    states = {
-        "AB": protocol.target_state(),
-        "ABht": protocol.wrong_state(protocol.WrongStateLabel.ABHT),
-        "ABth": protocol.wrong_state(protocol.WrongStateLabel.ABTH),
-    }
-    table = {}
-    for label, state in states.items():
-        dist = core.born_probabilities(state, bases)
-        table[label] = np.cumsum([dist.probability(k) for k in CHARLIE_LABELS])
-    return table
+    cumulative = [
+        np.cumsum([core.born_probabilities(state, bases).probability(k) for k in CHARLIE_LABELS])
+        for state in (protocol.target_state(), *map(protocol.wrong_state, protocol.WrongStateLabel))
+    ]
+    return np.array(cumulative)[:, :-1].T.copy()
 
 
 def _chunk_uniforms(seed: int, chunk_index: int, m: int) -> np.ndarray:
@@ -169,63 +161,53 @@ def _chunk_uniforms(seed: int, chunk_index: int, m: int) -> np.ndarray:
     return rng.random((m, 3))
 
 
-def run_trials(config: TrialConfig, collect_traces: bool = False) -> RunResult:
-    """Run the protocol ``config.n_trials`` times.
+def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None] | None = None) -> RunResult:
+    """Run the protocol ``config.n_trials`` times, one chunk of ``_CHUNK``
+    trials at a time; ``collect_traces``, when given, receives each chunk's
+    per-trial columns in trial order, and nothing per trial is kept.
 
-    Deterministic given (seed, n_trials, policy, mode); trials are
-    independent and chunked, so any execution schedule yields the same
-    counts and traces.
+    Trial ``i`` uses row ``i % _CHUNK`` of the uniforms keyed by (seed,
+    ``i // _CHUNK``): column 0 draws Alice's record, column 1 the mistake
+    and column 2 Charlie's outcome.  So results depend only on (seed,
+    n_trials, policy, mode), whatever the execution schedule.
     """
-    cumulative = _charlie_cumulative()
+    thresholds = _charlie_thresholds()
     state_counts = np.zeros(len(STATE_LABELS), dtype=np.int64)
     charlie_counts = np.zeros(len(CHARLIE_LABELS), dtype=np.int64)
-    traces: list[ProtocolTrace] | None = [] if collect_traces else None
-
     eps = config.policy.mistake_probability
     for chunk_index, start in enumerate(range(0, config.n_trials, _CHUNK)):
         m = min(_CHUNK, config.n_trials - start)
         u = _chunk_uniforms(config.seed, chunk_index, m)
-        heads = u[:, 0] < P_HEADS
 
         if config.mode == "analytic":
+            heads = apply_h0 = None
             state_idx = np.zeros(m, dtype=np.int64)
         else:
+            heads = u[:, 0] < P_HEADS
             if config.policy.kind == "alternating":
                 apply_h0 = (start + np.arange(m)) % 2 == 0
             else:
-                mistake = u[:, 1] < eps
-                apply_h0 = heads ^ mistake
+                apply_h0 = heads ^ (u[:, 1] < eps)
             # matching transform -> AB; heads hit by A_t01 -> ABht; tails by A_h0 -> ABth
             state_idx = np.where(apply_h0 == heads, 0, np.where(heads, 1, 2))
+            if not np.array_equal(state_idx == 0, apply_h0 == heads):
+                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
 
-        charlie_idx = np.empty(m, dtype=np.int64)
-        for si, label in enumerate(STATE_LABELS):
-            mask = state_idx == si
-            if mask.any():
-                charlie_idx[mask] = np.searchsorted(cumulative[label], u[mask, 2], side="right")
-        np.minimum(charlie_idx, len(CHARLIE_LABELS) - 1, out=charlie_idx)
+        # Charlie's index is the number of cumulative bounds <= u, the same
+        # integer as searchsorted(side="right") clamped to the last label.
+        charlie_u = u[:, 2]
+        charlie_idx = np.zeros(m, dtype=np.int64)
+        for bound in thresholds:
+            charlie_idx += charlie_u >= bound[state_idx]
 
         state_counts += np.bincount(state_idx, minlength=len(STATE_LABELS))
         charlie_counts += np.bincount(charlie_idx, minlength=len(CHARLIE_LABELS))
-
-        if traces is not None:
-            analytic = config.mode == "analytic"
-            for offset in range(m):
-                outcome_pair = tuple(CHARLIE_LABELS[charlie_idx[offset]].split(core.LABEL_SEP))
-                traces.append(
-                    ProtocolTrace(
-                        trial_index=start + offset,
-                        alice_outcome=None if analytic else (AliceOutcome.HEADS if heads[offset] else AliceOutcome.TAILS),
-                        applied_transform=None if analytic else TRANSFORM_LABELS[0 if apply_h0[offset] else 1],
-                        resultant_state=STATE_LABELS[state_idx[offset]],
-                        charlie_outcome=outcome_pair,
-                    )
-                )
+        if collect_traces is not None:
+            collect_traces(TraceChunk(start, heads, apply_h0, state_idx, charlie_idx))
 
     return RunResult(
         resultant_states=OutcomeDistribution.from_counts(dict(zip(STATE_LABELS, state_counts.tolist()))),
         charlie=OutcomeDistribution.from_counts(dict(zip(CHARLIE_LABELS, charlie_counts.tolist()))),
-        traces=traces,
     )
 
 

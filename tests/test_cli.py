@@ -2,12 +2,21 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wigner_lab
 from wigner_lab import jsonio, protocol
 from wigner_lab.cli import main
+from wigner_lab.montecarlo import _CHUNK
+
+MALFORMED_STATES = ['{"amplitudes": [1, 2]}', "[1, 2]"]
 
 
 def run_cli(capsys, *args):
@@ -126,6 +135,14 @@ class TestAudit:
         code, _, _ = run_cli(capsys, "audit", "psi_nope")
         assert code == 2
 
+    @pytest.mark.parametrize("text", MALFORMED_STATES)
+    def test_malformed_state_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "audit", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestSynth:
     def test_to_e0_writes_valid_unitary(self, capsys, tmp_path):
@@ -164,6 +181,14 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", str(path), "--to-e0")
         assert code == 2
         assert "norm = 0.5" in err
+
+    @pytest.mark.parametrize("text", MALFORMED_STATES)
+    def test_malformed_vector_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", str(path), "--to-e0")
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_direction_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -214,6 +239,26 @@ class TestSimulate:
         assert len(rows) == 51
         assert rows[1][1] in ("h", "t")
         assert rows[1][2] in ("A_h0", "A_t01")
+
+    def test_rejected_call_leaves_no_trace_file(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--policy", "alternating", "--check", "--trace", str(path))
+        assert code == 2
+        assert not path.exists()
+
+    def test_trace_memory_is_bounded(self, capsys, tmp_path):
+        # the trace streams chunk by chunk: 8x the trials, about the same peak
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "-n", str(n), "--policy", "biased:0.2", "--trace", str(tmp_path / "t.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(2 * _CHUNK), traced_peak(16 * _CHUNK)
+        capsys.readouterr()
+        assert large <= 1.5 * small
 
     def test_check_with_alternating_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "-n", "100", "--policy", "alternating", "--check")
@@ -296,3 +341,14 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--policy", "uniform")
         assert code == 0
         assert "0.1667" in out and "0.3333" in out
+
+
+class TestEntryPoint:
+    def test_python_m_wigner_lab_verify(self):
+        src = str(Path(wigner_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wigner_lab", "verify"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "all checks passed" in proc.stdout

@@ -39,6 +39,14 @@ class TestStateJson:
         with pytest.raises(ValueError, match="num_qubits"):
             jsonio.state_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [[1, 2], {"amplitudes": [1, 2]}, {"amplitudes": 5}, {"num_qubits": [1], "amplitudes": [[1, 0], [0, 0]]}],
+    )
+    def test_malformed_shapes_rejected(self, data):
+        with pytest.raises(ValueError):
+            jsonio.state_from_dict(data)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             jsonio.state_from_dict({"num_qubits": 1, "amplitudes": [[0.5, 0.0], [0.0, 0.0]]})

@@ -1,18 +1,35 @@
 """Tests for the mistake-mechanism sampler: policies, closed forms,
 determinism, and agreement with the exact state machinery."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from wigner_lab import core, protocol
+from wigner_lab import core, montecarlo, protocol
 from wigner_lab.montecarlo import (
+    _CHUNK,
+    CHARLIE_LABELS,
+    STATE_LABELS,
     MistakePolicy,
+    RunResult,
     TrialConfig,
     analytic_mistake_table,
     compare_distributions,
     run_trials,
 )
 from wigner_lab.protocol import AliceOutcome, WrongStateLabel
+
+COLUMNS = ("heads", "apply_h0", "state_idx", "charlie_idx")
+
+
+def run_traced(config):
+    """Run with a sink; returns the result and each chunk's per-trial
+    columns concatenated in trial order."""
+    chunks = []
+    result = run_trials(config, collect_traces=chunks.append)
+    return result, {name: np.concatenate([getattr(c, name) for c in chunks]) for name in COLUMNS}, chunks
 
 
 class TestMistakePolicy:
@@ -113,9 +130,11 @@ class TestRunTrials:
 
     def test_analytic_mode_measures_target_state_only(self):
         config = TrialConfig(50_000, 11, MistakePolicy.uniform_random(), mode="analytic")
-        result = run_trials(config, collect_traces=True)
+        chunks = []
+        result = run_trials(config, collect_traces=chunks.append)
         assert result.resultant_states.probability("AB") == 1.0
-        assert all(t.alice_outcome is None and t.applied_transform is None for t in result.traces)
+        assert all(c.heads is None and c.apply_h0 is None and not c.state_idx.any() for c in chunks)
+        assert sum(len(c.state_idx) for c in chunks) == 50_000
         expected = core.born_probabilities(
             protocol.target_state(), [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
         )
@@ -125,16 +144,18 @@ class TestRunTrials:
 class TestDeterminism:
     def test_identical_configs_identical_results(self):
         config = TrialConfig(70_000, 9, MistakePolicy.uniform_random())
-        a = run_trials(config, collect_traces=True)
-        b = run_trials(config, collect_traces=True)
+        a, a_columns, _ = run_traced(config)
+        b, b_columns, _ = run_traced(config)
         assert a.resultant_states.counts == b.resultant_states.counts
         assert a.charlie.counts == b.charlie.counts
-        assert a.traces == b.traces
+        for name in COLUMNS:
+            np.testing.assert_array_equal(a_columns[name], b_columns[name])
 
     def test_trials_depend_only_on_seed_and_index(self):
-        short = run_trials(TrialConfig(100, 13, MistakePolicy.uniform_random()), collect_traces=True)
-        long = run_trials(TrialConfig(250, 13, MistakePolicy.uniform_random()), collect_traces=True)
-        assert long.traces[:100] == short.traces
+        _, short, _ = run_traced(TrialConfig(100, 13, MistakePolicy.uniform_random()))
+        _, long, _ = run_traced(TrialConfig(250, 13, MistakePolicy.uniform_random()))
+        for name in COLUMNS:
+            np.testing.assert_array_equal(long[name][:100], short[name])
 
     def test_different_seeds_differ(self):
         a = run_trials(TrialConfig(10_000, 1, MistakePolicy.uniform_random()))
@@ -144,42 +165,63 @@ class TestDeterminism:
 
 class TestTraces:
     def test_alternating_applies_each_transform_exactly_half(self):
-        result = run_trials(TrialConfig(2_000, 21, MistakePolicy.alternating()), collect_traces=True)
-        applied = [t.applied_transform for t in result.traces]
-        assert applied.count("A_h0") == 1_000
-        assert applied.count("A_t01") == 1_000
-        assert applied[:4] == ["A_h0", "A_t01", "A_h0", "A_t01"]
+        _, columns, _ = run_traced(TrialConfig(2_000, 21, MistakePolicy.alternating()))
+        applied = columns["apply_h0"]
+        assert applied.sum() == 1_000
+        assert (~applied).sum() == 1_000
+        assert applied[:4].tolist() == [True, False, True, False]
 
     def test_resultant_label_consistency(self):
-        result = run_trials(TrialConfig(3_000, 17, MistakePolicy.uniform_random()), collect_traces=True)
-        for t in result.traces:
-            matches = (t.applied_transform == "A_h0") == (t.alice_outcome is AliceOutcome.HEADS)
-            assert (t.resultant_state == "AB") == matches
+        _, columns, _ = run_traced(TrialConfig(3_000, 17, MistakePolicy.uniform_random()))
+        matches = columns["apply_h0"] == columns["heads"]
+        np.testing.assert_array_equal(columns["state_idx"] == 0, matches)
 
     def test_convergent_evolution_spot_check(self):
-        # every matching trial's matrix chain lands on the target state
-        result = run_trials(TrialConfig(1_500, 23, MistakePolicy.uniform_random()), collect_traces=True)
-        canonical = {
-            "AB": protocol.target_state(),
-            "ABht": protocol.wrong_state(WrongStateLabel.ABHT),
-            "ABth": protocol.wrong_state(WrongStateLabel.ABTH),
-        }
-        resets = {"A_h0": protocol.reset_matrix(AliceOutcome.HEADS), "A_t01": protocol.reset_matrix(AliceOutcome.TAILS)}
-        assert sum(t.resultant_state == "AB" for t in result.traces) >= 500
-        for t in result.traces:
+        # every trial's matrix chain lands on the state its columns name
+        _, columns, _ = run_traced(TrialConfig(1_500, 23, MistakePolicy.uniform_random()))
+        canonical = (
+            protocol.target_state(),
+            protocol.wrong_state(WrongStateLabel.ABHT),
+            protocol.wrong_state(WrongStateLabel.ABTH),
+        )
+        outcome = {True: AliceOutcome.HEADS, False: AliceOutcome.TAILS}
+        assert (columns["state_idx"] == 0).sum() >= 500
+        for heads, apply_h0, state in zip(
+            columns["heads"].tolist(), columns["apply_h0"].tolist(), columns["state_idx"].tolist()
+        ):
             evolved = core.apply(
                 protocol.entangle_matrix(),
-                core.apply(resets[t.applied_transform], protocol.initial_register(t.alice_outcome)),
+                core.apply(protocol.reset_matrix(outcome[apply_h0]), protocol.initial_register(outcome[heads])),
             )
-            diff = np.abs(evolved.amplitudes - canonical[t.resultant_state].amplitudes).max()
+            diff = np.abs(evolved.amplitudes - canonical[state].amplitudes).max()
             assert diff <= 1e-12
 
+    def test_charlie_index_matches_searchsorted(self):
+        # the kernel counts cumulative bounds <= u; masked searchsorted is the reference
+        config = TrialConfig(3_000, 31, MistakePolicy.uniform_random())
+        _, columns, _ = run_traced(config)
+        u = montecarlo._chunk_uniforms(config.seed, 0, config.n_trials)[:, 2]
+        bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
+        states = (protocol.target_state(), protocol.wrong_state(WrongStateLabel.ABHT), protocol.wrong_state(WrongStateLabel.ABTH))
+        for index, state in enumerate(states):
+            dist = core.born_probabilities(state, bases)
+            cumulative = np.cumsum([dist.probability(label) for label in CHARLIE_LABELS])
+            mask = columns["state_idx"] == index
+            expected = np.minimum(np.searchsorted(cumulative, u[mask], side="right"), len(CHARLIE_LABELS) - 1)
+            np.testing.assert_array_equal(columns["charlie_idx"][mask], expected)
+
     def test_trace_count_and_indices(self):
-        result = run_trials(TrialConfig(500, 29, MistakePolicy.always_correct()), collect_traces=True)
-        assert [t.trial_index for t in result.traces] == list(range(500))
+        n = 2 * _CHUNK + 500
+        result, columns, chunks = run_traced(TrialConfig(n, 29, MistakePolicy.always_correct()))
+        assert [c.start for c in chunks] == [0, _CHUNK, 2 * _CHUNK]
+        assert [len(c.state_idx) for c in chunks] == [_CHUNK, _CHUNK, 500]
+        assert all(len(columns[name]) == n for name in COLUMNS)
+        tallies = np.bincount(columns["state_idx"], minlength=len(STATE_LABELS)).tolist()
+        assert tallies == [result.resultant_states.counts[label] for label in STATE_LABELS]
 
     def test_traces_off_by_default(self):
-        assert run_trials(TrialConfig(10, 0, MistakePolicy.uniform_random())).traces is None
+        assert inspect.signature(run_trials).parameters["collect_traces"].default is None
+        assert [f.name for f in dataclasses.fields(RunResult)] == ["resultant_states", "charlie"]
 
 
 class TestCompareDistributions:
