@@ -2,8 +2,10 @@
 
 Every other determinism test compares the code with itself; these pin the
 bytes.  A change that shifts the random stream (chunk size, uniforms per
-trial, their order) or the sampling rule changes a digest.  The sizes sit
-on both sides of the 65 536-trial chunk boundary and past the second one.
+trial, their order) or the sampling rule changes a digest.  The traced
+sizes sit on both sides of the 65 536-trial chunk boundary and past the
+second one; the counts-only sizes span 3 chunks (the last one partial) and
+16 chunks, so they pin the multi-chunk counts path.
 """
 
 import hashlib
@@ -81,3 +83,34 @@ def test_trace_and_json_digests(capsys, tmp_path, setting, n):
     trace_digest, json_digest = GOLDEN[(setting, n)]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_digest
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == json_digest
+
+
+COUNTS_SETTINGS = {
+    "correct": ["--policy", "correct", "--check"],
+    "uniform": ["--policy", "uniform", "--check"],
+    "biased:0.17": ["--policy", "biased:0.17", "--check"],
+    "alternating": ["--policy", "alternating"],
+    "analytic": ["--mode", "analytic", "--check"],
+}
+
+# (setting, n) -> sha256 of the --format json stdout, without --trace
+COUNTS_GOLDEN = {
+    ("correct", 196_609): "9f13e15bd3769284317a460e3e44f4c90631c195bc1442745fb3a0250c7b2115",
+    ("correct", 1_000_003): "fd480d48be580c2626c65716feec5e48f705edf7e94b7fc1675cb5c0ff7fde7d",
+    ("uniform", 196_609): "abba62333400f051ed4819406d05e0dabc9b7d476311f9d1f140bab77d6c97e3",
+    ("uniform", 1_000_003): "e6f828178aadd8ea9306a5de6a183168f22229b85d600360095cba30e7183e43",
+    ("biased:0.17", 196_609): "03ecb8643d196ddf4ea29c1542f5ff1842040e9df95dd43b83f6d108acf1bd80",
+    ("biased:0.17", 1_000_003): "87f091e02f1e89a9f9271bed542f0e1b4943f07ac2a4b6fc39f690eeefe8d975",
+    ("alternating", 196_609): "7c87e1675de54d59343ba2c086a89042adf0c659c28686ed86435e8e436809f6",
+    ("alternating", 1_000_003): "0e182ccdfbdcb8c1e8ce4ce6cdece6f29bd57b361d8c4f01780150504a5189eb",
+    ("analytic", 196_609): "d5096e12214c74d7036ca04b2168ea531e8b4479f3ba68a7eb64be0ebf8bd55d",
+    ("analytic", 1_000_003): "9a91303d093cfb64566d65866cec0151eeee1b23ef5a39b3e4ec27661ae63c5b",
+}
+
+
+@pytest.mark.parametrize("setting, n", sorted(COUNTS_GOLDEN))
+def test_counts_json_digests(capsys, setting, n):
+    argv = ["simulate", "-n", str(n), "--seed", SEED, *COUNTS_SETTINGS[setting], "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == COUNTS_GOLDEN[(setting, n)]
