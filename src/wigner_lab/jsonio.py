@@ -56,11 +56,13 @@ def matrix_to_dict(u: SquareUnitary) -> dict:
 
 
 def matrix_from_dict(data: dict) -> SquareUnitary:
-    entries = [[_from_pair(z) for z in row] for row in data["entries"]]
-    u = SquareUnitary(entries)
+    rows = data.get("entries") if isinstance(data, dict) else None
+    if not (isinstance(rows, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in rows)):
+        raise ValueError('a matrix must be a JSON object with an "entries" list of rows')
+    u = SquareUnitary([[_from_pair(z) for z in row] for row in rows])
     dim = data.get("dim")
-    if dim is not None and int(dim) != u.dim:
-        raise ValueError(f"dim {dim} does not match a {u.dim}x{u.dim} entry grid")
+    if dim is not None and dim != u.dim:
+        raise ValueError(f"dim {dim!r} does not match a {u.dim}x{u.dim} entry grid")
     return u
 
 

@@ -6,11 +6,18 @@ Hadamard-basis observable on the resulting register.
 
 Randomness is counter-based (Philox keyed by master seed and chunk index)
 so results depend only on (seed, trial index): serial and parallel
-execution schedules produce bit-identical output.
+execution schedules produce bit-identical output.  A counts-only run of
+several chunks uses that: its chunks run on worker threads, as many as the
+CPUs the process may use (at most ``_MAX_WORKERS``, derived from the
+machine, not configurable), and their tallies are summed in chunk order.
+A traced run stays on the calling thread, which calls the sink with each
+chunk in trial order.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -26,6 +33,17 @@ STATE_LABELS = ("AB", "ABht", "ABth")
 CHARLIE_LABELS = ("ok_ok", "ok_fail", "fail_ok", "fail_fail")
 
 _CHUNK = 1 << 16
+# Trials per block inside a chunk: a block's uniforms and work buffers
+# (about 0.4 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
+# block starts at an even trial index.
+_BLOCK = 1 << 13
+_MAX_WORKERS = 4
+# Chunks submitted but not yet tallied, per worker thread.
+_IN_FLIGHT_PER_WORKER = 2
+
+# Resultant-state index by record code heads * 2 + apply_h0.
+_STATE_OF_RECORD = np.array([0, 2, 1, 0], dtype=np.intp)
+_ALTERNATE = np.arange(_BLOCK) % 2 == 0
 
 POLICY_KINDS = ("correct", "uniform", "alternating", "biased")
 MODES = ("collapse", "analytic")
@@ -155,10 +173,104 @@ def _charlie_thresholds() -> np.ndarray:
     return np.array(cumulative)[:, :-1].T.copy()
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, m: int) -> np.ndarray:
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.random((m, 3))
+def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
+    """The Philox stream of one chunk: successive ``random`` draws give its
+    uniforms, three per trial, in trial order."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+
+
+def _worker_count() -> int:
+    """Threads for a multi-chunk counts run: the CPUs this process may use,
+    at most ``_MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
+
+
+class _Workspace:
+    """Block buffers that one thread at a time reuses from chunk to chunk.
+
+    The caller allocates them, so the memory stays with the calling
+    thread's allocator and is freed when the run ends.
+    """
+
+    def __init__(self, size: int):
+        self.u = np.empty((size, 3))
+        self.joint = np.empty(size, dtype=np.intp)
+        self.state = np.empty(size, dtype=np.intp)
+        self.bounds = np.empty(size)
+        self.heads, self.apply_h0, self.match, self.flag = np.empty((4, size), dtype=bool)
+
+
+def _run_chunk(
+    config: TrialConfig, chunk_index: int, thresholds: np.ndarray, work: _Workspace, traced: bool = False
+) -> tuple[np.ndarray, TraceChunk | None]:
+    """Run the trials of one chunk, ``_BLOCK`` trials at a time.
+
+    Returns the chunk's joint tally (bin ``state_idx * 4 + charlie_idx``)
+    and, when ``traced``, its per-trial columns.  Worker threads run this,
+    so it calls only private helpers and numpy.
+    """
+    start = chunk_index * _CHUNK
+    m = min(_CHUNK, config.n_trials - start)
+    rng = _chunk_uniforms(config.seed, chunk_index)
+    analytic = config.mode == "analytic"
+    eps = config.policy.mistake_probability
+    alternating = config.policy.kind == "alternating"
+    n_charlie = len(CHARLIE_LABELS)
+    tally = np.zeros(len(STATE_LABELS) * n_charlie, dtype=np.int64)
+
+    # Traced, the columns hold the whole chunk; otherwise one block.
+    if traced:
+        heads_col = apply_col = None
+        if not analytic:
+            heads_col, apply_col = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        state_col = np.zeros(m, dtype=np.intp)
+        charlie_col = np.empty(m, dtype=np.intp)
+    else:
+        heads_col, apply_col, state_col = work.heads, work.apply_h0, work.state
+
+    for lo in range(0, m, _BLOCK):
+        b = min(_BLOCK, m - lo)
+        at = slice(lo, lo + b) if traced else slice(0, b)
+        u, joint, flag, bounds = work.u[:b], work.joint[:b], work.flag[:b], work.bounds[:b]
+        rng.random(out=u)
+        charlie_u = u[:, 2]
+        if analytic:
+            joint.fill(0)
+            for bound in thresholds[:, 0]:
+                joint += np.greater_equal(charlie_u, bound, out=flag)
+        else:
+            heads, apply_h0, state, match = heads_col[at], apply_col[at], state_col[at], work.match[:b]
+            np.less(u[:, 0], P_HEADS, out=heads)
+            if alternating:
+                apply_h0[:] = _ALTERNATE[:b]  # blocks start at even trial indices
+            else:
+                np.not_equal(heads, np.less(u[:, 1], eps, out=apply_h0), out=apply_h0)
+            # matching transform -> AB; heads hit by A_t01 -> ABht; tails by A_h0 -> ABth
+            np.multiply(heads, 2, out=joint)
+            joint += apply_h0
+            _STATE_OF_RECORD.take(joint, out=state, mode="clip")
+            np.equal(apply_h0, heads, out=match)
+            np.equal(state, 0, out=flag)
+            if np.not_equal(flag, match, out=flag).any():
+                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
+
+            # Charlie's index is the number of cumulative bounds <= u, the same
+            # integer as searchsorted(side="right") clamped to the last label.
+            np.multiply(state, n_charlie, out=joint)
+            for bound in thresholds:
+                bound.take(state, out=bounds, mode="clip")
+                joint += np.greater_equal(charlie_u, bounds, out=flag)
+        tally += np.bincount(joint, minlength=len(tally))
+        if traced:
+            np.bitwise_and(joint, n_charlie - 1, out=charlie_col[at])
+
+    if not traced:
+        return tally, None
+    return tally, TraceChunk(start, heads_col, apply_col, state_col, charlie_col)
 
 
 def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None] | None = None) -> RunResult:
@@ -170,44 +282,56 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     ``i // _CHUNK``): column 0 draws Alice's record, column 1 the mistake
     and column 2 Charlie's outcome.  So results depend only on (seed,
     n_trials, policy, mode), whatever the execution schedule.
+
+    A counts-only run of more than one chunk runs its chunks on worker
+    threads, one per CPU this process may use, at most ``_MAX_WORKERS``;
+    the count is derived from the machine and is not a setting.  A traced
+    run, or a run of one chunk, stays on the calling thread, so the sink
+    is always called there, in trial order.
     """
     thresholds = _charlie_thresholds()
-    state_counts = np.zeros(len(STATE_LABELS), dtype=np.int64)
-    charlie_counts = np.zeros(len(CHARLIE_LABELS), dtype=np.int64)
-    eps = config.policy.mistake_probability
-    for chunk_index, start in enumerate(range(0, config.n_trials, _CHUNK)):
-        m = min(_CHUNK, config.n_trials - start)
-        u = _chunk_uniforms(config.seed, chunk_index, m)
+    n_chunks = -(-config.n_trials // _CHUNK)
+    traced = collect_traces is not None
+    workers = 1 if traced or n_chunks < 2 else _worker_count()
+    size = min(_BLOCK, config.n_trials)
+    tally = np.zeros(len(STATE_LABELS) * len(CHARLIE_LABELS), dtype=np.int64)
+    if workers == 1:
+        work = _Workspace(size)
+        for chunk_index in range(n_chunks):
+            chunk_tally, chunk = _run_chunk(config, chunk_index, thresholds, work, traced)
+            tally += chunk_tally
+            if traced:
+                collect_traces(chunk)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-        if config.mode == "analytic":
-            heads = apply_h0 = None
-            state_idx = np.zeros(m, dtype=np.int64)
-        else:
-            heads = u[:, 0] < P_HEADS
-            if config.policy.kind == "alternating":
-                apply_h0 = (start + np.arange(m)) % 2 == 0
-            else:
-                apply_h0 = heads ^ (u[:, 1] < eps)
-            # matching transform -> AB; heads hit by A_t01 -> ABht; tails by A_h0 -> ABth
-            state_idx = np.where(apply_h0 == heads, 0, np.where(heads, 1, 2))
-            if not np.array_equal(state_idx == 0, apply_h0 == heads):
-                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
+        # At most `workers` chunks run at once, so a workspace is always spare.
+        spare = [_Workspace(size) for _ in range(workers)]
 
-        # Charlie's index is the number of cumulative bounds <= u, the same
-        # integer as searchsorted(side="right") clamped to the last label.
-        charlie_u = u[:, 2]
-        charlie_idx = np.zeros(m, dtype=np.int64)
-        for bound in thresholds:
-            charlie_idx += charlie_u >= bound[state_idx]
+        def count_chunk(chunk_index: int) -> np.ndarray:
+            work = spare.pop()
+            try:
+                return _run_chunk(config, chunk_index, thresholds, work)[0]
+            finally:
+                spare.append(work)
 
-        state_counts += np.bincount(state_idx, minlength=len(STATE_LABELS))
-        charlie_counts += np.bincount(charlie_idx, minlength=len(CHARLIE_LABELS))
-        if collect_traces is not None:
-            collect_traces(TraceChunk(start, heads, apply_h0, state_idx, charlie_idx))
+        with ThreadPoolExecutor(workers) as pool:
+            pending: deque = deque()
+            try:
+                for chunk_index in range(n_chunks):
+                    if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
+                        tally += pending.popleft().result()
+                    pending.append(pool.submit(count_chunk, chunk_index))
+                while pending:
+                    tally += pending.popleft().result()
+            finally:
+                for future in pending:
+                    future.cancel()
 
+    joint = tally.reshape(len(STATE_LABELS), len(CHARLIE_LABELS))
     return RunResult(
-        resultant_states=OutcomeDistribution.from_counts(dict(zip(STATE_LABELS, state_counts.tolist()))),
-        charlie=OutcomeDistribution.from_counts(dict(zip(CHARLIE_LABELS, charlie_counts.tolist()))),
+        resultant_states=OutcomeDistribution.from_counts(dict(zip(STATE_LABELS, joint.sum(axis=1).tolist()))),
+        charlie=OutcomeDistribution.from_counts(dict(zip(CHARLIE_LABELS, joint.sum(axis=0).tolist()))),
     )
 
 

@@ -76,6 +76,20 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="dim"):
             jsonio.matrix_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            {"entries": 5},
+            {"entries": [5, 6]},
+            {"dim": [2], "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            {"dim": "2", "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        ],
+    )
+    def test_malformed_shapes_rejected(self, data):
+        with pytest.raises(ValueError):
+            jsonio.matrix_from_dict(data)
+
     def test_non_unitary_rejected(self):
         data = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
         with pytest.raises(ValueError, match="unitary"):

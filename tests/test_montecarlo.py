@@ -3,6 +3,8 @@ determinism, and agreement with the exact state machinery."""
 
 import dataclasses
 import inspect
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -163,6 +165,110 @@ class TestDeterminism:
         assert a.resultant_states.counts != b.resultant_states.counts
 
 
+POLICIES = ("correct", "uniform", "alternating", "biased:0.3")
+
+
+def run_in_thread(fn, timeout=60):
+    """Call ``fn`` on a helper thread; return its result or re-raise its
+    error, failing the test if it has not finished within ``timeout`` s."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except Exception as exc:  # handed back to the test thread
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "run did not finish"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestSchedule:
+    """Chunks may run on worker threads; the result may not depend on it."""
+
+    N_FIVE_CHUNKS = 4 * _CHUNK + 1_234
+
+    @pytest.mark.parametrize("mode", montecarlo.MODES)
+    @pytest.mark.parametrize("spec", POLICIES)
+    def test_counts_independent_of_worker_count(self, monkeypatch, spec, mode):
+        config = TrialConfig(self.N_FIVE_CHUNKS, 77, MistakePolicy.parse(spec), mode)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda workers=workers: workers)
+            results.append(run_trials(config))
+        traced = run_trials(config, collect_traces=lambda chunk: None)
+        for result in (*results[1:], traced):
+            assert result.resultant_states.counts == results[0].resultant_states.counts
+            assert result.charlie.counts == results[0].charlie.counts
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        # Workers share the spare workspaces; a lost or doubled hand-off
+        # would mix two chunks' buffers and change the counts.
+        config = TrialConfig(9 * _CHUNK + 5, 12, MistakePolicy.biased(0.4))
+        serial = run_trials(config, collect_traces=lambda chunk: None)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                result = run_in_thread(lambda: run_trials(config))
+                assert result.resultant_states.counts == serial.resultant_states.counts
+                assert result.charlie.counts == serial.charlie.counts
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_propagates_and_cancels_queued_chunks(self, monkeypatch):
+        # Every chunk is queued at once; chunks 0 and 1 finish only after
+        # chunk 2 has failed, so the error surfaces while most are queued.
+        workers, n_chunks = 3, 32
+        started = []
+        failed = threading.Event()
+        original = montecarlo._chunk_uniforms
+
+        def failing(seed, chunk_index):
+            started.append(chunk_index)
+            if chunk_index == 2:
+                failed.set()
+                raise RuntimeError("chunk 2 failed")
+            if chunk_index < 2:
+                failed.wait(timeout=10)
+            return original(seed, chunk_index)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_IN_FLIGHT_PER_WORKER", n_chunks)
+        monkeypatch.setattr(montecarlo, "_chunk_uniforms", failing)
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            run_in_thread(lambda: run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy.uniform_random())))
+        assert {0, 1, 2} <= set(started)
+        assert len(started) <= n_chunks // 2, f"queued chunks ran after the failure: {sorted(started)}"
+
+    def test_traced_run_calls_sink_in_order_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        calls = []
+        n = 3 * _CHUNK + 9
+        run_trials(
+            TrialConfig(n, 4, MistakePolicy.biased(0.2)),
+            collect_traces=lambda chunk: calls.append((threading.get_ident(), chunk.start)),
+        )
+        assert calls == [(threading.get_ident(), start) for start in range(0, n, _CHUNK)]
+
+    def test_single_chunk_and_traced_runs_start_no_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("no worker pool expected")
+
+        monkeypatch.setattr(montecarlo, "_worker_count", no_pool)
+        run_trials(TrialConfig(_CHUNK, 6, MistakePolicy.uniform_random()))
+        run_trials(TrialConfig(2 * _CHUNK, 6, MistakePolicy.uniform_random()), collect_traces=lambda chunk: None)
+
+    def test_worker_count_is_bounded(self):
+        assert 1 <= montecarlo._worker_count() <= montecarlo._MAX_WORKERS
+
+
 class TestTraces:
     def test_alternating_applies_each_transform_exactly_half(self):
         _, columns, _ = run_traced(TrialConfig(2_000, 21, MistakePolicy.alternating()))
@@ -200,7 +306,7 @@ class TestTraces:
         # the kernel counts cumulative bounds <= u; masked searchsorted is the reference
         config = TrialConfig(3_000, 31, MistakePolicy.uniform_random())
         _, columns, _ = run_traced(config)
-        u = montecarlo._chunk_uniforms(config.seed, 0, config.n_trials)[:, 2]
+        u = montecarlo._chunk_uniforms(config.seed, 0).random((config.n_trials, 3))[:, 2]
         bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
         states = (protocol.target_state(), protocol.wrong_state(WrongStateLabel.ABHT), protocol.wrong_state(WrongStateLabel.ABTH))
         for index, state in enumerate(states):
