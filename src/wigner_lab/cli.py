@@ -11,15 +11,18 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from . import core, jsonio, montecarlo, protocol, synthesis
 from .core import StateVector
 from .montecarlo import (
+    _BLOCK,
     MistakePolicy,
     OutcomeDistribution,
     TrialConfig,
@@ -64,6 +67,16 @@ def _seed_type(text: str) -> int:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    return value
+
+
+def _tol_type(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
     return value
 
 
@@ -274,15 +287,55 @@ _TRACE_TAILS = [
     for state in montecarlo.STATE_LABELS
     for charlie in montecarlo.CHARLIE_LABELS
 ]
+# The tails as ASCII bytes, NUL-padded to one width; no tail holds a NUL.
+_TAIL_BYTES = np.array([tail.encode("ascii") for tail in _TRACE_TAILS]).view(np.uint8).reshape(len(_TRACE_TAILS), -1)
+# "0000" .. "9999" in ASCII, the four bytes of each read as one uint32.
+_DIGIT_GROUPS = (np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1) + ord("0")).view(np.uint32).ravel()
 
 
-def _write_trace_rows(handle: io.TextIOBase, chunk: montecarlo.TraceChunk) -> None:
-    """Write one chunk of trace rows with a single write."""
-    code = chunk.state_idx * 4 + chunk.charlie_idx
-    if chunk.heads is not None:
-        code += (chunk.heads * 2 + chunk.apply_h0 + 1) * 12
-    trials = range(chunk.start, chunk.start + len(code))
-    handle.write("".join([str(trial) + _TRACE_TAILS[c] for trial, c in zip(trials, code.tolist())]))
+def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
+    """Write one chunk of trace rows as ASCII bytes, one write per ``_BLOCK`` rows.
+
+    Each row is laid out in a fixed-width byte array: the trial index
+    right-aligned in ``digits`` bytes, then its tail from ``_TAIL_BYTES``.
+    Leading zeros and tail padding are NUL bytes, dropped on writing.
+    """
+    m = len(chunk.state_idx)
+    digits = -(-len(str(chunk.start + m - 1)) // 4) * 4
+    table = np.zeros((len(_TAIL_BYTES), digits + _TAIL_BYTES.shape[1]), dtype=np.uint8)
+    table[:, digits:] = _TAIL_BYTES
+    size = min(m, _BLOCK)
+    rows = np.empty((size, table.shape[1]), dtype=np.uint8)
+    words = rows.view(np.uint32)  # the width is a multiple of 4
+    keep = np.empty(rows.shape, dtype=bool)
+    code = np.empty(size, dtype=np.intp)
+    for lo in range(0, m, _BLOCK):
+        b = min(_BLOCK, m - lo)
+        at = slice(lo, lo + b)
+        row, word, kept, c = rows[:b], words[:b], keep[:b], code[:b]
+        # c = ((record + 1) * 3 + state) * 4 + charlie, the key of _TRACE_TAILS
+        if chunk.heads is None:
+            np.multiply(chunk.state_idx[at], 4, out=c)
+        else:
+            np.multiply(chunk.heads[at], 2, out=c)
+            c += chunk.apply_h0[at]
+            c += 1
+            c *= 3
+            c += chunk.state_idx[at]
+            c *= 4
+        c += chunk.charlie_idx[at]
+        table.take(c, axis=0, out=row, mode="clip")
+
+        # The index, in runs of trials that share every digit but the last four.
+        pos, trial = 0, chunk.start + lo
+        while pos < b:
+            text = str(trial)
+            end = min(b, pos + 10_000 - trial % 10_000, pos + 10 ** len(text) - trial)
+            row[pos:end, : digits - 4] = list(text.rjust(digits, "\0")[:-4].encode("ascii"))
+            word[pos:end, digits // 4 - 1] = _DIGIT_GROUPS[trial % 10_000 : trial % 10_000 + end - pos]
+            row[pos:end, digits - 4 : digits - len(text)] = 0
+            pos, trial = end, trial + end - pos
+        handle.write(row[np.not_equal(row, 0, out=kept)])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -293,8 +346,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace is None:
         result = run_trials(config)
     else:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write("trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
+        with open(args.trace, "wb") as handle:
+            handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
             result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
 
     report = None
@@ -418,12 +471,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_states.set_defaults(func=_cmd_states)
 
     p_verify = sub.add_parser("verify", parents=[fmt_parent], help="verify protocol constants and evolution")
-    p_verify.add_argument("--tol", type=float, default=1e-12)
+    p_verify.add_argument("--tol", type=_tol_type, default=1e-12)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_audit = sub.add_parser("audit", parents=[fmt_parent], help="four-condition paradox audit of a 2-qubit state")
     p_audit.add_argument("name", help="registry key or state JSON path")
-    p_audit.add_argument("--tol", type=float, default=protocol.AUDIT_TOL)
+    p_audit.add_argument("--tol", type=_tol_type, default=protocol.AUDIT_TOL)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_synth = sub.add_parser("synth", parents=[fmt_parent], help="synthesize a unitary moving a unit vector to/from e0")
@@ -457,7 +510,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # an OSError's first argument is its errno; its text names the path
+        message = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
 

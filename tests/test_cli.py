@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, output formats, file I/O, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,13 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wigner_lab
 from wigner_lab import jsonio, protocol
-from wigner_lab.cli import main
-from wigner_lab.montecarlo import _CHUNK
+from wigner_lab.cli import _TRACE_TAILS, _write_trace_rows, main
+from wigner_lab.montecarlo import _BLOCK, _CHUNK, TraceChunk
 
 MALFORMED_STATES = ['{"amplitudes": [1, 2]}', "[1, 2]"]
+BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
 
 
 def run_cli(capsys, *args):
@@ -96,6 +100,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--tol", "0", "--format", "json")
+        assert code in (0, 1)
+        assert json.loads(out)["tol"] == 0.0
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
@@ -125,6 +141,13 @@ class TestAudit:
         code, out, _ = run_cli(capsys, "audit", key, "--format", "json")
         assert code == 0
         assert json.loads(out)["contradiction"] is False
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "psi_AB", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_single_qubit_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "audit", "psi_A")
@@ -190,6 +213,12 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_out_into_missing_dir_names_the_path(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "u.json")
+        code, _, err = run_cli(capsys, "synth", "psi_h0", "--to-e0", "--out", path)
+        assert code == 2
+        assert err.startswith("error: ") and path in err
+
     def test_direction_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "psi_h0"])
@@ -245,6 +274,18 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--policy", "alternating", "--check", "--trace", str(path))
         assert code == 2
         assert not path.exists()
+
+    def test_trace_into_missing_dir_names_the_path(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "trace.csv")
+        code, _, err = run_cli(capsys, "simulate", "-n", "10", "--trace", path)
+        assert code == 2
+        assert err.startswith("error: ") and path in err
+
+    def test_out_into_missing_dir_names_the_path(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "results.json")
+        code, _, err = run_cli(capsys, "simulate", "-n", "10", "--format", "json", "--out", path)
+        assert code == 2
+        assert err.startswith("error: ") and path in err
 
     def test_trace_memory_is_bounded(self, capsys, tmp_path):
         # the trace streams chunk by chunk: 8x the trials, about the same peak
@@ -308,6 +349,83 @@ class TestSimulate:
         data = json.loads(out)
         assert data["resultant_states"]["AB"]["count"] == 10000
         assert data["check"]["passed"] is True
+
+
+def random_chunk(seed, start, length, analytic):
+    rng = np.random.default_rng(seed)
+    heads = apply_h0 = None
+    if not analytic:
+        heads, apply_h0 = rng.random((2, length)) < 0.5
+    state_idx = rng.integers(0, 3, length).astype(np.intp)
+    return TraceChunk(start, heads, apply_h0, state_idx, rng.integers(0, 4, length).astype(np.intp))
+
+
+def reference_rows(chunk):
+    """The row text of a chunk, one Python string per row."""
+    code = chunk.state_idx * 4 + chunk.charlie_idx
+    if chunk.heads is not None:
+        code = code + (chunk.heads * 2 + chunk.apply_h0 + 1) * 12
+    return "".join(str(chunk.start + i) + _TRACE_TAILS[c] for i, c in enumerate(code.tolist())).encode("ascii")
+
+
+def encoded_rows(chunk):
+    handle = io.BytesIO()
+    _write_trace_rows(handle, chunk)
+    return handle.getvalue()
+
+
+class ByteCounter:
+    """A binary handle that keeps nothing but the number of bytes and writes."""
+
+    def __init__(self):
+        self.bytes = self.writes = 0
+
+    def write(self, data):
+        self.bytes += memoryview(data).nbytes
+        self.writes += 1
+
+
+class TestTraceEncoding:
+    @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
+    @pytest.mark.parametrize(
+        "start, length",
+        [(0, 1), (0, 9), (0, 10), (0, 11), (0, _BLOCK + 1), (99_990, 20), (983_040, _CHUNK)],
+    )
+    def test_matches_per_row_reference(self, start, length, analytic):
+        chunk = random_chunk(start + length, start, length, analytic)
+        assert encoded_rows(chunk) == reference_rows(chunk)
+
+    @given(
+        start=st.one_of(
+            st.integers(0, 10**15),
+            st.builds(lambda k, back: max(0, 10**k - back), st.integers(1, 15), st.integers(0, 2 * _BLOCK)),
+        ),
+        length=st.integers(1, 2 * _BLOCK + 2),
+        analytic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_anywhere(self, start, length, analytic, seed):
+        chunk = random_chunk(seed, start, length, analytic)
+        assert encoded_rows(chunk) == reference_rows(chunk)
+
+    def test_writes_once_per_block(self):
+        handle = ByteCounter()
+        _write_trace_rows(handle, random_chunk(0, 0, _CHUNK, False))
+        assert handle.writes == _CHUNK // _BLOCK
+
+    def test_memory_is_one_block(self):
+        # a full chunk's rows are about 1.7 MB; the encoder holds one block of them
+        chunk = random_chunk(1, 0, _CHUNK, False)
+        handle = ByteCounter()
+        tracemalloc.start()
+        try:
+            _write_trace_rows(handle, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert handle.bytes > 1_600_000
+        assert peak <= 1 << 20
 
 
 class TestTable:
