@@ -5,7 +5,8 @@ bytes.  A change that shifts the random stream (chunk size, uniforms per
 trial, their order) or the sampling rule changes a digest.  The traced
 sizes sit on both sides of the 65 536-trial chunk boundary and past the
 second one; the counts-only sizes span 3 chunks (the last one partial) and
-16 chunks, so they pin the multi-chunk counts path.
+16 chunks, so they pin the multi-chunk counts path.  The remaining digests
+pin the output of the commands that print the protocol's constants.
 """
 
 import hashlib
@@ -114,3 +115,25 @@ def test_counts_json_digests(capsys, setting, n):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == COUNTS_GOLDEN[(setting, n)]
+
+
+# argv -> sha256 of stdout; every command exits 0
+COMMAND_GOLDEN = {
+    ("verify", "--format", "json"): "77967b05a1660dcb03fa2a4e557630d5e60868172de7f3dcfcd1fb19592c523c",
+    ("verify", "--format", "csv"): "2c037b7d170faf4f6cfd31135dfa7d462d2628d98abb770a7b6ab089ca687d28",
+    ("verify",): "a3cc77f9f43ed4e9e7d8de5542b9f24ab96c758f7ca52dfc69a3eb8079672222",
+    ("audit", "psi_AB", "--format", "json"): "290989ce105234bdca11321dc0f54770e94345347f630aad7d85717252f4e9d9",
+    ("states", "psi_AB", "--basis", "charlie", "--format", "json"): (
+        "6f98e9fcfb4ee6539b89acb2efaced2e04de755533ffb2e31d1db19fa8818d0a"
+    ),
+    ("table", "--policy", "correct"): "863060d0a18d22c34fe09f7fe642851ae43feb74acb2e34c6cf5c2fc6e1cf04a",
+    ("table", "--policy", "uniform"): "c2c38c894601fac90f2fd943a754a6f2b92ca4487aab46c41b9f3c88fbc6686a",
+    ("table", "--policy", "biased:0.17"): "eac475257c9b71477068e61911dd0d35c725d777a602ea2c693bc344b96d9b3e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_GOLDEN), ids=" ".join)
+def test_command_digests(capsys, argv):
+    assert main(list(argv)) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == COMMAND_GOLDEN[argv]
