@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print every named protocol state in its basis and frame views, audit the
-two-qubit states, and verify the constant matrices.
+"""Run the protocol's verification checks, print every named state in its
+basis and frame views, and audit the two-qubit states.
 
 A one-stop reproduction of all the coefficient tables the library encodes.
 """
@@ -22,9 +22,9 @@ def main():
     states = protocol.named_states()
     charlie = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
 
-    print("matrix verification (max |U^H U - I|):")
-    for key, mat in protocol.named_matrices().items():
-        print(f"  {key:<6} {core.is_unitary(mat).max_deviation:.2e}")
+    print("verification checks (the list `wigner-lab verify` runs):")
+    for name, value in protocol.verification_checks():
+        print(f"  {name:<20} {value:.2e}")
 
     print("\ncomputational amplitudes:")
     for key, state in states.items():

@@ -19,10 +19,8 @@ from .core import (
     change_basis,
     computational_basis,
     expand_in_frame,
-    inner,
     is_separable,
     is_unitary,
-    measure,
     schmidt_values,
     tensor,
     tensor_frame,
@@ -55,6 +53,6 @@ from .protocol import (
     target_state,
     wrong_state,
 )
-from .synthesis import SynthesisResult, compose, synthesize_from_e0, synthesize_to_e0
+from .synthesis import SynthesisResult, synthesize_from_e0, synthesize_to_e0
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification or statistical check failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -23,11 +24,15 @@ from . import core, jsonio, montecarlo, protocol, synthesis
 from .core import StateVector
 from .montecarlo import (
     _BLOCK,
+    ComparisonReport,
+    MechanismRow,
     MistakePolicy,
     OutcomeDistribution,
+    RunResult,
     TrialConfig,
     analytic_mistake_table,
     compare_distributions,
+    mechanism_rows,
     run_trials,
 )
 
@@ -85,6 +90,12 @@ def _policy_type(text: str) -> MistakePolicy:
         return MistakePolicy.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _open_out(path: str | None):
+    """The ``--out`` file, opened for writing before any work is done, or
+    stdout (left open) when there is none."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -165,28 +176,9 @@ def _cmd_states(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verification_checks(tol: float) -> list[tuple[str, float]]:
-    matrices = protocol.named_matrices()
-    checks = [
-        (f"unitary_{key}", core.is_unitary(mat, tol).max_deviation) for key, mat in matrices.items()
-    ]
-    target = protocol.target_state().amplitudes
-    for key, outcome in (("heads", protocol.AliceOutcome.HEADS), ("tails", protocol.AliceOutcome.TAILS)):
-        evolved = core.apply(
-            protocol.entangle_matrix(), core.apply(protocol.reset_matrix(outcome), protocol.initial_register(outcome))
-        )
-        checks.append((f"evolution_{key}", float(np.linalg.norm(evolved.amplitudes - target))))
-    expansion = core.change_basis(
-        protocol.target_state(), [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
-    )
-    expected = np.array([np.sqrt(1 / 12), -np.sqrt(1 / 12), np.sqrt(1 / 12), np.sqrt(9 / 12)])
-    checks.append(("charlie_coefficients", float(np.abs(expansion.coefficients - expected).max())))
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     tol = args.tol
-    checks = _verification_checks(tol)
+    checks = protocol.verification_checks()
     passed = all(value <= tol for _, value in checks)
     if args.format == "json":
         payload = {
@@ -254,14 +246,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print(f"error: input is not a unit vector: norm = {norm!r}", file=sys.stderr)
         return 2
     vec = vec / norm
-    result = synthesis.synthesize_from_e0(vec) if args.from_e0 else synthesis.synthesize_to_e0(vec)
-    text = jsonio.dumps(jsonio.matrix_to_dict(result.matrix))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"residual: {result.residual:.3e}")
-    else:
-        sys.stdout.write(text)
-        print(f"residual: {result.residual:.3e}", file=sys.stderr)
+    with _open_out(args.out) as out:
+        result = synthesis.synthesize_from_e0(vec) if args.from_e0 else synthesis.synthesize_to_e0(vec)
+        out.write(jsonio.dumps(jsonio.matrix_to_dict(result.matrix)))
+    print(f"residual: {result.residual:.3e}", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -343,18 +331,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = TrialConfig(n_trials=args.trials, seed=seed, policy=args.policy, mode=args.mode)
     if args.check:
         expected = _expected_resultants(config)  # rejects policies without a closed form
-    if args.trace is None:
-        result = run_trials(config)
-    else:
-        with open(args.trace, "wb") as handle:
-            handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
-            result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
+    with _open_out(args.out) as out:
+        if args.trace is None:
+            result = run_trials(config)
+        else:
+            with open(args.trace, "wb") as handle:
+                handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
+                result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
+        report = None
+        if args.check and config.n_trials > 0:
+            report = compare_distributions(result.resultant_states, expected, SIGMA_BOUND)
+        out.write(_simulate_text(args.format, config, result, report))
+    return 0 if report is None or report.passed else 1
 
-    report = None
-    if args.check and config.n_trials > 0:
-        report = compare_distributions(result.resultant_states, expected, SIGMA_BOUND)
 
-    if args.format == "json":
+def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: ComparisonReport | None) -> str:
+    if fmt == "json":
         payload = {
             "config": {
                 "n_trials": config.n_trials,
@@ -382,28 +374,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     for c in report.checks
                 ],
             }
-        text = jsonio.dumps(payload)
-    elif args.format == "csv":
+        return jsonio.dumps(payload)
+    if fmt == "csv":
         rows = [["section", "label", "count", "freq"]]
         for section, dist in (("resultant_states", result.resultant_states), ("charlie", result.charlie)):
             rows += [[section, label, str(dist.counts[label]), repr(dist.frequencies[label])] for label in dist.labels]
-        text = _csv_text(rows)
-    else:
-        lines = [f"simulate  n={config.n_trials}  seed={config.seed}  policy={config.policy.spec()}  mode={config.mode}"]
-        for section, dist in (("resultant states", result.resultant_states), ("charlie outcomes", result.charlie)):
-            lines.append(section)
-            lines.append(
-                _columns([[label, str(dist.counts[label]), f"{dist.frequencies[label]:.5f}"] for label in dist.labels])
-            )
-        if report is not None:
-            lines.append("check vs closed form (4 sigma): " + ("pass" if report.passed else "FAIL"))
-        text = "\n".join(lines) + "\n"
-
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0 if report is None or report.passed else 1
+        return _csv_text(rows)
+    lines = [f"simulate  n={config.n_trials}  seed={config.seed}  policy={config.policy.spec()}  mode={config.mode}"]
+    for section, dist in (("resultant states", result.resultant_states), ("charlie outcomes", result.charlie)):
+        lines.append(section)
+        lines.append(
+            _columns([[label, str(dist.counts[label]), f"{dist.frequencies[label]:.5f}"] for label in dist.labels])
+        )
+    if report is not None:
+        lines.append("check vs closed form (4 sigma): " + ("pass" if report.passed else "FAIL"))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -411,39 +396,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    aggregate = analytic_mistake_table(args.policy)  # rejects alternating
-    eps = args.policy.mistake_probability
-    p_h, p_t = 1 / 3, 2 / 3
-    rows = [
-        ("psi_h0", p_h, "A_h0", 1.0 - eps, "AB", p_h * (1.0 - eps)),
-        ("psi_h0", p_h, "A_t01", eps, "ABht", p_h * eps),
-        ("psi_t01", p_t, "A_h0", eps, "ABth", p_t * eps),
-        ("psi_t01", p_t, "A_t01", 1.0 - eps, "AB", p_t * (1.0 - eps)),
-    ]
+    rows = mechanism_rows(args.policy)  # rejects alternating
+    aggregate = analytic_mistake_table(args.policy)
+    header = list(MechanismRow._fields)
     if args.format == "json":
         payload = {
             "policy": args.policy.spec(),
-            "rows": [
-                {
-                    "initial_state": r[0],
-                    "p_initial": r[1],
-                    "transform": r[2],
-                    "p_transform": r[3],
-                    "resultant_state": r[4],
-                    "p_joint": r[5],
-                }
-                for r in rows
-            ],
+            "rows": [row._asdict() for row in rows],
             "resultant_states": dict(aggregate.frequencies),
         }
         sys.stdout.write(jsonio.dumps(payload))
     elif args.format == "csv":
-        out = [["initial_state", "p_initial", "transform", "p_transform", "resultant_state", "p_joint"]]
-        out += [[r[0], repr(r[1]), r[2], repr(r[3]), r[4], repr(r[5])] for r in rows]
-        sys.stdout.write(_csv_text(out))
+        body = [[v if isinstance(v, str) else repr(v) for v in row] for row in rows]
+        sys.stdout.write(_csv_text([header] + body))
     else:
-        header = ["initial_state", "p_initial", "transform", "p_transform", "resultant_state", "p_joint"]
-        body = [[r[0], _fmt(r[1]), r[2], _fmt(r[3]), r[4], _fmt(r[5])] for r in rows]
+        body = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
         print(_columns([header] + body))
         print("aggregate  " + "  ".join(f"{label}={_fmt(p)}" for label, p in aggregate.frequencies.items()))
     return 0

@@ -1,5 +1,5 @@
 """Dense complex statevector substrate: states, unitaries, basis and frame
-expansions, Born-rule measurement, and separability testing.
+expansions, Born-rule probabilities, and separability testing.
 
 Conventions
 -----------
@@ -10,7 +10,7 @@ per-factor labels with ``_``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +41,11 @@ def _as_complex_matrix(values) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _unitarity_deviation(mat: np.ndarray) -> float:
+    """Max-entry |M^H M - I| of a square complex matrix."""
+    return float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +81,12 @@ class SquareUnitary:
     """d x d complex matrix validated unitary at construction."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = TOL_UNITARY
 
-    def __post_init__(self, tol: float):
+    def __post_init__(self):
         mat = _as_complex_matrix(self.matrix)
-        deviation = float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max())
-        if deviation > tol:
-            raise ValueError(f"matrix is not unitary: max |U^H U - I| = {deviation!r} > {tol!r}")
+        deviation = _unitarity_deviation(mat)
+        if deviation > TOL_UNITARY:
+            raise ValueError(f"matrix is not unitary: max |U^H U - I| = {deviation!r} > {TOL_UNITARY!r}")
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -105,7 +109,7 @@ class MeasurementBasis:
         labels = tuple(self.labels)
         if len(labels) != mat.shape[1]:
             raise ValueError("one label per basis vector required")
-        deviation = float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max())
+        deviation = _unitarity_deviation(mat)
         if deviation > TOL_UNITARY:
             raise ValueError(f"basis is not orthonormal: max |<b_i|b_j> - delta_ij| = {deviation!r}")
         object.__setattr__(self, "vectors", _freeze(mat))
@@ -248,13 +252,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with conjugation on the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def apply(u: SquareUnitary, v: StateVector) -> StateVector:
     """Evolve ``v`` by the unitary ``u``."""
     if u.dim != v.dim:
@@ -268,7 +265,7 @@ def is_unitary(matrix, tol: float = TOL_UNITARY) -> UnitarityReport:
         mat = matrix.matrix
     else:
         mat = _as_complex_matrix(matrix)
-    deviation = float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max())
+    deviation = _unitarity_deviation(mat)
     return UnitarityReport(deviation <= tol, deviation)
 
 
@@ -308,26 +305,6 @@ def born_probabilities(v: StateVector, per_qubit_bases: Sequence[MeasurementBasi
     if abs(total - 1.0) > TOL_NORM:
         raise ValueError(f"basis is not complete: probabilities sum to {total!r}")
     return OutcomeDistribution.from_probabilities(dict(zip(expansion.labels, probs)))
-
-
-def measure(
-    v: StateVector,
-    per_qubit_bases: Sequence[MeasurementBasis],
-    rng: np.random.Generator,
-) -> tuple[tuple[str, ...], StateVector]:
-    """Sample one projective outcome; posterior collapses onto the product
-    basis vector of the sampled outcome."""
-    matrix, _ = _product_columns(per_qubit_bases, v.dim)
-    probs = np.abs(matrix.conj().T @ v.amplitudes) ** 2
-    index = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), v.dim - 1)
-    labels = []
-    remainder = index
-    for basis in reversed(per_qubit_bases):
-        d = len(basis.labels)
-        labels.append(basis.labels[remainder % d])
-        remainder //= d
-    posterior = StateVector(matrix[:, index])
-    return tuple(reversed(labels)), posterior
 
 
 def schmidt_values(v: StateVector, split: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,6 +138,17 @@ class TraceChunk:
     apply_h0: np.ndarray | None
     state_idx: np.ndarray
     charlie_idx: np.ndarray
+
+
+class MechanismRow(NamedTuple):
+    """One (initial state, applied transform) branch of the mistake mechanism."""
+
+    initial_state: str
+    p_initial: float
+    transform: str
+    p_transform: float
+    resultant_state: str
+    p_joint: float
 
 
 @dataclass(frozen=True)
@@ -335,14 +346,29 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     )
 
 
-def analytic_mistake_table(policy: MistakePolicy) -> OutcomeDistribution:
-    """Closed-form resultant-state distribution: (1-eps, eps/3, 2*eps/3)."""
+def mechanism_rows(policy: MistakePolicy) -> tuple[MechanismRow, ...]:
+    """The four branches of the mistake mechanism: Alice's register (heads
+    with P_HEADS), the transform applied (the one keyed to the other record
+    with probability eps), and the resultant state with its joint probability."""
     eps = policy.mistake_probability
     if eps is None:
         raise ValueError("alternating policy has no per-trial closed form; sample it with run_trials")
-    return OutcomeDistribution.from_probabilities(
-        {"AB": 1.0 - eps, "ABht": eps * P_HEADS, "ABth": eps * (1.0 - P_HEADS)}
+    p_h, p_t = P_HEADS, 1.0 - P_HEADS
+    return (
+        MechanismRow("psi_h0", p_h, "A_h0", 1.0 - eps, "AB", p_h * (1.0 - eps)),
+        MechanismRow("psi_h0", p_h, "A_t01", eps, "ABht", p_h * eps),
+        MechanismRow("psi_t01", p_t, "A_h0", eps, "ABth", p_t * eps),
+        MechanismRow("psi_t01", p_t, "A_t01", 1.0 - eps, "AB", p_t * (1.0 - eps)),
     )
+
+
+def analytic_mistake_table(policy: MistakePolicy) -> OutcomeDistribution:
+    """Closed-form resultant-state distribution: (1-eps, eps/3, 2*eps/3).
+
+    Each wrong state has one mechanism row; AB is reached exactly when no
+    mistake is made, whatever the record."""
+    wrong = {row.resultant_state: row.p_joint for row in mechanism_rows(policy) if row.resultant_state != "AB"}
+    return OutcomeDistribution.from_probabilities({"AB": 1.0 - policy.mistake_probability, **wrong})
 
 
 def compare_distributions(

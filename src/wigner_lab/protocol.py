@@ -159,7 +159,13 @@ def bob_basis() -> MeasurementBasis:
 def paradox_audit(state: StateVector, tol: float = AUDIT_TOL) -> ParadoxReport:
     """Compute the four quantities whose joint pattern is contradictory:
     the |h1> amplitude, the |0>|ok>_A and |t>|ok>_B expansion coefficients,
-    and the joint (ok, ok) probability."""
+    and the joint (ok, ok) probability.
+
+    One ``tol`` serves both sides of the flag: each of the three amplitudes
+    must be at most ``tol`` in magnitude, and P(ok, ok) must exceed ``tol``.
+    On the target state the amplitudes are below 1e-17 and P(ok, ok) is
+    1/12, so any ``tol`` between those passes both tests.
+    """
     if state.num_qubits != 2:
         raise ValueError(f"audit requires a 2-qubit state, got {state.num_qubits} qubits")
     amp_h1 = complex(state.amplitudes[1])
@@ -247,3 +253,22 @@ def lookup(key: str) -> StateVector | SquareUnitary:
     if key in matrices:
         return matrices[key]
     raise KeyError(f"unknown registry key {key!r}; states: {', '.join(STATE_KEYS)}; matrices: {', '.join(MATRIX_KEYS)}")
+
+
+# ---------------------------------------------------------------------------
+# The constant checks behind `wigner-lab verify`.
+
+
+def verification_checks() -> list[tuple[str, float]]:
+    """(name, deviation) for each constant the protocol rests on: the
+    unitarity of A_h0, A_t01 and R, both evolutions reaching the target
+    state, and the target's joint Charlie coefficients (1, -1, 1, 3)/sqrt(12)."""
+    checks = [(f"unitary_{key}", core.is_unitary(mat).max_deviation) for key, mat in named_matrices().items()]
+    target = target_state().amplitudes
+    for key, outcome in (("heads", AliceOutcome.HEADS), ("tails", AliceOutcome.TAILS)):
+        evolved = core.apply(entangle_matrix(), core.apply(reset_matrix(outcome), initial_register(outcome)))
+        checks.append((f"evolution_{key}", float(np.linalg.norm(evolved.amplitudes - target))))
+    expansion = core.change_basis(target_state(), [charlie_basis("A"), charlie_basis("B")])
+    expected = np.array([np.sqrt(1 / 12), -np.sqrt(1 / 12), np.sqrt(1 / 12), np.sqrt(9 / 12)])
+    checks.append(("charlie_coefficients", float(np.abs(expansion.coefficients - expected).max())))
+    return checks

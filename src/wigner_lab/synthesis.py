@@ -69,9 +69,3 @@ def synthesize_from_e0(t, norm_tol: float = RESIDUAL_TOL) -> SynthesisResult:
     residual = float(np.linalg.norm(matrix.matrix @ e0 - vec))
     return SynthesisResult(matrix, residual)
 
-
-def compose(second: SquareUnitary, first: SquareUnitary) -> SquareUnitary:
-    """Matrix product ``second @ first`` (apply ``first``, then ``second``)."""
-    if second.dim != first.dim:
-        raise ValueError(f"dimension mismatch: {second.dim} vs {first.dim}")
-    return SquareUnitary(second.matrix @ first.matrix, tol=1e-11)

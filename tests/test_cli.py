@@ -29,6 +29,10 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the command did work before opening its --out file")
+
+
 class TestStates:
     def test_computational_view(self, capsys):
         code, out, _ = run_cli(capsys, "states", "psi_AB", "--format", "json")
@@ -213,7 +217,9 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error: ")
 
-    def test_out_into_missing_dir_names_the_path(self, capsys, tmp_path):
+    def test_out_into_missing_dir_names_the_path(self, capsys, tmp_path, monkeypatch):
+        # the --out file is opened before the synthesis runs
+        monkeypatch.setattr("wigner_lab.synthesis.synthesize_to_e0", refuse_work)
         path = str(tmp_path / "missing" / "u.json")
         code, _, err = run_cli(capsys, "synth", "psi_h0", "--to-e0", "--out", path)
         assert code == 2
@@ -270,10 +276,12 @@ class TestSimulate:
         assert rows[1][2] in ("A_h0", "A_t01")
 
     def test_rejected_call_leaves_no_trace_file(self, capsys, tmp_path):
-        path = tmp_path / "trace.csv"
-        code, _, _ = run_cli(capsys, "simulate", "--policy", "alternating", "--check", "--trace", str(path))
+        path, out = tmp_path / "trace.csv", tmp_path / "results.txt"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--policy", "alternating", "--check", "--trace", str(path), "--out", str(out)
+        )
         assert code == 2
-        assert not path.exists()
+        assert not path.exists() and not out.exists()
 
     def test_trace_into_missing_dir_names_the_path(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "trace.csv")
@@ -281,7 +289,9 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: ") and path in err
 
-    def test_out_into_missing_dir_names_the_path(self, capsys, tmp_path):
+    def test_out_into_missing_dir_names_the_path(self, capsys, tmp_path, monkeypatch):
+        # the --out file is opened before any trial runs
+        monkeypatch.setattr("wigner_lab.cli.run_trials", refuse_work)
         path = str(tmp_path / "missing" / "results.json")
         code, _, err = run_cli(capsys, "simulate", "-n", "10", "--format", "json", "--out", path)
         assert code == 2
@@ -454,6 +464,17 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--policy", "alternating")
         assert code == 2
         assert "closed form" in err
+
+    @pytest.mark.parametrize("policy, eps", [("correct", 0.0), ("uniform", 0.5), ("biased:0.17", 0.17), ("biased:0.3", 0.3)])
+    def test_rows_and_aggregate_share_one_closed_form(self, capsys, policy, eps):
+        code, out, _ = run_cli(capsys, "table", "--policy", policy, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        aggregate = data["resultant_states"]
+        wrong = [row for row in data["rows"] if row["resultant_state"] != "AB"]
+        assert [row["resultant_state"] for row in wrong] == ["ABht", "ABth"]
+        assert [row["p_joint"] for row in wrong] == [aggregate["ABht"], aggregate["ABth"]]
+        assert aggregate["AB"] == 1.0 - eps
 
     def test_pretty_matches_mechanism_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--policy", "uniform")

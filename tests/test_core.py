@@ -89,30 +89,6 @@ class TestTensor:
                 assert abs(out.amplitudes[i * b.dim + j] - a.amplitudes[i] * b.amplitudes[j]) < 1e-15
 
 
-class TestInner:
-    @given(normalized_states())
-    def test_self_inner_is_one(self, v):
-        assert abs(core.inner(v, v) - 1.0) < 1e-12
-
-    def test_charlie_vectors_orthogonal(self):
-        basis = protocol.charlie_basis("A")
-        ok, fail = StateVector(basis.vectors[:, 0]), StateVector(basis.vectors[:, 1])
-        assert abs(core.inner(ok, fail)) < 1e-15
-
-    def test_heads_overlap(self):
-        psi = StateVector([R3, np.sqrt(2 / 3)])
-        assert abs(core.inner(StateVector([1, 0]), psi) - R3) < 1e-15
-
-    def test_conjugates_first_argument(self):
-        a = StateVector([1j, 0])
-        b = StateVector([1, 0])
-        assert core.inner(a, b) == pytest.approx(-1j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            core.inner(StateVector([1, 0]), StateVector([1, 0, 0, 0]))
-
-
 class TestApply:
     def test_identity(self):
         v = StateVector([0, 1, 0, 0])
@@ -270,39 +246,6 @@ class TestBornProbabilities:
         values = list(dist.frequencies.values())
         assert abs(sum(values) - 1.0) <= 1e-10
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in values)
-
-
-class TestMeasure:
-    def test_basis_state_deterministic(self):
-        basis = computational_basis(("h", "t"))
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            labels, posterior = core.measure(StateVector([1, 0]), [basis], rng)
-            assert labels == ("h",)
-            np.testing.assert_array_equal(posterior.amplitudes, [1, 0])
-
-    def test_coin_qubit_frequency(self):
-        # binomial 4-sigma bound at 1e5 trials
-        basis = [protocol.alice_basis()]
-        psi = protocol.alice_first_qubit()
-        rng = np.random.default_rng(42)
-        heads = sum(core.measure(psi, basis, rng)[0] == ("h",) for _ in range(100_000))
-        assert abs(heads / 100_000 - 1 / 3) < 0.006
-
-    def test_target_state_joint_ok_frequency(self):
-        bases = charlie_pair()
-        psi = protocol.target_state()
-        rng = np.random.default_rng(42)
-        hits = sum(core.measure(psi, bases, rng)[0] == ("ok", "ok") for _ in range(100_000))
-        assert abs(hits / 100_000 - 1 / 12) < 0.0035
-
-    def test_repeatability(self):
-        bases = charlie_pair()
-        rng = np.random.default_rng(7)
-        labels, posterior = core.measure(protocol.target_state(), bases, rng)
-        for _ in range(100):
-            again, posterior = core.measure(posterior, bases, rng)
-            assert again == labels
 
 
 class TestSchmidt:

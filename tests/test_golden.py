@@ -129,6 +129,25 @@ COMMAND_GOLDEN = {
     ("table", "--policy", "correct"): "863060d0a18d22c34fe09f7fe642851ae43feb74acb2e34c6cf5c2fc6e1cf04a",
     ("table", "--policy", "uniform"): "c2c38c894601fac90f2fd943a754a6f2b92ca4487aab46c41b9f3c88fbc6686a",
     ("table", "--policy", "biased:0.17"): "eac475257c9b71477068e61911dd0d35c725d777a602ea2c693bc344b96d9b3e",
+    # the psi_t01 rows use p_t = 1 - P_HEADS, the value the aggregate uses
+    ("table", "--policy", "correct", "--format", "json"): (
+        "9949bafe0d3fd22a2fd728a4b538f9b10cc2da92640985fed6f4ec56cb5f235c"
+    ),
+    ("table", "--policy", "correct", "--format", "csv"): (
+        "17b7c6b6250428457c3b0a12378b5815706c23ccabed475d4887819a52c1724b"
+    ),
+    ("table", "--policy", "uniform", "--format", "json"): (
+        "4302f79d7037aa1b50bb7709a50fccaa089af812c1192478bdcea5720868782a"
+    ),
+    ("table", "--policy", "uniform", "--format", "csv"): (
+        "278b792e659469cfa533fb660b67f4a0814931f3c2d0c0536356696fe80dfac5"
+    ),
+    ("table", "--policy", "biased:0.17", "--format", "json"): (
+        "7633da403b4c7196ab3f3daf5c1cd653e733fa17a6cade5a8d1835a7366be6be"
+    ),
+    ("table", "--policy", "biased:0.17", "--format", "csv"): (
+        "3e9b6ef167865e35971881e14a09c472bcc62a25e4b7174f31bbb9f559df2562"
+    ),
 }
 
 

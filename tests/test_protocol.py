@@ -110,7 +110,7 @@ class TestTargetState:
 class TestCharlieBasis:
     def test_ok_overlap_with_heads(self):
         ok = StateVector(protocol.charlie_basis("A").vectors[:, 0])
-        assert abs(core.inner(ok, StateVector([1, 0])) - np.sqrt(0.5)) < 1e-15
+        assert abs(np.vdot(ok.amplitudes, [1, 0]) - np.sqrt(0.5)) < 1e-15
 
     @pytest.mark.parametrize("which", ["A", "B"])
     def test_orthonormal(self, which):
@@ -271,3 +271,17 @@ class TestRegistry:
     def test_lookup_unknown(self):
         with pytest.raises(KeyError, match="unknown registry key"):
             protocol.lookup("psi_nope")
+
+
+class TestVerificationChecks:
+    def test_against_plain_numpy(self):
+        checks = dict(protocol.verification_checks())
+        expected_names = [f"unitary_{key}" for key in protocol.MATRIX_KEYS]
+        assert list(checks) == expected_names + ["evolution_heads", "evolution_tails", "charlie_coefficients"]
+        for key, mat in protocol.named_matrices().items():
+            m = mat.matrix
+            assert checks[f"unitary_{key}"] == np.abs(m.conj().T @ m - np.eye(4)).max()
+        for key, outcome in (("heads", HEADS), ("tails", TAILS)):
+            residual = np.linalg.norm(raw_chain(outcome) - protocol.target_state().amplitudes)
+            assert abs(checks[f"evolution_{key}"] - residual) <= 1e-15
+        assert all(value <= 1e-12 for value in checks.values())

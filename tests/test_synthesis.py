@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from wigner_lab import core, protocol, synthesis
-from wigner_lab.core import SquareUnitary
-from wigner_lab.synthesis import compose, synthesize_from_e0, synthesize_to_e0
+from wigner_lab.synthesis import synthesize_from_e0, synthesize_to_e0
 
 DIMS = range(2, 9)
 
@@ -85,29 +84,3 @@ class TestSynthesizeFromE0:
             back = synthesize_from_e0(v).matrix
             assert np.linalg.norm(back.matrix @ (to.matrix @ v) - v) <= 1e-10
 
-
-class TestCompose:
-    def test_evolution_chain(self):
-        evolution = compose(protocol.entangle_matrix(), protocol.reset_matrix(protocol.AliceOutcome.HEADS))
-        out = evolution.matrix @ protocol.initial_register(protocol.AliceOutcome.HEADS).amplitudes
-        assert np.linalg.norm(out - protocol.target_state().amplitudes) <= 1e-12
-
-    def test_identity_is_neutral(self):
-        u = protocol.entangle_matrix()
-        out = compose(SquareUnitary(np.eye(4)), u)
-        np.testing.assert_array_equal(out.matrix, u.matrix)
-
-    def test_mismatched_evolution_gives_wrong_state(self):
-        evolution = compose(protocol.entangle_matrix(), protocol.reset_matrix(protocol.AliceOutcome.TAILS))
-        out = evolution.matrix @ protocol.initial_register(protocol.AliceOutcome.HEADS).amplitudes
-        np.testing.assert_allclose(
-            [out[0].real, out[2].real, out[3].real], [0.8471, 0.5137, -0.1361], atol=1e-4
-        )
-
-    def test_preserves_unitarity(self):
-        u = compose(protocol.entangle_matrix(), protocol.reset_matrix(protocol.AliceOutcome.TAILS))
-        assert core.is_unitary(u, 1e-11).ok
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            compose(SquareUnitary(np.eye(2)), SquareUnitary(np.eye(4)))
