@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -23,7 +22,6 @@ import numpy as np
 from . import core, jsonio, montecarlo, protocol, synthesis
 from .core import StateVector
 from .montecarlo import (
-    _BLOCK,
     ComparisonReport,
     MechanismRow,
     MistakePolicy,
@@ -92,22 +90,37 @@ def _policy_type(text: str) -> MistakePolicy:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _output_file(path: str, mode: str, **kwargs):
+    """``path`` opened for writing; removed again if the block fails and this
+    call created it, so a failed call leaves no new file behind."""
+    created = not os.path.exists(path)
+    try:
+        with open(path, mode, **kwargs) as handle:
+            yield handle
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _open_out(path: str | None):
     """The ``--out`` file, opened for writing before any work is done, or
     stdout (left open) when there is none."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    return _output_file(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        value = int(env)
-        if not 0 <= value < 1 << 64:
-            raise ValueError(f"{SEED_ENV_VAR} must fit in 64 unsigned bits, got {env!r}")
-        return value
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _seed_type(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"${SEED_ENV_VAR}: {exc}") from None
 
 
 def _resolve_state(name: str) -> StateVector:
@@ -121,7 +134,7 @@ def _resolve_state(name: str) -> StateVector:
 
 def _resolve_vector(name: str) -> np.ndarray:
     if Path(name).is_file():
-        return jsonio.vector_from_dict(json.loads(Path(name).read_text(encoding="utf-8")))
+        return jsonio.load_vector(name)
     return np.array(_resolve_state(name).amplitudes)
 
 
@@ -241,7 +254,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     vec = _resolve_vector(args.input)
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # a huge entry makes the norm inf: rejected
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > SYNTH_NORM_TOL:
         print(f"error: input is not a unit vector: norm = {norm!r}", file=sys.stderr)
         return 2
@@ -267,6 +281,9 @@ def _expected_resultants(config: TrialConfig) -> OutcomeDistribution:
     return analytic_mistake_table(config.policy)
 
 
+# Trace rows encoded per write; the encoder holds one such block of rows.
+_ROWS = 1 << 13
+
 # Trace CSV row tails by code ((record + 1) * 3 + state) * 4 + charlie, where the
 # record is heads * 2 + apply_h0, or -1 in analytic mode (no record, no transform).
 _TRACE_TAILS = [
@@ -282,7 +299,7 @@ _DIGIT_GROUPS = (np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1) + ord(
 
 
 def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
-    """Write one chunk of trace rows as ASCII bytes, one write per ``_BLOCK`` rows.
+    """Write one chunk of trace rows as ASCII bytes, one write per ``_ROWS`` rows.
 
     Each row is laid out in a fixed-width byte array: the trial index
     right-aligned in ``digits`` bytes, then its tail from ``_TAIL_BYTES``.
@@ -292,13 +309,13 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
     digits = -(-len(str(chunk.start + m - 1)) // 4) * 4
     table = np.zeros((len(_TAIL_BYTES), digits + _TAIL_BYTES.shape[1]), dtype=np.uint8)
     table[:, digits:] = _TAIL_BYTES
-    size = min(m, _BLOCK)
+    size = min(m, _ROWS)
     rows = np.empty((size, table.shape[1]), dtype=np.uint8)
     words = rows.view(np.uint32)  # the width is a multiple of 4
     keep = np.empty(rows.shape, dtype=bool)
     code = np.empty(size, dtype=np.intp)
-    for lo in range(0, m, _BLOCK):
-        b = min(_BLOCK, m - lo)
+    for lo in range(0, m, _ROWS):
+        b = min(_ROWS, m - lo)
         at = slice(lo, lo + b)
         row, word, kept, c = rows[:b], words[:b], keep[:b], code[:b]
         # c = ((record + 1) * 3 + state) * 4 + charlie, the key of _TRACE_TAILS
@@ -312,16 +329,18 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
             c += chunk.state_idx[at]
             c *= 4
         c += chunk.charlie_idx[at]
-        table.take(c, axis=0, out=row, mode="clip")
 
-        # The index, in runs of trials that share every digit but the last four.
+        # Runs of trials that share every digit but the last four: the table
+        # carries a run's higher digits, so one take lays out its whole rows.
         pos, trial = 0, chunk.start + lo
         while pos < b:
             text = str(trial)
             end = min(b, pos + 10_000 - trial % 10_000, pos + 10 ** len(text) - trial)
-            row[pos:end, : digits - 4] = list(text.rjust(digits, "\0")[:-4].encode("ascii"))
+            table[:, : digits - 4] = list(text.rjust(digits, "\0")[:-4].encode("ascii"))
+            table.take(c[pos:end], axis=0, out=row[pos:end], mode="clip")
             word[pos:end, digits // 4 - 1] = _DIGIT_GROUPS[trial % 10_000 : trial % 10_000 + end - pos]
-            row[pos:end, digits - 4 : digits - len(text)] = 0
+            if len(text) < 4:
+                row[pos:end, digits - 4 : digits - len(text)] = 0
             pos, trial = end, trial + end - pos
         handle.write(row[np.not_equal(row, 0, out=kept)])
 
@@ -335,7 +354,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.trace is None:
             result = run_trials(config)
         else:
-            with open(args.trace, "wb") as handle:
+            with _output_file(args.trace, "wb") as handle:
                 handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
                 result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
         report = None
@@ -476,7 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # an OSError's first argument is its errno; its text names the path
         message = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {message}", file=sys.stderr)

@@ -59,7 +59,8 @@ class StateVector:
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {amps.size}")
-        norm2 = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # a huge amplitude makes the sum inf: rejected
+            norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > TOL_NORM:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))

@@ -74,8 +74,26 @@ def save_state(path: str | Path, v: StateVector) -> None:
     Path(path).write_text(dumps(state_to_dict(v)), encoding="utf-8")
 
 
+def _load(path: str | Path, from_dict):
+    """``from_dict`` of the JSON document in a UTF-8 file.  A file that is not
+    UTF-8 JSON, or JSON nested too deeply to read, is a ``ValueError`` that
+    names the file."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_state(path: str | Path) -> StateVector:
-    return state_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _load(path, state_from_dict)
+
+
+def load_vector(path: str | Path) -> np.ndarray:
+    return _load(path, vector_from_dict)
 
 
 def save_matrix(path: str | Path, u: SquareUnitary) -> None:
@@ -83,4 +101,4 @@ def save_matrix(path: str | Path, u: SquareUnitary) -> None:
 
 
 def load_matrix(path: str | Path) -> SquareUnitary:
-    return matrix_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _load(path, matrix_from_dict)

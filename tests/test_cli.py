@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import wigner_lab
 from wigner_lab import jsonio, protocol
-from wigner_lab.cli import _TRACE_TAILS, _write_trace_rows, main
-from wigner_lab.montecarlo import _BLOCK, _CHUNK, TraceChunk
+from wigner_lab.cli import _ROWS, _TRACE_TAILS, _write_trace_rows, main
+from wigner_lab.montecarlo import _CHUNK, TraceChunk
 
 MALFORMED_STATES = ['{"amplitudes": [1, 2]}', "[1, 2]"]
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
@@ -231,6 +231,34 @@ class TestSynth:
         assert exc.value.code == 2
 
 
+STATE_FILE_COMMANDS = [("audit",), ("states",), ("synth", "--to-e0")]
+
+
+class TestStateFiles:
+    @pytest.mark.parametrize("command", STATE_FILE_COMMANDS, ids=lambda c: c[0])
+    def test_deeply_nested_json_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"amplitudes": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+        code, _, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and "nested" in err
+
+    @pytest.mark.parametrize("command", STATE_FILE_COMMANDS, ids=lambda c: c[0])
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"amplitudes": [[1, 0], [0, 0]], "note": "caf\u00e9"}'.encode("latin-1"))
+        code, _, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert err.startswith(f"error: {path}: not UTF-8")
+
+    def test_truncated_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"amplitudes": [[1, 0]', encoding="utf-8")
+        code, _, err = run_cli(capsys, "audit", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: not JSON")
+
+
 class TestSimulate:
     def test_uniform_check_passes(self, capsys):
         code, out, _ = run_cli(
@@ -282,6 +310,20 @@ class TestSimulate:
         )
         assert code == 2
         assert not path.exists() and not out.exists()
+
+    def test_failed_trace_leaves_no_out_file(self, capsys, tmp_path):
+        out, trace = tmp_path / "r.json", tmp_path / "missing" / "t.csv"
+        code, _, err = run_cli(capsys, "simulate", "-n", "10", "--out", str(out), "--trace", str(trace))
+        assert code == 2
+        assert str(trace) in err
+        assert not out.exists()
+
+    def test_failed_call_keeps_an_existing_out_file(self, capsys, tmp_path):
+        out, trace = tmp_path / "r.json", tmp_path / "missing" / "t.csv"
+        out.write_text("old", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "simulate", "-n", "10", "--out", str(out), "--trace", str(trace))
+        assert code == 2
+        assert out.exists()
 
     def test_trace_into_missing_dir_names_the_path(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "trace.csv")
@@ -345,6 +387,7 @@ class TestSimulate:
         monkeypatch.setenv("WIGNER_LAB_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "simulate", "-n", "100")
         assert code == 2
+        assert err == "error: $WIGNER_LAB_SEED: seed must be an integer, got 'not-a-number'\n"
 
     def test_bad_policy_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -399,7 +442,7 @@ class TestTraceEncoding:
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
     @pytest.mark.parametrize(
         "start, length",
-        [(0, 1), (0, 9), (0, 10), (0, 11), (0, _BLOCK + 1), (99_990, 20), (983_040, _CHUNK)],
+        [(0, 1), (0, 9), (0, 10), (0, 11), (0, _ROWS + 1), (99_990, 20), (983_040, _CHUNK)],
     )
     def test_matches_per_row_reference(self, start, length, analytic):
         chunk = random_chunk(start + length, start, length, analytic)
@@ -408,9 +451,9 @@ class TestTraceEncoding:
     @given(
         start=st.one_of(
             st.integers(0, 10**15),
-            st.builds(lambda k, back: max(0, 10**k - back), st.integers(1, 15), st.integers(0, 2 * _BLOCK)),
+            st.builds(lambda k, back: max(0, 10**k - back), st.integers(1, 15), st.integers(0, 2 * _ROWS)),
         ),
-        length=st.integers(1, 2 * _BLOCK + 2),
+        length=st.integers(1, 2 * _ROWS + 2),
         analytic=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -422,7 +465,7 @@ class TestTraceEncoding:
     def test_writes_once_per_block(self):
         handle = ByteCounter()
         _write_trace_rows(handle, random_chunk(0, 0, _CHUNK, False))
-        assert handle.writes == _CHUNK // _BLOCK
+        assert handle.writes == _CHUNK // _ROWS
 
     def test_memory_is_one_block(self):
         # a full chunk's rows are about 1.7 MB; the encoder holds one block of them
@@ -482,12 +525,32 @@ class TestTable:
         assert "0.1667" in out and "0.3333" in out
 
 
+def run_module(*args):
+    """``python -m wigner_lab ARGS`` in a fresh interpreter, as a user runs it."""
+    src = str(Path(wigner_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "wigner_lab", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestEntryPoint:
     def test_python_m_wigner_lab_verify(self):
-        src = str(Path(wigner_lab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "wigner_lab", "verify"], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_module("verify")
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            (("audit",), {"num_qubits": 2, "amplitudes": [[1e308, 1e308], [0, 0], [0, 0], [0, 0]]}),
+            (("synth", "--to-e0"), {"amplitudes": [[1e308, 1e308], [0, 0]]}),
+        ],
+        ids=["audit", "synth"],
+    )
+    def test_huge_amplitudes_print_only_the_error(self, tmp_path, command, document):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        proc = run_module(command[0], str(path), *command[1:])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
