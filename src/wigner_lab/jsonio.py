@@ -8,6 +8,7 @@ significant digits).  All file I/O is UTF-8.
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,24 @@ import numpy as np
 from .core import SquareUnitary, StateVector
 
 
+# Shows an offending JSON value in an error: one level, a few items.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxdict = 1, 3, 2
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 16
+
+
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
 def _from_pair(item) -> complex:
-    if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(isinstance(x, (int, float)) for x in item)):
-        raise ValueError(f"a complex number must be a [re, im] pair of numbers, got {item!r}")
+    # JSON true/false arrive as bool, a subclass of int; they are not numbers
+    if not (
+        isinstance(item, (list, tuple))
+        and len(item) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
+    ):
+        raise ValueError(f"a complex number must be a [re, im] pair of numbers, got {_SHORT.repr(item)}")
     return complex(float(item[0]), float(item[1]))
 
 
@@ -36,7 +48,7 @@ def state_from_dict(data: dict) -> StateVector:
     state = StateVector(vector_from_dict(data))
     n = data.get("num_qubits")
     if n is not None and n != state.num_qubits:
-        raise ValueError(f"num_qubits {n} does not match {len(data['amplitudes'])} amplitudes")
+        raise ValueError(f"num_qubits {_SHORT.repr(n)} does not match {len(data['amplitudes'])} amplitudes")
     return state
 
 
@@ -62,7 +74,7 @@ def matrix_from_dict(data: dict) -> SquareUnitary:
     u = SquareUnitary([[_from_pair(z) for z in row] for row in rows])
     dim = data.get("dim")
     if dim is not None and dim != u.dim:
-        raise ValueError(f"dim {dim!r} does not match a {u.dim}x{u.dim} entry grid")
+        raise ValueError(f"dim {_SHORT.repr(dim)} does not match a {u.dim}x{u.dim} entry grid")
     return u
 
 

@@ -16,6 +16,7 @@ chunk in trial order.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -33,8 +34,8 @@ STATE_LABELS = ("AB", "ABht", "ABth")
 CHARLIE_LABELS = ("ok_ok", "ok_fail", "fail_ok", "fail_fail")
 
 _CHUNK = 1 << 16
-# Trials per block inside a chunk: a block's uniforms and work buffers
-# (about 0.4 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
+# Trials per block inside a chunk: a block's words and work buffers
+# (about 0.5 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
 # block starts at an even trial index.
 _BLOCK = 1 << 13
 _MAX_WORKERS = 4
@@ -44,6 +45,8 @@ _IN_FLIGHT_PER_WORKER = 2
 # Resultant-state index by record code heads * 2 + apply_h0.
 _STATE_OF_RECORD = np.array([0, 2, 1, 0], dtype=np.intp)
 _ALTERNATE = np.arange(_BLOCK) % 2 == 0
+# A Charlie word's bucket is its top 12 bits: 4 096 buckets.
+_BUCKET_SHIFT = 52
 
 POLICY_KINDS = ("correct", "uniform", "alternating", "biased")
 MODES = ("collapse", "analytic")
@@ -184,9 +187,69 @@ def _charlie_thresholds() -> np.ndarray:
     return np.array(cumulative)[:, :-1].T.copy()
 
 
+def _word_bound(p: float) -> int:
+    """The least raw Philox word whose double is at least ``p`` in [0, 1].
+
+    numpy's Philox double is ``(word >> 11) * 2**-53``, so ``u < p`` holds
+    exactly when ``word < _word_bound(p)``.  The bound is ``2**64`` for
+    ``p == 1``: every word is below it."""
+    return math.ceil(p * 2.0**53) << 11
+
+
+class _RankTables(NamedTuple):
+    """Tables that classify a trial by one key, ``code * ranks + rank``.
+
+    ``code`` is ``heads * 2 + mistake``.  ``rank`` is the number of distinct
+    Charlie word bounds, over all three states, at or below the trial's
+    Charlie word ``w``: ``base[w >> 52] + (w >= edge[w >> 52])``.  The key
+    maps to the resultant state (``state_of_key``) and to the joint bin
+    ``state_idx * 4 + charlie_idx`` (``joint_of_key``).
+    """
+
+    ranks: int
+    base: np.ndarray
+    edge: np.ndarray
+    state_of_key: np.ndarray
+    joint_of_key: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _rank_tables() -> _RankTables:
+    """Build the rank tables from ``_charlie_thresholds``.
+
+    A bucket (the top 12 bits of a word) holds at most one distinct bound,
+    so one compare with that bound ranks every word in the bucket; a bucket
+    without a bound gets its first word as edge, which every word in it
+    passes."""
+    # Row s holds state s's three word bounds.
+    thresholds = _charlie_thresholds().T
+    bounds = np.array([_word_bound(t) for t in thresholds.ravel().tolist()], dtype=np.uint64)
+    bounds = bounds.reshape(thresholds.shape)
+    ordered = np.sort(bounds, axis=None)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    buckets = (distinct >> np.uint64(_BUCKET_SHIFT)).astype(np.intp)
+    if (buckets[1:] == buckets[:-1]).any():
+        raise AssertionError("two Charlie bounds share a bucket, so the bucket rank would be inexact")
+    edge = np.arange(1 << (64 - _BUCKET_SHIFT), dtype=np.uint64) << np.uint64(_BUCKET_SHIFT)
+    edge[buckets] = distinct
+    # base + 1 is the rank of a word at or above its bucket's edge; a word
+    # below the edge (only in a bucket holding a bound) ranks one lower.
+    base = np.searchsorted(distinct, edge, side="right") - 1
+    ranks = len(distinct) + 1
+    # charlie_of[s, r]: how many of state s's bounds lie at or below a word of rank r.
+    charlie_of = np.zeros((len(STATE_LABELS), ranks), dtype=np.intp)
+    charlie_of[:, 1:] = (bounds[:, :, None] <= distinct).sum(axis=1)
+    heads, mistake = np.arange(4) >> 1, np.arange(4) & 1  # apply_h0 = heads ^ mistake
+    state_of_key = np.repeat(_STATE_OF_RECORD[heads * 2 + (heads ^ mistake)], ranks)
+    rank_of_key = np.tile(np.arange(ranks), 4)
+    joint_of_key = state_of_key * len(CHARLIE_LABELS) + charlie_of[state_of_key, rank_of_key]
+    return _RankTables(ranks, base, edge, state_of_key, joint_of_key)
+
+
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
     """The Philox stream of one chunk: successive ``random`` draws give its
-    uniforms, three per trial, in trial order."""
+    uniforms, three per trial, in trial order.  The kernel reads the same
+    stream as raw words (``bit_generator.random_raw``), one per uniform."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
 
 
@@ -208,30 +271,39 @@ class _Workspace:
     """
 
     def __init__(self, size: int):
-        self.u = np.empty((size, 3))
-        self.joint = np.empty(size, dtype=np.intp)
+        self.key = np.empty(size, dtype=np.intp)
         self.state = np.empty(size, dtype=np.intp)
-        self.bounds = np.empty(size)
-        self.heads, self.apply_h0, self.match, self.flag = np.empty((4, size), dtype=bool)
+        self.bucket = np.empty(size, dtype=np.uint64)
+        self.edge = np.empty(size, dtype=np.uint64)
+        self.code, self.part = np.empty((2, size), dtype=np.uint8)
+        self.heads, self.mistake, self.above, self.flag = np.empty((4, size), dtype=bool)
 
 
 def _run_chunk(
-    config: TrialConfig, chunk_index: int, thresholds: np.ndarray, work: _Workspace, traced: bool = False
+    config: TrialConfig, chunk_index: int, tables: _RankTables, work: _Workspace, traced: bool = False
 ) -> tuple[np.ndarray, TraceChunk | None]:
     """Run the trials of one chunk, ``_BLOCK`` trials at a time.
 
-    Returns the chunk's joint tally (bin ``state_idx * 4 + charlie_idx``)
-    and, when ``traced``, its per-trial columns.  Worker threads run this,
-    so it calls only private helpers and numpy.
+    Each block draws three raw Philox words per trial and classifies each
+    trial by integer compares into one key (see ``_RankTables``); a block
+    tallies its keys with one ``bincount``, and the chunk's key tally folds
+    into the joint tally through ``joint_of_key``.  Returns the chunk's
+    joint tally (bin ``state_idx * 4 + charlie_idx``) and, when ``traced``,
+    its per-trial columns.  Worker threads run this, so it calls only
+    private helpers and numpy.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
-    rng = _chunk_uniforms(config.seed, chunk_index)
+    draw_words = _chunk_uniforms(config.seed, chunk_index).bit_generator.random_raw
+    ranks = tables.ranks
     analytic = config.mode == "analytic"
-    eps = config.policy.mistake_probability
     alternating = config.policy.kind == "alternating"
-    n_charlie = len(CHARLIE_LABELS)
-    tally = np.zeros(len(STATE_LABELS) * n_charlie, dtype=np.int64)
+    heads_bound = np.uint64(_word_bound(P_HEADS))
+    if not alternating:
+        bound = _word_bound(config.policy.mistake_probability)
+        every_mistake = bound == 1 << 64  # eps = 1: the bound does not fit a uint64
+        mistake_bound = np.uint64(min(bound, (1 << 64) - 1))
+    key_tally = np.zeros(4 * ranks, dtype=np.int64)
 
     # Traced, the columns hold the whole chunk; otherwise one block.
     if traced:
@@ -241,44 +313,46 @@ def _run_chunk(
         state_col = np.zeros(m, dtype=np.intp)
         charlie_col = np.empty(m, dtype=np.intp)
     else:
-        heads_col, apply_col, state_col = work.heads, work.apply_h0, work.state
+        heads_col, state_col = work.heads, work.state
 
     for lo in range(0, m, _BLOCK):
         b = min(_BLOCK, m - lo)
         at = slice(lo, lo + b) if traced else slice(0, b)
-        u, joint, flag, bounds = work.u[:b], work.joint[:b], work.flag[:b], work.bounds[:b]
-        rng.random(out=u)
-        charlie_u = u[:, 2]
+        words = draw_words((b, 3))  # columns: record, mistake, Charlie
+        charlie_w, key = words[:, 2], work.key[:b]
+        bucket = np.right_shift(charlie_w, np.uint64(_BUCKET_SHIFT), out=work.bucket[:b]).view(np.intp)
+        tables.base.take(bucket, out=key)
+        edge = tables.edge.take(bucket, out=work.edge[:b])
+        above = np.greater_equal(charlie_w, edge, out=work.above[:b]).view(np.uint8)
         if analytic:
-            joint.fill(0)
-            for bound in thresholds[:, 0]:
-                joint += np.greater_equal(charlie_u, bound, out=flag)
+            key += above
         else:
-            heads, apply_h0, state, match = heads_col[at], apply_col[at], state_col[at], work.match[:b]
-            np.less(u[:, 0], P_HEADS, out=heads)
+            heads, mistake, state, flag = heads_col[at], work.mistake[:b], state_col[at], work.flag[:b]
+            np.less(words[:, 0], heads_bound, out=heads)
             if alternating:
-                apply_h0[:] = _ALTERNATE[:b]  # blocks start at even trial indices
+                np.not_equal(heads, _ALTERNATE[:b], out=mistake)  # blocks start at even trial indices
+            elif every_mistake:
+                mistake.fill(True)
             else:
-                np.not_equal(heads, np.less(u[:, 1], eps, out=apply_h0), out=apply_h0)
-            # matching transform -> AB; heads hit by A_t01 -> ABht; tails by A_h0 -> ABth
-            np.multiply(heads, 2, out=joint)
-            joint += apply_h0
-            _STATE_OF_RECORD.take(joint, out=state, mode="clip")
-            np.equal(apply_h0, heads, out=match)
+                np.less(words[:, 1], mistake_bound, out=mistake)
+            # key += (heads * 2 + mistake) * ranks + above, summed in uint8 first
+            code = np.multiply(heads.view(np.uint8), 2 * ranks, out=work.code[:b])
+            code += np.multiply(mistake.view(np.uint8), ranks, out=work.part[:b])
+            code += above
+            key += code
+            tables.state_of_key.take(key, out=state)
             np.equal(state, 0, out=flag)
-            if np.not_equal(flag, match, out=flag).any():
+            if np.equal(flag, mistake, out=flag).any():
                 raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-
-            # Charlie's index is the number of cumulative bounds <= u, the same
-            # integer as searchsorted(side="right") clamped to the last label.
-            np.multiply(state, n_charlie, out=joint)
-            for bound in thresholds:
-                bound.take(state, out=bounds, mode="clip")
-                joint += np.greater_equal(charlie_u, bounds, out=flag)
-        tally += np.bincount(joint, minlength=len(tally))
+            if traced:
+                np.not_equal(heads, mistake, out=apply_col[at])
+        key_tally += np.bincount(key, minlength=len(key_tally))
         if traced:
-            np.bitwise_and(joint, n_charlie - 1, out=charlie_col[at])
+            charlie = tables.joint_of_key.take(key, out=charlie_col[at])
+            np.bitwise_and(charlie, len(CHARLIE_LABELS) - 1, out=charlie)
 
+    tally = np.zeros(len(STATE_LABELS) * len(CHARLIE_LABELS), dtype=np.int64)
+    np.add.at(tally, tables.joint_of_key, key_tally)
     if not traced:
         return tally, None
     return tally, TraceChunk(start, heads_col, apply_col, state_col, charlie_col)
@@ -292,7 +366,9 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     Trial ``i`` uses row ``i % _CHUNK`` of the uniforms keyed by (seed,
     ``i // _CHUNK``): column 0 draws Alice's record, column 1 the mistake
     and column 2 Charlie's outcome.  So results depend only on (seed,
-    n_trials, policy, mode), whatever the execution schedule.
+    n_trials, policy, mode), whatever the execution schedule.  The uniforms
+    are compared as raw 64-bit Philox words against exact integer bounds
+    (``_word_bound``), so each decision is the one the double would give.
 
     A counts-only run of more than one chunk runs its chunks on worker
     threads, one per CPU this process may use, at most ``_MAX_WORKERS``;
@@ -300,7 +376,7 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     run, or a run of one chunk, stays on the calling thread, so the sink
     is always called there, in trial order.
     """
-    thresholds = _charlie_thresholds()
+    tables = _rank_tables()  # built here, so worker threads never build it
     n_chunks = -(-config.n_trials // _CHUNK)
     traced = collect_traces is not None
     workers = 1 if traced or n_chunks < 2 else _worker_count()
@@ -309,7 +385,7 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     if workers == 1:
         work = _Workspace(size)
         for chunk_index in range(n_chunks):
-            chunk_tally, chunk = _run_chunk(config, chunk_index, thresholds, work, traced)
+            chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
             tally += chunk_tally
             if traced:
                 collect_traces(chunk)
@@ -322,7 +398,7 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
         def count_chunk(chunk_index: int) -> np.ndarray:
             work = spare.pop()
             try:
-                return _run_chunk(config, chunk_index, thresholds, work)[0]
+                return _run_chunk(config, chunk_index, tables, work)[0]
             finally:
                 spare.append(work)
 

@@ -19,7 +19,12 @@ from wigner_lab import jsonio, protocol
 from wigner_lab.cli import _ROWS, _TRACE_TAILS, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, TraceChunk
 
-MALFORMED_STATES = ['{"amplitudes": [1, 2]}', "[1, 2]"]
+# The last: JSON true/false are not numbers (read as 1 and 0, it was the unit vector e0).
+MALFORMED_STATES = [
+    '{"amplitudes": [1, 2]}',
+    "[1, 2]",
+    '{"amplitudes": [[true, false], [false, false], [false, false], [false, false]]}',
+]
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
 
 
@@ -554,3 +559,12 @@ class TestEntryPoint:
         proc = run_module(command[0], str(path), *command[1:])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_deeply_nested_amplitude_prints_a_short_error(self, tmp_path):
+        # json reads 900 levels in a fresh interpreter; the error shows only the first
+        path = tmp_path / "deep_item.json"
+        path.write_text('{"amplitudes": [' + "[" * 900 + "]" * 900 + ", [0, 0]]}", encoding="utf-8")
+        proc = run_module("audit", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert len(proc.stderr.encode()) < 200, proc.stderr

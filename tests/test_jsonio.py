@@ -41,11 +41,35 @@ class TestStateJson:
 
     @pytest.mark.parametrize(
         "data",
-        [[1, 2], {"amplitudes": [1, 2]}, {"amplitudes": 5}, {"num_qubits": [1], "amplitudes": [[1, 0], [0, 0]]}],
+        [
+            [1, 2],
+            {"amplitudes": [1, 2]},
+            {"amplitudes": 5},
+            {"num_qubits": [1], "amplitudes": [[1, 0], [0, 0]]},
+            {"amplitudes": [[True, False], [False, False]]},
+            {"amplitudes": [[1.0, True], [0, 0]]},
+        ],
     )
     def test_malformed_shapes_rejected(self, data):
         with pytest.raises(ValueError):
             jsonio.state_from_dict(data)
+
+    def test_errors_show_a_short_value(self):
+        deep = [[0.0, 0.0]]
+        for _ in range(900):
+            deep = [deep]
+        unit = [[1.0, 0.0], [0.0, 0.0]]
+        grid = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        items = (deep, ["x" * 1_000] * 1_000, {str(k): k for k in range(1_000)})
+        calls = [
+            *((jsonio.vector_from_dict, {"amplitudes": [item]}) for item in items),
+            (jsonio.state_from_dict, {"num_qubits": deep, "amplitudes": unit}),
+            (jsonio.matrix_from_dict, {"dim": deep, "entries": grid}),
+        ]
+        for from_dict, data in calls:
+            with pytest.raises(ValueError) as info:
+                from_dict(data)
+            assert len(str(info.value)) < 120, str(info.value)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -84,6 +108,7 @@ class TestMatrixJson:
             {"entries": [5, 6]},
             {"dim": [2], "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
             {"dim": "2", "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            {"entries": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
         ],
     )
     def test_malformed_shapes_rejected(self, data):

@@ -8,9 +8,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wigner_lab import core, montecarlo, protocol
 from wigner_lab.montecarlo import (
+    _BLOCK,
     _CHUNK,
     CHARLIE_LABELS,
     STATE_LABELS,
@@ -269,6 +272,95 @@ class TestSchedule:
         assert 1 <= montecarlo._worker_count() <= montecarlo._MAX_WORKERS
 
 
+WORD_LIMIT = 1 << 64
+
+
+def word_uniform(word: int) -> float:
+    """numpy's Philox double of a raw word, in exact Python arithmetic."""
+    return (word >> 11) * 2.0**-53
+
+
+def charlie_references():
+    """Per resultant state, Charlie's cumulative Born probabilities,
+    computed apart from the kernel's tables."""
+    bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
+    states = (protocol.target_state(), *map(protocol.wrong_state, (WrongStateLabel.ABHT, WrongStateLabel.ABTH)))
+    return [
+        np.cumsum([core.born_probabilities(state, bases).probability(label) for label in CHARLIE_LABELS])
+        for state in states
+    ]
+
+
+class TestRawWords:
+    """The kernel reads raw Philox words and compares them with integer bounds."""
+
+    def test_philox_double_is_the_top_53_bits_of_a_raw_word(self):
+        # numpy's contract the kernel rests on, checked on a chunk's stream
+        # drawn in kernel-sized blocks; runs on every numpy the CI installs
+        n = 2 * _BLOCK + 1_001
+        doubles = montecarlo._chunk_uniforms(2024, 3).random((n, 3))
+        raw = montecarlo._chunk_uniforms(2024, 3).bit_generator
+        words = np.concatenate([raw.random_raw((b, 3)) for b in (_BLOCK, _BLOCK, 1_001)])
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+
+    def test_word_bound_ends(self):
+        assert montecarlo._word_bound(0.0) == 0
+        assert montecarlo._word_bound(1.0) == WORD_LIMIT
+        assert montecarlo._word_bound(2.0**-53) == 1 << 11
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(min_value=0.0, max_value=1.0),
+        noise=st.lists(st.integers(min_value=0, max_value=WORD_LIMIT - 1), max_size=8),
+    )
+    def test_word_bound_is_exact(self, p, noise):
+        bound = montecarlo._word_bound(p)
+        for word in (bound - 1, bound, bound + 2_047, *noise):
+            if 0 <= word < WORD_LIMIT:
+                assert (word_uniform(word) >= p) == (word >= bound), (p, word)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["counts", "traced"])
+    def test_epsilon_zero_and_one_are_exact(self, traced):
+        n = 2 * _CHUNK + 7  # several chunks: worker threads when not traced
+        for eps, ab in ((0.0, n), (1.0, 0)):
+            config = TrialConfig(n, 8, MistakePolicy.biased(eps))
+            if traced:
+                result, columns, _ = run_traced(config)
+                np.testing.assert_array_equal(columns["apply_h0"] == columns["heads"], eps == 0.0)
+            else:
+                result = run_trials(config)
+            assert result.resultant_states.counts["AB"] == ab
+            assert sum(result.resultant_states.counts.values()) == n
+
+
+class TestRankTables:
+    def test_rank_key_matches_searchsorted_at_every_bound_and_bucket_edge(self):
+        tables = montecarlo._rank_tables()
+        bounds = [montecarlo._word_bound(t) for t in montecarlo._charlie_thresholds().ravel().tolist()]
+        edges = [j << montecarlo._BUCKET_SHIFT for j in range(1 << (64 - montecarlo._BUCKET_SHIFT))]
+        words = {w + d for w in bounds + edges for d in (-1, 0, 1)} | {WORD_LIMIT - 1}
+        words = np.array(sorted(w for w in words if 0 <= w < WORD_LIMIT), dtype=np.uint64)
+        bucket = (words >> np.uint64(montecarlo._BUCKET_SHIFT)).astype(np.intp)
+        rank = tables.base[bucket] + (words >= tables.edge[bucket])
+        assert rank.min() == 0 and rank.max() == tables.ranks - 1
+        u = (words >> np.uint64(11)) * 2.0**-53
+        references = charlie_references()
+        for code in range(4):  # heads * 2 + mistake
+            key = code * tables.ranks + rank
+            state = tables.state_of_key[code * tables.ranks]
+            np.testing.assert_array_equal(tables.state_of_key[key], state)
+            expected = np.minimum(np.searchsorted(references[state], u, side="right"), len(CHARLIE_LABELS) - 1)
+            np.testing.assert_array_equal(tables.joint_of_key[key], state * len(CHARLIE_LABELS) + expected)
+
+    def test_builder_refuses_two_bounds_in_one_bucket(self, monkeypatch):
+        thresholds = montecarlo._charlie_thresholds().copy()
+        thresholds[0, 1] = thresholds[0, 0] + 1e-5  # a bucket is 2**-12 wide
+        monkeypatch.setattr(montecarlo, "_charlie_thresholds", lambda: thresholds)
+        with pytest.raises(AssertionError, match="share a bucket"):
+            montecarlo._rank_tables.__wrapped__()
+
+
 class TestTraces:
     def test_alternating_applies_each_transform_exactly_half(self):
         _, columns, _ = run_traced(TrialConfig(2_000, 21, MistakePolicy.alternating()))
@@ -303,15 +395,11 @@ class TestTraces:
             assert diff <= 1e-12
 
     def test_charlie_index_matches_searchsorted(self):
-        # the kernel counts cumulative bounds <= u; masked searchsorted is the reference
+        # the kernel ranks raw words against integer bounds; searchsorted on the doubles is the reference
         config = TrialConfig(3_000, 31, MistakePolicy.uniform_random())
         _, columns, _ = run_traced(config)
         u = montecarlo._chunk_uniforms(config.seed, 0).random((config.n_trials, 3))[:, 2]
-        bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
-        states = (protocol.target_state(), protocol.wrong_state(WrongStateLabel.ABHT), protocol.wrong_state(WrongStateLabel.ABTH))
-        for index, state in enumerate(states):
-            dist = core.born_probabilities(state, bases)
-            cumulative = np.cumsum([dist.probability(label) for label in CHARLIE_LABELS])
+        for index, cumulative in enumerate(charlie_references()):
             mask = columns["state_idx"] == index
             expected = np.minimum(np.searchsorted(cumulative, u[mask], side="right"), len(CHARLIE_LABELS) - 1)
             np.testing.assert_array_equal(columns["charlie_idx"][mask], expected)
