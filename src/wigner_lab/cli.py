@@ -256,7 +256,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     vec = _resolve_vector(args.input)
     with np.errstate(over="ignore"):  # a huge entry makes the norm inf: rejected
         norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > SYNTH_NORM_TOL:
+    if not math.isfinite(norm) or abs(norm - 1.0) > SYNTH_NORM_TOL:  # a NaN norm fails every compare
         print(f"error: input is not a unit vector: norm = {norm!r}", file=sys.stderr)
         return 2
     vec = vec / norm
@@ -284,8 +284,9 @@ def _expected_resultants(config: TrialConfig) -> OutcomeDistribution:
 # Trace rows encoded per write; the encoder holds one such block of rows.
 _ROWS = 1 << 13
 
-# Trace CSV row tails by code ((record + 1) * 3 + state) * 4 + charlie, where the
-# record is heads * 2 + apply_h0, or -1 in analytic mode (no record, no transform).
+# Trace CSV row tails, indexed by the TraceChunk outcome code: record -1
+# (analytic mode: no record, no transform), then heads * 2 + apply_h0 = 0 .. 3,
+# each with its 3 states by 4 Charlie outcomes.
 _TRACE_TAILS = [
     f",{alice},{transform},{state},{charlie.replace(core.LABEL_SEP, ',')}\n"
     for alice, transform in (("-", "-"), ("t", "A_t01"), ("t", "A_h0"), ("h", "A_t01"), ("h", "A_h0"))
@@ -302,10 +303,11 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
     """Write one chunk of trace rows as ASCII bytes, one write per ``_ROWS`` rows.
 
     Each row is laid out in a fixed-width byte array: the trial index
-    right-aligned in ``digits`` bytes, then its tail from ``_TAIL_BYTES``.
-    Leading zeros and tail padding are NUL bytes, dropped on writing.
+    right-aligned in ``digits`` bytes, then the tail of its outcome code
+    from ``_TAIL_BYTES``.  Leading zeros and tail padding are NUL bytes,
+    dropped on writing.
     """
-    m = len(chunk.state_idx)
+    m = len(chunk.outcome)
     digits = -(-len(str(chunk.start + m - 1)) // 4) * 4
     table = np.zeros((len(_TAIL_BYTES), digits + _TAIL_BYTES.shape[1]), dtype=np.uint8)
     table[:, digits:] = _TAIL_BYTES
@@ -313,23 +315,9 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
     rows = np.empty((size, table.shape[1]), dtype=np.uint8)
     words = rows.view(np.uint32)  # the width is a multiple of 4
     keep = np.empty(rows.shape, dtype=bool)
-    code = np.empty(size, dtype=np.intp)
     for lo in range(0, m, _ROWS):
         b = min(_ROWS, m - lo)
-        at = slice(lo, lo + b)
-        row, word, kept, c = rows[:b], words[:b], keep[:b], code[:b]
-        # c = ((record + 1) * 3 + state) * 4 + charlie, the key of _TRACE_TAILS
-        if chunk.heads is None:
-            np.multiply(chunk.state_idx[at], 4, out=c)
-        else:
-            np.multiply(chunk.heads[at], 2, out=c)
-            c += chunk.apply_h0[at]
-            c += 1
-            c *= 3
-            c += chunk.state_idx[at]
-            c *= 4
-        c += chunk.charlie_idx[at]
-
+        row, word, kept, code = rows[:b], words[:b], keep[:b], chunk.outcome[lo : lo + b]
         # Runs of trials that share every digit but the last four: the table
         # carries a run's higher digits, so one take lays out its whole rows.
         pos, trial = 0, chunk.start + lo
@@ -337,7 +325,7 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
             text = str(trial)
             end = min(b, pos + 10_000 - trial % 10_000, pos + 10 ** len(text) - trial)
             table[:, : digits - 4] = list(text.rjust(digits, "\0")[:-4].encode("ascii"))
-            table.take(c[pos:end], axis=0, out=row[pos:end], mode="clip")
+            table.take(code[pos:end], axis=0, out=row[pos:end], mode="clip")
             word[pos:end, digits // 4 - 1] = _DIGIT_GROUPS[trial % 10_000 : trial % 10_000 + end - pos]
             if len(text) < 4:
                 row[pos:end, digits - 4 : digits - len(text)] = 0

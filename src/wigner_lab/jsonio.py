@@ -16,10 +16,33 @@ import numpy as np
 from .core import SquareUnitary, StateVector
 
 
-# Shows an offending JSON value in an error: one level, a few items.
-_SHORT = reprlib.Repr()
-_SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxdict = 1, 3, 2
-_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 16
+def _cut(text: str, limit: int) -> str:
+    """``text`` cut to ``limit`` characters by an ellipsis in its middle."""
+    if len(text) <= limit:
+        return text
+    head = (limit - 3) // 2
+    return text[:head] + "..." + text[len(text) - (limit - 3 - head) :]
+
+
+class _ShortJson(reprlib.Repr):
+    """Shows an offending JSON value in an error, spelled as JSON (``true``,
+    ``null``, ``"x"``, ``NaN``): one level, a few items, short numbers and
+    strings."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel, self.maxlist, self.maxdict = 1, 3, 2
+        self.maxstring = self.maxlong = self.maxother = 16
+
+    def repr_str(self, x, level):
+        n = self.maxstring
+        return _cut(json.dumps(x if len(x) <= n else x[:n] + x[-n:]), n)
+
+    def repr_instance(self, x, level):  # bool, None and float: no repr_<type> of their own
+        return _cut(json.dumps(x), self.maxother)
+
+
+_SHORT = _ShortJson()
 
 
 def _pair(z: complex) -> list[float]:
@@ -34,7 +57,10 @@ def _from_pair(item) -> complex:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
     ):
         raise ValueError(f"a complex number must be a [re, im] pair of numbers, got {_SHORT.repr(item)}")
-    return complex(float(item[0]), float(item[1]))
+    try:
+        return complex(float(item[0]), float(item[1]))
+    except OverflowError:  # an integer beyond every double
+        raise ValueError(f"a complex number's parts must fit a double, got {_SHORT.repr(item)}") from None
 
 
 def state_to_dict(v: StateVector) -> dict:

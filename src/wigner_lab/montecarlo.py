@@ -44,6 +44,8 @@ _IN_FLIGHT_PER_WORKER = 2
 
 # Resultant-state index by record code heads * 2 + apply_h0.
 _STATE_OF_RECORD = np.array([0, 2, 1, 0], dtype=np.intp)
+# Joint bins state_idx * 4 + charlie_idx: trace outcome codes per record.
+_JOINTS = len(STATE_LABELS) * len(CHARLIE_LABELS)
 _ALTERNATE = np.arange(_BLOCK) % 2 == 0
 # A Charlie word's bucket is its top 12 bits: 4 096 buckets.
 _BUCKET_SHIFT = 52
@@ -128,19 +130,39 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TraceChunk:
-    """Per-trial columns of trials ``start .. start + len(state_idx) - 1``.
+    """The trials ``start .. start + len(outcome) - 1``, one outcome code each.
 
+    The code (uint8) is ``((record + 1) * 3 + state_idx) * 4 + charlie_idx``:
+    ``record`` is ``heads * 2 + apply_h0``, or -1 in analytic mode, where
+    Charlie measures the target state directly, so analytic codes are below
+    12 and collapse codes at or above.  The properties decode the columns:
     ``heads`` is Alice's record and ``apply_h0`` whether ``A_h0`` (else
-    ``A_t01``) was applied; both are None in analytic mode, where Charlie
-    measures the target state directly.  ``state_idx`` and ``charlie_idx``
-    index ``STATE_LABELS`` and ``CHARLIE_LABELS``.
+    ``A_t01``) was applied, both None in analytic mode; ``state_idx`` and
+    ``charlie_idx`` index ``STATE_LABELS`` and ``CHARLIE_LABELS``.
     """
 
     start: int
-    heads: np.ndarray | None
-    apply_h0: np.ndarray | None
-    state_idx: np.ndarray
-    charlie_idx: np.ndarray
+    outcome: np.ndarray
+
+    @property
+    def _analytic(self) -> bool:
+        return not self.outcome.size or self.outcome[0] < _JOINTS
+
+    @property
+    def heads(self) -> np.ndarray | None:
+        return None if self._analytic else self.outcome >= 3 * _JOINTS  # record 2 or 3
+
+    @property
+    def apply_h0(self) -> np.ndarray | None:
+        return None if self._analytic else self.outcome // _JOINTS % 2 == 0  # record 1 or 3
+
+    @property
+    def state_idx(self) -> np.ndarray:
+        return (self.outcome // len(CHARLIE_LABELS) % len(STATE_LABELS)).astype(np.intp)
+
+    @property
+    def charlie_idx(self) -> np.ndarray:
+        return (self.outcome % len(CHARLIE_LABELS)).astype(np.intp)
 
 
 class MechanismRow(NamedTuple):
@@ -202,8 +224,11 @@ class _RankTables(NamedTuple):
     ``code`` is ``heads * 2 + mistake``.  ``rank`` is the number of distinct
     Charlie word bounds, over all three states, at or below the trial's
     Charlie word ``w``: ``base[w >> 52] + (w >= edge[w >> 52])``.  The key
-    maps to the resultant state (``state_of_key``) and to the joint bin
-    ``state_idx * 4 + charlie_idx`` (``joint_of_key``).
+    maps to the resultant state (``state_of_key``), to the joint bin
+    ``state_idx * 4 + charlie_idx`` (``joint_of_key``) and to the trial's
+    ``TraceChunk`` outcome code (``outcome_of_key``).  In analytic mode the
+    key is the rank alone, and ``analytic_outcome_of_key`` maps it to the
+    code, which is Charlie's index there.
     """
 
     ranks: int
@@ -211,6 +236,8 @@ class _RankTables(NamedTuple):
     edge: np.ndarray
     state_of_key: np.ndarray
     joint_of_key: np.ndarray
+    outcome_of_key: np.ndarray
+    analytic_outcome_of_key: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +267,14 @@ def _rank_tables() -> _RankTables:
     charlie_of = np.zeros((len(STATE_LABELS), ranks), dtype=np.intp)
     charlie_of[:, 1:] = (bounds[:, :, None] <= distinct).sum(axis=1)
     heads, mistake = np.arange(4) >> 1, np.arange(4) & 1  # apply_h0 = heads ^ mistake
-    state_of_key = np.repeat(_STATE_OF_RECORD[heads * 2 + (heads ^ mistake)], ranks)
+    record_of_key = np.repeat(heads * 2 + (heads ^ mistake), ranks)
+    state_of_key = _STATE_OF_RECORD[record_of_key]
     rank_of_key = np.tile(np.arange(ranks), 4)
     joint_of_key = state_of_key * len(CHARLIE_LABELS) + charlie_of[state_of_key, rank_of_key]
-    return _RankTables(ranks, base, edge, state_of_key, joint_of_key)
+    # The TraceChunk code; an analytic key is a rank of state AB, with record -1.
+    outcome_of_key = ((record_of_key + 1) * _JOINTS + joint_of_key).astype(np.uint8)
+    analytic_outcome_of_key = charlie_of[0].astype(np.uint8)
+    return _RankTables(ranks, base, edge, state_of_key, joint_of_key, outcome_of_key, analytic_outcome_of_key)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
@@ -289,8 +320,8 @@ def _run_chunk(
     tallies its keys with one ``bincount``, and the chunk's key tally folds
     into the joint tally through ``joint_of_key``.  Returns the chunk's
     joint tally (bin ``state_idx * 4 + charlie_idx``) and, when ``traced``,
-    its per-trial columns.  Worker threads run this, so it calls only
-    private helpers and numpy.
+    its per-trial outcome codes, one ``outcome_of_key`` lookup per block.
+    Worker threads run this, so it calls only private helpers and numpy.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
@@ -305,19 +336,12 @@ def _run_chunk(
         mistake_bound = np.uint64(min(bound, (1 << 64) - 1))
     key_tally = np.zeros(4 * ranks, dtype=np.int64)
 
-    # Traced, the columns hold the whole chunk; otherwise one block.
     if traced:
-        heads_col = apply_col = None
-        if not analytic:
-            heads_col, apply_col = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-        state_col = np.zeros(m, dtype=np.intp)
-        charlie_col = np.empty(m, dtype=np.intp)
-    else:
-        heads_col, state_col = work.heads, work.state
+        outcome = np.empty(m, dtype=np.uint8)
+        outcome_of_key = tables.analytic_outcome_of_key if analytic else tables.outcome_of_key
 
     for lo in range(0, m, _BLOCK):
         b = min(_BLOCK, m - lo)
-        at = slice(lo, lo + b) if traced else slice(0, b)
         words = draw_words((b, 3))  # columns: record, mistake, Charlie
         charlie_w, key = words[:, 2], work.key[:b]
         bucket = np.right_shift(charlie_w, np.uint64(_BUCKET_SHIFT), out=work.bucket[:b]).view(np.intp)
@@ -327,7 +351,7 @@ def _run_chunk(
         if analytic:
             key += above
         else:
-            heads, mistake, state, flag = heads_col[at], work.mistake[:b], state_col[at], work.flag[:b]
+            heads, mistake, state, flag = work.heads[:b], work.mistake[:b], work.state[:b], work.flag[:b]
             np.less(words[:, 0], heads_bound, out=heads)
             if alternating:
                 np.not_equal(heads, _ALTERNATE[:b], out=mistake)  # blocks start at even trial indices
@@ -344,24 +368,22 @@ def _run_chunk(
             np.equal(state, 0, out=flag)
             if np.equal(flag, mistake, out=flag).any():
                 raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-            if traced:
-                np.not_equal(heads, mistake, out=apply_col[at])
         key_tally += np.bincount(key, minlength=len(key_tally))
         if traced:
-            charlie = tables.joint_of_key.take(key, out=charlie_col[at])
-            np.bitwise_and(charlie, len(CHARLIE_LABELS) - 1, out=charlie)
+            outcome_of_key.take(key, out=outcome[lo : lo + b], mode="clip")  # every key is in range
 
-    tally = np.zeros(len(STATE_LABELS) * len(CHARLIE_LABELS), dtype=np.int64)
+    tally = np.zeros(_JOINTS, dtype=np.int64)
     np.add.at(tally, tables.joint_of_key, key_tally)
     if not traced:
         return tally, None
-    return tally, TraceChunk(start, heads_col, apply_col, state_col, charlie_col)
+    return tally, TraceChunk(start, outcome)
 
 
 def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None] | None = None) -> RunResult:
     """Run the protocol ``config.n_trials`` times, one chunk of ``_CHUNK``
     trials at a time; ``collect_traces``, when given, receives each chunk's
-    per-trial columns in trial order, and nothing per trial is kept.
+    ``TraceChunk`` of per-trial outcome codes in trial order, and nothing
+    per trial is kept.
 
     Trial ``i`` uses row ``i % _CHUNK`` of the uniforms keyed by (seed,
     ``i // _CHUNK``): column 0 draws Alice's record, column 1 the mistake
@@ -381,7 +403,7 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     traced = collect_traces is not None
     workers = 1 if traced or n_chunks < 2 else _worker_count()
     size = min(_BLOCK, config.n_trials)
-    tally = np.zeros(len(STATE_LABELS) * len(CHARLIE_LABELS), dtype=np.int64)
+    tally = np.zeros(_JOINTS, dtype=np.int64)
     if workers == 1:
         work = _Workspace(size)
         for chunk_index in range(n_chunks):

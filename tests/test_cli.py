@@ -1,23 +1,27 @@
 """End-to-end CLI tests: exit codes, output formats, file I/O, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wigner_lab
 from wigner_lab import jsonio, protocol
 from wigner_lab.cli import _ROWS, _TRACE_TAILS, _write_trace_rows, main
-from wigner_lab.montecarlo import _CHUNK, TraceChunk
+from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
 
 # The last: JSON true/false are not numbers (read as 1 and 0, it was the unit vector e0).
 MALFORMED_STATES = [
@@ -214,6 +218,13 @@ class TestSynth:
         assert code == 2
         assert "norm = 0.5" in err
 
+    def test_nan_amplitude_is_not_a_unit_vector(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text('{"amplitudes": [[NaN, 0], [0, 0]]}', encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", str(path), "--to-e0")
+        assert code == 2
+        assert err == "error: input is not a unit vector: norm = nan\n"
+
     @pytest.mark.parametrize("text", MALFORMED_STATES)
     def test_malformed_vector_json_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -262,6 +273,65 @@ class TestStateFiles:
         code, _, err = run_cli(capsys, "audit", str(path))
         assert code == 2
         assert err.startswith(f"error: {path}: not JSON")
+
+
+# JSON numbers as a user's file may spell them: NaN and Infinity text, and
+# integers beyond every double.  Booleans, null and strings stand in for them
+# in the recursive documents.
+FUZZ_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -1, 0.6, 0.8, math.sqrt(0.5), 1e308, 5e-324, 10**400, math.nan, -math.inf]),
+    st.integers(-(2**70), 2**70),
+)
+FUZZ_JSON = st.recursive(
+    st.one_of(FUZZ_NUMBERS, st.booleans(), st.none(), st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+FUZZ_PAIRS = st.lists(FUZZ_NUMBERS, min_size=2, max_size=2)
+
+
+def unit_document(pairs):
+    norm = math.hypot(*(x for pair in pairs for x in pair))  # no underflow to 0 for tiny parts
+    return {"amplitudes": [[re / norm, im / norm] for re, im in pairs]}
+
+
+# Mostly state-shaped, so documents reach the norm checks and the commands;
+# the unit vectors of any length and the named states pass some commands.
+FUZZ_DOCUMENTS = st.one_of(
+    FUZZ_JSON,
+    st.fixed_dictionaries(
+        {"amplitudes": st.lists(FUZZ_PAIRS, max_size=5) | st.lists(FUZZ_PAIRS | FUZZ_JSON, max_size=5) | FUZZ_JSON},
+        optional={"num_qubits": st.integers(0, 3) | FUZZ_JSON},
+    ),
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=8)
+    .filter(lambda pairs: any(re or im for re, im in pairs))
+    .map(unit_document),
+    st.sampled_from([jsonio.state_to_dict(state) for state in protocol.named_states().values()]),
+)
+FUZZ_COMMANDS = [("audit",), ("states",), ("synth", "--to-e0"), ("synth", "--to-e0", "--out")]
+
+
+class TestDocumentFuzz:
+    @given(document=FUZZ_DOCUMENTS, command=st.sampled_from(FUZZ_COMMANDS))
+    @example(document={"amplitudes": [[math.nan, 0], [0, 0]]}, command=("synth", "--to-e0"))
+    @example(document={"amplitudes": [[10**400, 0], [0, 0]]}, command=("states",))
+    @settings(max_examples=200, deadline=None)
+    def test_any_document_exits_0_1_or_2(self, document, command):
+        # in process, warnings as errors: any warning or exception escaping main fails the example
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "doc.json", Path(tmp) / "u.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            argv = [command[0], str(path), *command[1:]] + ([str(out)] if "--out" in command else [])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+            if "--out" in command:
+                assert out.exists() == (code == 0)
 
 
 class TestSimulate:
@@ -410,12 +480,11 @@ class TestSimulate:
 
 
 def random_chunk(seed, start, length, analytic):
+    """A chunk of random trials, its outcome codes built from random columns."""
     rng = np.random.default_rng(seed)
-    heads = apply_h0 = None
-    if not analytic:
-        heads, apply_h0 = rng.random((2, length)) < 0.5
-    state_idx = rng.integers(0, 3, length).astype(np.intp)
-    return TraceChunk(start, heads, apply_h0, state_idx, rng.integers(0, 4, length).astype(np.intp))
+    record = np.full(length, -1) if analytic else rng.integers(0, 4, length)  # heads * 2 + apply_h0
+    state_idx, charlie_idx = rng.integers(0, 3, length), rng.integers(0, 4, length)
+    return TraceChunk(start, (((record + 1) * 3 + state_idx) * 4 + charlie_idx).astype(np.uint8))
 
 
 def reference_rows(chunk):
@@ -444,6 +513,19 @@ class ByteCounter:
 
 
 class TestTraceEncoding:
+    def test_outcome_codes_spell_their_tails(self):
+        # analytic codes 0..11 (record -1), then collapse codes 12..59
+        for codes in (np.arange(12), np.arange(12, 60)):
+            chunk = TraceChunk(0, codes.astype(np.uint8))
+            heads, apply_h0 = chunk.heads, chunk.apply_h0
+            for i, code in enumerate(codes.tolist()):
+                alice, transform = "-", "-"
+                if heads is not None:
+                    alice, transform = "h" if heads[i] else "t", "A_h0" if apply_h0[i] else "A_t01"
+                state, charlie = STATE_LABELS[chunk.state_idx[i]], CHARLIE_LABELS[chunk.charlie_idx[i]]
+                assert _TRACE_TAILS[code] == f",{alice},{transform},{state},{charlie.replace('_', ',')}\n"
+        assert len(_TRACE_TAILS) == 60
+
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
     @pytest.mark.parametrize(
         "start, length",
@@ -550,8 +632,10 @@ class TestEntryPoint:
         [
             (("audit",), {"num_qubits": 2, "amplitudes": [[1e308, 1e308], [0, 0], [0, 0], [0, 0]]}),
             (("synth", "--to-e0"), {"amplitudes": [[1e308, 1e308], [0, 0]]}),
+            (("audit",), {"num_qubits": 2, "amplitudes": [[math.nan, 0], [0, 0], [0, 0], [0, 0]]}),
+            (("synth", "--to-e0"), {"amplitudes": [[math.nan, 0], [0, 0]]}),
         ],
-        ids=["audit", "synth"],
+        ids=["audit", "synth", "audit-nan", "synth-nan"],
     )
     def test_huge_amplitudes_print_only_the_error(self, tmp_path, command, document):
         path = tmp_path / "huge.json"

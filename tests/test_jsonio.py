@@ -48,6 +48,7 @@ class TestStateJson:
             {"num_qubits": [1], "amplitudes": [[1, 0], [0, 0]]},
             {"amplitudes": [[True, False], [False, False]]},
             {"amplitudes": [[1.0, True], [0, 0]]},
+            {"amplitudes": [[10**400, 0], [0, 0]]},  # beyond every double
         ],
     )
     def test_malformed_shapes_rejected(self, data):
@@ -70,6 +71,20 @@ class TestStateJson:
             with pytest.raises(ValueError) as info:
                 from_dict(data)
             assert len(str(info.value)) < 120, str(info.value)
+        # values are spelled as in the user's JSON file, not as Python reprs
+        spelled = [
+            ([True, False], "got [true, false]"),
+            ([None, "x"], 'got [null, "x"]'),
+            ([float("nan"), float("-inf"), True], "got [NaN, -Infinity, true]"),
+            (["x" * 1_000, 0], 'got ["xxxxx...xxxxxx", 0]'),
+            ({"re": 1, "im": 0, "x": 2}, 'got {"im": 0, "re": 1, ...}'),  # keys sorted, as reprlib does
+            ([[[0.5]], 1, 2, 3], "got [[...], 1, 2, ...]"),
+            ([10**400, 0], "got [100000...0000000, 0]"),
+        ]
+        for item, text in spelled:
+            with pytest.raises(ValueError) as info:
+                jsonio.vector_from_dict({"amplitudes": [item]})
+            assert str(info.value).endswith(text), str(info.value)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):

@@ -413,6 +413,18 @@ class TestTraces:
         tallies = np.bincount(columns["state_idx"], minlength=len(STATE_LABELS)).tolist()
         assert tallies == [result.resultant_states.counts[label] for label in STATE_LABELS]
 
+    @pytest.mark.parametrize("mode", ["collapse", "analytic"])
+    def test_outcome_is_one_uint8_code_per_trial(self, mode):
+        # analytic codes have record -1 and lie below 12; collapse codes from 12 to 59
+        n = _CHUNK + 3 * _BLOCK + 11
+        chunks = []
+        run_trials(TrialConfig(n, 37, MistakePolicy.uniform_random(), mode=mode), collect_traces=chunks.append)
+        assert [c.outcome.dtype for c in chunks] == [np.uint8, np.uint8]
+        assert [len(c.outcome) for c in chunks] == [_CHUNK, n - _CHUNK]
+        outcome = np.concatenate([c.outcome for c in chunks])
+        low, high = (0, 12) if mode == "analytic" else (12, 60)
+        assert low <= outcome.min() and outcome.max() < high
+
     def test_traces_off_by_default(self):
         assert inspect.signature(run_trials).parameters["collect_traces"].default is None
         assert [f.name for f in dataclasses.fields(RunResult)] == ["resultant_states", "charlie"]
