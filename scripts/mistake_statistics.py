@@ -23,9 +23,7 @@ def main():
 
     print(f"{'eps':>5}  {'AB':>18}  {'ABht':>18}  {'ABth':>18}  4-sigma")
     for eps in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
-        policy = MistakePolicy.biased(eps) if eps not in (0.0, 0.5) else (
-            MistakePolicy.always_correct() if eps == 0.0 else MistakePolicy.uniform_random()
-        )
+        policy = MistakePolicy.biased(eps)
         result = run_trials(TrialConfig(args.trials, args.seed, policy))
         analytic = analytic_mistake_table(policy)
         report = compare_distributions(result.resultant_states, analytic, 4.0)

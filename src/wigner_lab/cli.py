@@ -276,9 +276,8 @@ def _dist_json(dist: OutcomeDistribution) -> dict:
 
 
 def _expected_resultants(config: TrialConfig) -> OutcomeDistribution:
-    if config.mode == "analytic":
-        return OutcomeDistribution.from_probabilities({"AB": 1.0, "ABht": 0.0, "ABth": 0.0})
-    return analytic_mistake_table(config.policy)
+    # analytic mode measures the target state: no mistakes, whatever the policy
+    return analytic_mistake_table(MistakePolicy("correct") if config.mode == "analytic" else config.policy)
 
 
 # Trace rows encoded per write; the encoder holds one such block of rows.

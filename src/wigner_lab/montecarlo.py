@@ -7,18 +7,19 @@ Hadamard-basis observable on the resulting register.
 Randomness is counter-based (Philox keyed by master seed and chunk index)
 so results depend only on (seed, trial index): serial and parallel
 execution schedules produce bit-identical output.  A counts-only run of
-several chunks uses that: its chunks run on worker threads, as many as the
-CPUs the process may use (at most ``_MAX_WORKERS``, derived from the
-machine, not configurable), and their tallies are summed in chunk order.
-A traced run stays on the calling thread, which calls the sink with each
-chunk in trial order.
+several chunks uses that: it splits its chunks into strides, one per
+worker thread, as many as the CPUs the process may use (at most
+``_MAX_WORKERS``, derived from the machine, not configurable), and sums
+the strides' integer tallies, which is exact in any order.  A traced run
+stays on the calling thread, which calls the sink with each chunk in
+trial order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -39,8 +40,6 @@ _CHUNK = 1 << 16
 # block starts at an even trial index.
 _BLOCK = 1 << 13
 _MAX_WORKERS = 4
-# Chunks submitted but not yet tallied, per worker thread.
-_IN_FLIGHT_PER_WORKER = 2
 
 # Resultant-state index by record code heads * 2 + apply_h0.
 _STATE_OF_RECORD = np.array([0, 2, 1, 0], dtype=np.intp)
@@ -295,7 +294,7 @@ def _worker_count() -> int:
 
 
 class _Workspace:
-    """Block buffers that one thread at a time reuses from chunk to chunk.
+    """Block buffers that one share of a run reuses from chunk to chunk.
 
     The caller allocates them, so the memory stays with the calling
     thread's allocator and is freed when the run ends.
@@ -345,8 +344,9 @@ def _run_chunk(
         words = draw_words((b, 3))  # columns: record, mistake, Charlie
         charlie_w, key = words[:, 2], work.key[:b]
         bucket = np.right_shift(charlie_w, np.uint64(_BUCKET_SHIFT), out=work.bucket[:b]).view(np.intp)
-        tables.base.take(bucket, out=key)
-        edge = tables.edge.take(bucket, out=work.edge[:b])
+        # Every index is in range; mode="clip" writes into out, "raise" would copy it.
+        tables.base.take(bucket, out=key, mode="clip")
+        edge = tables.edge.take(bucket, out=work.edge[:b], mode="clip")
         above = np.greater_equal(charlie_w, edge, out=work.above[:b]).view(np.uint8)
         if analytic:
             key += above
@@ -364,13 +364,13 @@ def _run_chunk(
             code += np.multiply(mistake.view(np.uint8), ranks, out=work.part[:b])
             code += above
             key += code
-            tables.state_of_key.take(key, out=state)
+            tables.state_of_key.take(key, out=state, mode="clip")
             np.equal(state, 0, out=flag)
             if np.equal(flag, mistake, out=flag).any():
                 raise AssertionError("resultant state must be AB exactly when the transform matches the record")
         key_tally += np.bincount(key, minlength=len(key_tally))
         if traced:
-            outcome_of_key.take(key, out=outcome[lo : lo + b], mode="clip")  # every key is in range
+            outcome_of_key.take(key, out=outcome[lo : lo + b], mode="clip")
 
     tally = np.zeros(_JOINTS, dtype=np.int64)
     np.add.at(tally, tables.joint_of_key, key_tally)
@@ -392,50 +392,47 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     are compared as raw 64-bit Philox words against exact integer bounds
     (``_word_bound``), so each decision is the one the double would give.
 
-    A counts-only run of more than one chunk runs its chunks on worker
-    threads, one per CPU this process may use, at most ``_MAX_WORKERS``;
-    the count is derived from the machine and is not a setting.  A traced
-    run, or a run of one chunk, stays on the calling thread, so the sink
-    is always called there, in trial order.
+    Every run goes through ``run_share(work, first)``: it runs chunks
+    ``first, first + workers, ...`` in order on one workspace and sums their
+    tallies.  A traced run, or a run of one chunk, runs one share on the
+    calling thread, so the sink is called there, in trial order.  A
+    counts-only run of more chunks runs a share on each of ``_worker_count``
+    threads (derived from the machine, not a setting) and sums the shares,
+    exactly.  A share that raises, or the caller leaving early, stops every
+    share before its next chunk.
     """
     tables = _rank_tables()  # built here, so worker threads never build it
     n_chunks = -(-config.n_trials // _CHUNK)
     traced = collect_traces is not None
     workers = 1 if traced or n_chunks < 2 else _worker_count()
-    size = min(_BLOCK, config.n_trials)
-    tally = np.zeros(_JOINTS, dtype=np.int64)
+    stop = threading.Event()
+
+    def run_share(work: _Workspace, first: int) -> np.ndarray:
+        tally = np.zeros(_JOINTS, dtype=np.int64)
+        try:
+            for chunk_index in range(first, n_chunks, workers):
+                if stop.is_set():
+                    break
+                chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
+                tally += chunk_tally
+                if traced:
+                    collect_traces(chunk)
+        except BaseException:
+            stop.set()
+            raise
+        return tally
+
+    works = [_Workspace(min(_BLOCK, config.n_trials)) for _ in range(workers)]
     if workers == 1:
-        work = _Workspace(size)
-        for chunk_index in range(n_chunks):
-            chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
-            tally += chunk_tally
-            if traced:
-                collect_traces(chunk)
+        tally = run_share(works[0], 0)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        # At most `workers` chunks run at once, so a workspace is always spare.
-        spare = [_Workspace(size) for _ in range(workers)]
-
-        def count_chunk(chunk_index: int) -> np.ndarray:
-            work = spare.pop()
-            try:
-                return _run_chunk(config, chunk_index, tables, work)[0]
-            finally:
-                spare.append(work)
-
         with ThreadPoolExecutor(workers) as pool:
-            pending: deque = deque()
             try:
-                for chunk_index in range(n_chunks):
-                    if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
-                        tally += pending.popleft().result()
-                    pending.append(pool.submit(count_chunk, chunk_index))
-                while pending:
-                    tally += pending.popleft().result()
+                tally = sum(pool.map(run_share, works, range(workers)))
             finally:
-                for future in pending:
-                    future.cancel()
+                stop.set()  # before the pool waits for its threads
 
     joint = tally.reshape(len(STATE_LABELS), len(CHARLIE_LABELS))
     return RunResult(

@@ -25,26 +25,26 @@ class SynthesisResult:
             raise ValueError(f"synthesis residual {self.residual!r} exceeds {RESIDUAL_TOL!r}")
 
 
-def _unit_vector(v, norm_tol: float) -> np.ndarray:
+def _unit_vector(v) -> np.ndarray:
     vec = v.amplitudes.copy() if isinstance(v, StateVector) else _as_complex_vector(v)
     if vec.size < 1:
         raise ValueError("vector must have dimension >= 1")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("cannot synthesize from the zero vector")
-    if abs(norm - 1.0) > norm_tol:
+    if abs(norm - 1.0) > RESIDUAL_TOL:
         raise ValueError(f"vector is not unit: norm = {norm!r}")
     return vec / norm
 
 
-def synthesize_to_e0(v, norm_tol: float = RESIDUAL_TOL) -> SynthesisResult:
+def synthesize_to_e0(v) -> SynthesisResult:
     """Unitary U with U v = e0 exactly in phase (no residual global phase).
 
     U is the Householder reflection about v - alpha*e0 (alpha the phase of
     v[0]), rescaled by conj(alpha); for v within 1e-12 of alpha*e0 the
     reflection degenerates and conj(alpha)*I is returned.
     """
-    vec = _unit_vector(v, norm_tol)
+    vec = _unit_vector(v)
     dim = vec.size
     alpha = vec[0] / abs(vec[0]) if abs(vec[0]) > 0.0 else 1.0 + 0.0j
     w = vec.copy()
@@ -60,9 +60,9 @@ def synthesize_to_e0(v, norm_tol: float = RESIDUAL_TOL) -> SynthesisResult:
     return SynthesisResult(SquareUnitary(matrix), residual)
 
 
-def synthesize_from_e0(t, norm_tol: float = RESIDUAL_TOL) -> SynthesisResult:
+def synthesize_from_e0(t) -> SynthesisResult:
     """Unitary U with U e0 = t; the adjoint of ``synthesize_to_e0(t)``."""
-    vec = _unit_vector(t, norm_tol)
+    vec = _unit_vector(t)
     matrix = synthesize_to_e0(vec).matrix.adjoint()
     e0 = np.zeros(vec.size, dtype=np.complex128)
     e0[0] = 1.0

@@ -3,6 +3,7 @@ determinism, and agreement with the exact state machinery."""
 
 import dataclasses
 import inspect
+import signal
 import sys
 import threading
 
@@ -210,8 +211,8 @@ class TestSchedule:
             assert result.charlie.counts == results[0].charlie.counts
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
-        # Workers share the spare workspaces; a lost or doubled hand-off
-        # would mix two chunks' buffers and change the counts.
+        # Each share reuses its own workspace; a workspace that two threads
+        # wrote at once would mix two chunks' buffers and change the counts.
         config = TrialConfig(9 * _CHUNK + 5, 12, MistakePolicy.biased(0.4))
         serial = run_trials(config, collect_traces=lambda chunk: None)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 6)
@@ -243,12 +244,36 @@ class TestSchedule:
             return original(seed, chunk_index)
 
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        monkeypatch.setattr(montecarlo, "_IN_FLIGHT_PER_WORKER", n_chunks)
         monkeypatch.setattr(montecarlo, "_chunk_uniforms", failing)
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             run_in_thread(lambda: run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy.uniform_random())))
         assert {0, 1, 2} <= set(started)
         assert len(started) <= n_chunks // 2, f"queued chunks ran after the failure: {sorted(started)}"
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "pthread_kill") or signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+        reason="needs POSIX signals and Python's own Ctrl-C handler",
+    )
+    def test_interrupt_stops_every_share(self, monkeypatch):
+        # Ctrl-C reaches the calling thread while chunk 1 runs; every share
+        # must stop before its next chunk instead of running its stride out.
+        workers, n_chunks = 3, 32
+        started = []
+        caller = threading.get_ident()
+        original = montecarlo._chunk_uniforms
+
+        def interrupting(seed, chunk_index):
+            started.append(chunk_index)
+            if chunk_index == 1:
+                signal.pthread_kill(caller, signal.SIGINT)
+            return original(seed, chunk_index)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_chunk_uniforms", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy.uniform_random()))
+        assert 1 in started
+        assert len(started) <= n_chunks // 2, f"chunks ran after the interrupt: {sorted(started)}"
 
     def test_traced_run_calls_sink_in_order_on_calling_thread(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
