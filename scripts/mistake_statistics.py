@@ -7,10 +7,11 @@ alternating mechanism, which has no per-trial closed form.
 import argparse
 
 from wigner_lab.montecarlo import (
+    SIGMA_BOUND,
     MistakePolicy,
     TrialConfig,
-    analytic_mistake_table,
     compare_distributions,
+    expected_resultant_states,
     run_trials,
 )
 
@@ -21,12 +22,12 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    print(f"{'eps':>5}  {'AB':>18}  {'ABht':>18}  {'ABth':>18}  4-sigma")
+    print(f"{'eps':>5}  {'AB':>18}  {'ABht':>18}  {'ABth':>18}  {SIGMA_BOUND:g}-sigma")
     for eps in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
-        policy = MistakePolicy.biased(eps)
-        result = run_trials(TrialConfig(args.trials, args.seed, policy))
-        analytic = analytic_mistake_table(policy)
-        report = compare_distributions(result.resultant_states, analytic, 4.0)
+        config = TrialConfig(args.trials, args.seed, MistakePolicy.biased(eps))
+        result = run_trials(config)
+        analytic = expected_resultant_states(config)
+        report = compare_distributions(result.resultant_states, analytic, SIGMA_BOUND)
         cells = [
             f"{result.resultant_states.probability(k):.4f} vs {analytic.probability(k):.4f}"
             for k in ("AB", "ABht", "ABth")
@@ -35,7 +36,7 @@ def main():
 
     h0_per_chunk = []
     alternating = run_trials(
-        TrialConfig(args.trials, args.seed, MistakePolicy.alternating()),
+        TrialConfig(args.trials, args.seed, MistakePolicy("alternating")),
         collect_traces=lambda chunk: h0_per_chunk.append(int(chunk.apply_h0.sum())),
     )
     halves = sum(h0_per_chunk)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -22,6 +23,7 @@ import numpy as np
 from . import core, jsonio, montecarlo, protocol, synthesis
 from .core import StateVector
 from .montecarlo import (
+    SIGMA_BOUND,
     ComparisonReport,
     MechanismRow,
     MistakePolicy,
@@ -30,13 +32,13 @@ from .montecarlo import (
     TrialConfig,
     analytic_mistake_table,
     compare_distributions,
+    expected_resultant_states,
     mechanism_rows,
     run_trials,
 )
 
 SEED_ENV_VAR = "WIGNER_LAB_SEED"
 SYNTH_NORM_TOL = 1e-8
-SIGMA_BOUND = 4.0
 
 
 def _fmt(x: float) -> str:
@@ -275,20 +277,15 @@ def _dist_json(dist: OutcomeDistribution) -> dict:
     return {label: {"count": dist.counts[label], "freq": dist.frequencies[label]} for label in dist.labels}
 
 
-def _expected_resultants(config: TrialConfig) -> OutcomeDistribution:
-    # analytic mode measures the target state: no mistakes, whatever the policy
-    return analytic_mistake_table(MistakePolicy("correct") if config.mode == "analytic" else config.policy)
-
-
 # Trace rows encoded per write; the encoder holds one such block of rows.
 _ROWS = 1 << 13
 
 # Trace CSV row tails, indexed by the TraceChunk outcome code: record -1
-# (analytic mode: no record, no transform), then heads * 2 + apply_h0 = 0 .. 3,
-# each with its 3 states by 4 Charlie outcomes.
+# (analytic mode: no record, no transform), then the records of
+# montecarlo.RECORDS, each with its 3 states by 4 Charlie outcomes.
 _TRACE_TAILS = [
     f",{alice},{transform},{state},{charlie.replace(core.LABEL_SEP, ',')}\n"
-    for alice, transform in (("-", "-"), ("t", "A_t01"), ("t", "A_h0"), ("h", "A_t01"), ("h", "A_h0"))
+    for alice, transform, *_ in (("-", "-"), *montecarlo.RECORDS)
     for state in montecarlo.STATE_LABELS
     for charlie in montecarlo.CHARLIE_LABELS
 ]
@@ -336,7 +333,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     config = TrialConfig(n_trials=args.trials, seed=seed, policy=args.policy, mode=args.mode)
     if args.check:
-        expected = _expected_resultants(config)  # rejects policies without a closed form
+        expected = expected_resultant_states(config)  # rejects policies without a closed form
     with _open_out(args.out) as out:
         if args.trace is None:
             result = run_trials(config)
@@ -368,17 +365,7 @@ def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: Com
             payload["check"] = {
                 "sigma_bound": SIGMA_BOUND,
                 "passed": report.passed,
-                "labels": [
-                    {
-                        "label": c.label,
-                        "frequency": c.frequency,
-                        "expected": c.expected,
-                        "margin": c.margin,
-                        "limit": c.limit,
-                        "passed": c.passed,
-                    }
-                    for c in report.checks
-                ],
+                "labels": [dataclasses.asdict(c) for c in report.checks],
             }
         return jsonio.dumps(payload)
     if fmt == "csv":
@@ -393,7 +380,7 @@ def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: Com
             _columns([[label, str(dist.counts[label]), f"{dist.frequencies[label]:.5f}"] for label in dist.labels])
         )
     if report is not None:
-        lines.append("check vs closed form (4 sigma): " + ("pass" if report.passed else "FAIL"))
+        lines.append(f"check vs closed form ({SIGMA_BOUND:g} sigma): " + ("pass" if report.passed else "FAIL"))
     return "\n".join(lines) + "\n"
 
 
@@ -463,15 +450,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[fmt_parent], help="sample the protocol under a mistake policy")
     p_sim.add_argument("-n", "--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=_seed_type, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0")
-    p_sim.add_argument("--policy", type=_policy_type, default=MistakePolicy.uniform_random())
+    p_sim.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
     p_sim.add_argument("--mode", choices=("collapse", "analytic"), default="collapse")
-    p_sim.add_argument("--check", action="store_true", help="compare against the closed form at 4 sigma")
+    p_sim.add_argument("--check", action="store_true", help=f"compare against the closed form at {SIGMA_BOUND:g} sigma")
     p_sim.add_argument("--trace", help="write a per-trial CSV trace to this path")
     p_sim.add_argument("--out", help="write results here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_table = sub.add_parser("table", parents=[fmt_parent], help="closed-form mistake table for a policy")
-    p_table.add_argument("--policy", type=_policy_type, default=MistakePolicy.uniform_random())
+    p_table.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
     p_table.set_defaults(func=_cmd_table)
 
     return parser

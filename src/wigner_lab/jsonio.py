@@ -73,7 +73,7 @@ def state_to_dict(v: StateVector) -> dict:
 def state_from_dict(data: dict) -> StateVector:
     state = StateVector(vector_from_dict(data))
     n = data.get("num_qubits")
-    if n is not None and n != state.num_qubits:
+    if n is not None and (isinstance(n, bool) or n != state.num_qubits):  # JSON true is not 1
         raise ValueError(f"num_qubits {_SHORT.repr(n)} does not match {len(data['amplitudes'])} amplitudes")
     return state
 
@@ -99,7 +99,7 @@ def matrix_from_dict(data: dict) -> SquareUnitary:
         raise ValueError('a matrix must be a JSON object with an "entries" list of rows')
     u = SquareUnitary([[_from_pair(z) for z in row] for row in rows])
     dim = data.get("dim")
-    if dim is not None and dim != u.dim:
+    if dim is not None and (isinstance(dim, bool) or dim != u.dim):
         raise ValueError(f"dim {_SHORT.repr(dim)} does not match a {u.dim}x{u.dim} entry grid")
     return u
 

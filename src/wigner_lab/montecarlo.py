@@ -41,8 +41,6 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 13
 _MAX_WORKERS = 4
 
-# Resultant-state index by record code heads * 2 + apply_h0.
-_STATE_OF_RECORD = np.array([0, 2, 1, 0], dtype=np.intp)
 # Joint bins state_idx * 4 + charlie_idx: trace outcome codes per record.
 _JOINTS = len(STATE_LABELS) * len(CHARLIE_LABELS)
 _ALTERNATE = np.arange(_BLOCK) % 2 == 0
@@ -51,6 +49,22 @@ _BUCKET_SHIFT = 52
 
 POLICY_KINDS = ("correct", "uniform", "alternating", "biased")
 MODES = ("collapse", "analytic")
+# ``simulate --check`` passes a label within this many binomial standard deviations.
+SIGMA_BOUND = 4.0
+
+# The branches of the mistake mechanism by record code heads * 2 + apply_h0:
+# Alice's outcome, the evolution applied to her register and the register
+# state that follows.  The evolution keyed to her outcome leaves AB; the
+# other one is a mistake.
+RECORDS = (
+    ("t", "A_t01", "AB"),
+    ("t", "A_h0", "ABth"),
+    ("h", "A_t01", "ABht"),
+    ("h", "A_h0", "AB"),
+)
+# Alice's register and its probability, by her outcome.
+_REGISTERS = {"h": ("psi_h0", P_HEADS), "t": ("psi_t01", 1.0 - P_HEADS)}
+_STATE_OF_RECORD = np.array([STATE_LABELS.index(state) for _, _, state in RECORDS], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -73,18 +87,6 @@ class MistakePolicy:
                 raise ValueError(f"biased policy needs epsilon in [0, 1], got {self.epsilon!r}")
         elif self.epsilon is not None:
             raise ValueError(f"policy {self.kind!r} does not take an epsilon")
-
-    @classmethod
-    def always_correct(cls) -> MistakePolicy:
-        return cls("correct")
-
-    @classmethod
-    def uniform_random(cls) -> MistakePolicy:
-        return cls("uniform")
-
-    @classmethod
-    def alternating(cls) -> MistakePolicy:
-        return cls("alternating")
 
     @classmethod
     def biased(cls, epsilon: float) -> MistakePolicy:
@@ -201,9 +203,10 @@ class ComparisonReport:
 def _charlie_thresholds() -> np.ndarray:
     """Row k < 3 holds, per resultant state, P(Charlie's outcome index <= k)."""
     bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
+    states = protocol.named_states()
     cumulative = [
-        np.cumsum([core.born_probabilities(state, bases).probability(k) for k in CHARLIE_LABELS])
-        for state in (protocol.target_state(), *map(protocol.wrong_state, protocol.WrongStateLabel))
+        np.cumsum([core.born_probabilities(states[f"psi_{label}"], bases).probability(k) for k in CHARLIE_LABELS])
+        for label in STATE_LABELS
     ]
     return np.array(cumulative)[:, :-1].T.copy()
 
@@ -442,19 +445,18 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
 
 
 def mechanism_rows(policy: MistakePolicy) -> tuple[MechanismRow, ...]:
-    """The four branches of the mistake mechanism: Alice's register (heads
+    """The four branches of ``RECORDS``, heads first: Alice's register (heads
     with P_HEADS), the transform applied (the one keyed to the other record
     with probability eps), and the resultant state with its joint probability."""
     eps = policy.mistake_probability
     if eps is None:
         raise ValueError("alternating policy has no per-trial closed form; sample it with run_trials")
-    p_h, p_t = P_HEADS, 1.0 - P_HEADS
-    return (
-        MechanismRow("psi_h0", p_h, "A_h0", 1.0 - eps, "AB", p_h * (1.0 - eps)),
-        MechanismRow("psi_h0", p_h, "A_t01", eps, "ABht", p_h * eps),
-        MechanismRow("psi_t01", p_t, "A_h0", eps, "ABth", p_t * eps),
-        MechanismRow("psi_t01", p_t, "A_t01", 1.0 - eps, "AB", p_t * (1.0 - eps)),
-    )
+    rows = []
+    for alice, transform, state in reversed(RECORDS):
+        register, p_register = _REGISTERS[alice]
+        p_transform = 1.0 - eps if state == "AB" else eps
+        rows.append(MechanismRow(register, p_register, transform, p_transform, state, p_register * p_transform))
+    return tuple(rows)
 
 
 def analytic_mistake_table(policy: MistakePolicy) -> OutcomeDistribution:
@@ -464,6 +466,13 @@ def analytic_mistake_table(policy: MistakePolicy) -> OutcomeDistribution:
     mistake is made, whatever the record."""
     wrong = {row.resultant_state: row.p_joint for row in mechanism_rows(policy) if row.resultant_state != "AB"}
     return OutcomeDistribution.from_probabilities({"AB": 1.0 - policy.mistake_probability, **wrong})
+
+
+def expected_resultant_states(config: TrialConfig) -> OutcomeDistribution:
+    """The closed form ``simulate --check`` holds the sampled resultant states
+    to, at ``SIGMA_BOUND``: no mistakes in analytic mode, which measures the
+    target state, whatever the policy; ValueError for alternating otherwise."""
+    return analytic_mistake_table(MistakePolicy("correct") if config.mode == "analytic" else config.policy)
 
 
 def compare_distributions(

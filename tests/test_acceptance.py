@@ -101,11 +101,11 @@ def test_criterion_07_physical_norm_despite_naive_norm():
 
 
 def test_criterion_08_monte_carlo_frequencies():
-    uniform = run_trials(TrialConfig(100_000, 7, MistakePolicy.uniform_random()))
+    uniform = run_trials(TrialConfig(100_000, 7, MistakePolicy("uniform")))
     table_check = compare_distributions(
-        uniform.resultant_states, analytic_mistake_table(MistakePolicy.uniform_random()), 4.0
+        uniform.resultant_states, analytic_mistake_table(MistakePolicy("uniform")), 4.0
     )
-    correct = run_trials(TrialConfig(100_000, 7, MistakePolicy.always_correct()))
+    correct = run_trials(TrialConfig(100_000, 7, MistakePolicy("correct")))
     okok_margin = abs(correct.charlie.probability("ok_ok") - 1 / 12)
     ok = table_check.passed and okok_margin <= 0.0035
     report(8, "seeded 1e5-trial frequencies within 4 sigma of closed forms", ok, f"ok_ok margin {okok_margin:.5f}")

@@ -24,11 +24,13 @@ from wigner_lab.cli import _ROWS, _TRACE_TAILS, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
 
 # The last: JSON true/false are not numbers (read as 1 and 0, it was the unit vector e0).
-MALFORMED_STATES = [
+MALFORMED_VECTORS = [
     '{"amplitudes": [1, 2]}',
     "[1, 2]",
     '{"amplitudes": [[true, false], [false, false], [false, false], [false, false]]}',
 ]
+# A state's qubit count is a number too; a vector (synth) has none.
+MALFORMED_STATES = MALFORMED_VECTORS + ['{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}']
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
 
 
@@ -225,7 +227,7 @@ class TestSynth:
         assert code == 2
         assert err == "error: input is not a unit vector: norm = nan\n"
 
-    @pytest.mark.parametrize("text", MALFORMED_STATES)
+    @pytest.mark.parametrize("text", MALFORMED_VECTORS)
     def test_malformed_vector_json_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
@@ -332,6 +334,92 @@ class TestDocumentFuzz:
                 assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
             if "--out" in command:
                 assert out.exists() == (code == 0)
+
+
+# The flags of every subcommand, each with the values to draw for it (None:
+# a switch), good ones and bad ones.  No value is a trial count above 2 000,
+# so -n stays small even when it takes a word meant for another flag, and
+# -n -1 is refused before anything runs.  Paths are relative to the
+# example's own directory, where "missing/x" cannot be created.
+FUZZ_FLAGS = {
+    "--format": ["pretty", "json", "csv", "xml"],
+    "--basis": ["computational", "charlie", "bs"],
+    "--frame": ["bs", "as", "charlie"],
+    "--tol": ["1e-9", "0", "1e-30", "nan", "-1", "abc"],
+    "-n": ["0", "1", "17", "2000", "-1", "1e3"],
+    "--trials": ["5", "300", "x"],
+    "--seed": ["0", "7", str(2**64 - 1), "-1", str(2**64), "x"],
+    "--policy": ["correct", "uniform", "alternating", "biased:0.2", "biased:2", "sometimes"],
+    "--mode": ["collapse", "analytic", "exact"],
+    "--out": ["r.out", "t.csv", "missing/x"],
+    "--trace": ["t.csv", "r.out", "missing/x"],
+    "--check": None,
+    "--to-e0": None,
+    "--from-e0": None,
+    "--bogus": None,
+    "-h": None,
+}
+# Per subcommand: the names its positional may take, and its own flags.
+FUZZ_SUBCOMMANDS = {
+    "states": (["psi_AB", "psi_ABht", "psi_A", "A_h0"], ["--format", "--basis", "--frame"]),
+    "verify": ([], ["--format", "--tol"]),
+    "audit": (["psi_AB", "psi_ABth", "psi_A", "psi_nope"], ["--format", "--tol"]),
+    "synth": (["psi_h0", "psi_AB", "psi_A", "A_h0"], ["--format", "--to-e0", "--from-e0", "--out"]),
+    "simulate": ([], ["--format", "-n", "--trials", "--seed", "--policy", "--mode", "--check", "--trace", "--out"]),
+    "table": ([], ["--format", "--policy"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """Mostly a subcommand's own flags, repeated or missing as they fall; now
+    and then any other flag, a flag without its value, a stray word, a
+    missing positional, an unknown subcommand or none."""
+    command = draw(st.sampled_from([*FUZZ_SUBCOMMANDS] * 3 + ["bogus", None]))
+    names, flags = FUZZ_SUBCOMMANDS.get(command, ([], []))
+    argv = [] if command is None else [command]
+    if names and draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(names)))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["own"] * 15 + ["any", "bare", "word"]))
+        if kind == "word":
+            argv.append(draw(st.sampled_from(["psi_AB", "2000", "-1"])))
+            continue
+        flag = draw(st.sampled_from(flags if flags and kind != "any" else list(FUZZ_FLAGS)))
+        argv.append(flag)
+        if FUZZ_FLAGS[flag] is not None and kind != "bare":
+            argv.append(draw(st.sampled_from(FUZZ_FLAGS[flag])))
+    return argv
+
+
+class TestArgvFuzz:
+    @given(argv=fuzz_argv())
+    @example(argv=["simulate", "-n", "-1", "--out", "r.out", "--trace", "t.csv"])
+    @example(argv=["simulate", "-n", "5", "--out", "r.out", "--trace", "missing/x"])
+    @example(argv=["simulate", "-n", "17", "--out", "t.csv", "--trace", "t.csv", "--check"])
+    @example(argv=["simulate", "--policy", "alternating", "--check", "--trace", "t.csv", "--out", "r.out"])
+    @example(argv=["synth", "psi_h0", "--to-e0", "--out", "missing/x"])
+    @settings(max_examples=400, deadline=None)
+    def test_any_argv_exits_0_1_or_2(self, argv):
+        # in process, warnings as errors, in a fresh directory that a failed call leaves empty
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            os.chdir(tmp)
+            try:
+                with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    warnings.simplefilter("error")
+                    try:
+                        code, usage_error = main(argv), False
+                    except SystemExit as exc:  # argparse: usage error or --help
+                        code, usage_error = exc.code, True
+            finally:
+                os.chdir(cwd)
+            assert code in ((0, 2) if usage_error else (0, 1, 2))
+            if code == 2 and not usage_error:
+                assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+            if code == 2:
+                assert not os.listdir(tmp), "a failed call left a file behind"
 
 
 class TestSimulate:

@@ -49,6 +49,7 @@ class TestStateJson:
             {"amplitudes": [[True, False], [False, False]]},
             {"amplitudes": [[1.0, True], [0, 0]]},
             {"amplitudes": [[10**400, 0], [0, 0]]},  # beyond every double
+            {"num_qubits": True, "amplitudes": [[1, 0], [0, 0]]},  # JSON true is not 1
         ],
     )
     def test_malformed_shapes_rejected(self, data):
@@ -124,6 +125,7 @@ class TestMatrixJson:
             {"dim": [2], "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
             {"dim": "2", "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
             {"entries": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            {"dim": True, "entries": [[[1, 0]]]},
         ],
     )
     def test_malformed_shapes_rejected(self, data):

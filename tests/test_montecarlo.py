@@ -17,12 +17,16 @@ from wigner_lab.montecarlo import (
     _BLOCK,
     _CHUNK,
     CHARLIE_LABELS,
+    P_HEADS,
+    RECORDS,
     STATE_LABELS,
     MistakePolicy,
     RunResult,
     TrialConfig,
     analytic_mistake_table,
     compare_distributions,
+    expected_resultant_states,
+    mechanism_rows,
     run_trials,
 )
 from wigner_lab.protocol import AliceOutcome, WrongStateLabel
@@ -64,26 +68,26 @@ class TestMistakePolicy:
 class TestTrialConfig:
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="n_trials"):
-            TrialConfig(-1, 0, MistakePolicy.uniform_random())
+            TrialConfig(-1, 0, MistakePolicy("uniform"))
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
-            TrialConfig(1, -5, MistakePolicy.uniform_random())
+            TrialConfig(1, -5, MistakePolicy("uniform"))
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            TrialConfig(1, 0, MistakePolicy.uniform_random(), mode="exact")
+            TrialConfig(1, 0, MistakePolicy("uniform"), mode="exact")
 
 
 class TestAnalyticTable:
     def test_uniform(self):
-        dist = analytic_mistake_table(MistakePolicy.uniform_random())
+        dist = analytic_mistake_table(MistakePolicy("uniform"))
         assert dist.probability("AB") == pytest.approx(1 / 2)
         assert dist.probability("ABht") == pytest.approx(1 / 6)
         assert dist.probability("ABth") == pytest.approx(1 / 3)
 
-    def test_always_correct(self):
-        dist = analytic_mistake_table(MistakePolicy.always_correct())
+    def test_correct(self):
+        dist = analytic_mistake_table(MistakePolicy("correct"))
         assert dist.frequencies == {"AB": 1.0, "ABht": 0.0, "ABth": 0.0}
 
     def test_biased(self):
@@ -94,17 +98,17 @@ class TestAnalyticTable:
 
     def test_alternating_rejected(self):
         with pytest.raises(ValueError, match="closed form"):
-            analytic_mistake_table(MistakePolicy.alternating())
+            analytic_mistake_table(MistakePolicy("alternating"))
 
 
 class TestRunTrials:
-    def test_always_correct_never_misses(self):
-        result = run_trials(TrialConfig(100_000, 3, MistakePolicy.always_correct()))
+    def test_correct_never_misses(self):
+        result = run_trials(TrialConfig(100_000, 3, MistakePolicy("correct")))
         assert result.resultant_states.probability("AB") == 1.0
         assert result.resultant_states.counts["ABht"] == 0
 
     def test_uniform_matches_closed_form(self):
-        config = TrialConfig(100_000, 42, MistakePolicy.uniform_random())
+        config = TrialConfig(100_000, 42, MistakePolicy("uniform"))
         result = run_trials(config)
         report = compare_distributions(
             result.resultant_states, analytic_mistake_table(config.policy), 4.0
@@ -121,7 +125,7 @@ class TestRunTrials:
 
     def test_correct_policy_charlie_marginal(self):
         # joint Hadamard-basis probabilities (1/12, 1/12, 1/12, 9/12), 4 sigma
-        result = run_trials(TrialConfig(100_000, 7, MistakePolicy.always_correct()))
+        result = run_trials(TrialConfig(100_000, 7, MistakePolicy("correct")))
         expected = core.born_probabilities(
             protocol.target_state(), [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
         )
@@ -130,12 +134,12 @@ class TestRunTrials:
         assert abs(result.charlie.probability("ok_ok") - 1 / 12) <= 0.0035
 
     def test_zero_trials(self):
-        result = run_trials(TrialConfig(0, 0, MistakePolicy.uniform_random()))
+        result = run_trials(TrialConfig(0, 0, MistakePolicy("uniform")))
         assert result.resultant_states.total == 0
         assert all(c == 0 for c in result.charlie.counts.values())
 
     def test_analytic_mode_measures_target_state_only(self):
-        config = TrialConfig(50_000, 11, MistakePolicy.uniform_random(), mode="analytic")
+        config = TrialConfig(50_000, 11, MistakePolicy("uniform"), mode="analytic")
         chunks = []
         result = run_trials(config, collect_traces=chunks.append)
         assert result.resultant_states.probability("AB") == 1.0
@@ -149,7 +153,7 @@ class TestRunTrials:
 
 class TestDeterminism:
     def test_identical_configs_identical_results(self):
-        config = TrialConfig(70_000, 9, MistakePolicy.uniform_random())
+        config = TrialConfig(70_000, 9, MistakePolicy("uniform"))
         a, a_columns, _ = run_traced(config)
         b, b_columns, _ = run_traced(config)
         assert a.resultant_states.counts == b.resultant_states.counts
@@ -158,14 +162,14 @@ class TestDeterminism:
             np.testing.assert_array_equal(a_columns[name], b_columns[name])
 
     def test_trials_depend_only_on_seed_and_index(self):
-        _, short, _ = run_traced(TrialConfig(100, 13, MistakePolicy.uniform_random()))
-        _, long, _ = run_traced(TrialConfig(250, 13, MistakePolicy.uniform_random()))
+        _, short, _ = run_traced(TrialConfig(100, 13, MistakePolicy("uniform")))
+        _, long, _ = run_traced(TrialConfig(250, 13, MistakePolicy("uniform")))
         for name in COLUMNS:
             np.testing.assert_array_equal(long[name][:100], short[name])
 
     def test_different_seeds_differ(self):
-        a = run_trials(TrialConfig(10_000, 1, MistakePolicy.uniform_random()))
-        b = run_trials(TrialConfig(10_000, 2, MistakePolicy.uniform_random()))
+        a = run_trials(TrialConfig(10_000, 1, MistakePolicy("uniform")))
+        b = run_trials(TrialConfig(10_000, 2, MistakePolicy("uniform")))
         assert a.resultant_states.counts != b.resultant_states.counts
 
 
@@ -246,7 +250,7 @@ class TestSchedule:
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_chunk_uniforms", failing)
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
-            run_in_thread(lambda: run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy.uniform_random())))
+            run_in_thread(lambda: run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy("uniform"))))
         assert {0, 1, 2} <= set(started)
         assert len(started) <= n_chunks // 2, f"queued chunks ran after the failure: {sorted(started)}"
 
@@ -271,7 +275,7 @@ class TestSchedule:
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_chunk_uniforms", interrupting)
         with pytest.raises(KeyboardInterrupt):
-            run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy.uniform_random()))
+            run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy("uniform")))
         assert 1 in started
         assert len(started) <= n_chunks // 2, f"chunks ran after the interrupt: {sorted(started)}"
 
@@ -290,8 +294,8 @@ class TestSchedule:
             raise AssertionError("no worker pool expected")
 
         monkeypatch.setattr(montecarlo, "_worker_count", no_pool)
-        run_trials(TrialConfig(_CHUNK, 6, MistakePolicy.uniform_random()))
-        run_trials(TrialConfig(2 * _CHUNK, 6, MistakePolicy.uniform_random()), collect_traces=lambda chunk: None)
+        run_trials(TrialConfig(_CHUNK, 6, MistakePolicy("uniform")))
+        run_trials(TrialConfig(2 * _CHUNK, 6, MistakePolicy("uniform")), collect_traces=lambda chunk: None)
 
     def test_worker_count_is_bounded(self):
         assert 1 <= montecarlo._worker_count() <= montecarlo._MAX_WORKERS
@@ -388,20 +392,20 @@ class TestRankTables:
 
 class TestTraces:
     def test_alternating_applies_each_transform_exactly_half(self):
-        _, columns, _ = run_traced(TrialConfig(2_000, 21, MistakePolicy.alternating()))
+        _, columns, _ = run_traced(TrialConfig(2_000, 21, MistakePolicy("alternating")))
         applied = columns["apply_h0"]
         assert applied.sum() == 1_000
         assert (~applied).sum() == 1_000
         assert applied[:4].tolist() == [True, False, True, False]
 
     def test_resultant_label_consistency(self):
-        _, columns, _ = run_traced(TrialConfig(3_000, 17, MistakePolicy.uniform_random()))
+        _, columns, _ = run_traced(TrialConfig(3_000, 17, MistakePolicy("uniform")))
         matches = columns["apply_h0"] == columns["heads"]
         np.testing.assert_array_equal(columns["state_idx"] == 0, matches)
 
     def test_convergent_evolution_spot_check(self):
         # every trial's matrix chain lands on the state its columns name
-        _, columns, _ = run_traced(TrialConfig(1_500, 23, MistakePolicy.uniform_random()))
+        _, columns, _ = run_traced(TrialConfig(1_500, 23, MistakePolicy("uniform")))
         canonical = (
             protocol.target_state(),
             protocol.wrong_state(WrongStateLabel.ABHT),
@@ -421,7 +425,7 @@ class TestTraces:
 
     def test_charlie_index_matches_searchsorted(self):
         # the kernel ranks raw words against integer bounds; searchsorted on the doubles is the reference
-        config = TrialConfig(3_000, 31, MistakePolicy.uniform_random())
+        config = TrialConfig(3_000, 31, MistakePolicy("uniform"))
         _, columns, _ = run_traced(config)
         u = montecarlo._chunk_uniforms(config.seed, 0).random((config.n_trials, 3))[:, 2]
         for index, cumulative in enumerate(charlie_references()):
@@ -431,7 +435,7 @@ class TestTraces:
 
     def test_trace_count_and_indices(self):
         n = 2 * _CHUNK + 500
-        result, columns, chunks = run_traced(TrialConfig(n, 29, MistakePolicy.always_correct()))
+        result, columns, chunks = run_traced(TrialConfig(n, 29, MistakePolicy("correct")))
         assert [c.start for c in chunks] == [0, _CHUNK, 2 * _CHUNK]
         assert [len(c.state_idx) for c in chunks] == [_CHUNK, _CHUNK, 500]
         assert all(len(columns[name]) == n for name in COLUMNS)
@@ -443,7 +447,7 @@ class TestTraces:
         # analytic codes have record -1 and lie below 12; collapse codes from 12 to 59
         n = _CHUNK + 3 * _BLOCK + 11
         chunks = []
-        run_trials(TrialConfig(n, 37, MistakePolicy.uniform_random(), mode=mode), collect_traces=chunks.append)
+        run_trials(TrialConfig(n, 37, MistakePolicy("uniform"), mode=mode), collect_traces=chunks.append)
         assert [c.outcome.dtype for c in chunks] == [np.uint8, np.uint8]
         assert [len(c.outcome) for c in chunks] == [_CHUNK, n - _CHUNK]
         outcome = np.concatenate([c.outcome for c in chunks])
@@ -457,16 +461,16 @@ class TestTraces:
 
 class TestCompareDistributions:
     def test_exact_match_zero_margins(self):
-        analytic = analytic_mistake_table(MistakePolicy.uniform_random())
+        analytic = analytic_mistake_table(MistakePolicy("uniform"))
         empirical = core.OutcomeDistribution.from_counts({"AB": 3, "ABht": 1, "ABth": 2})
         report = compare_distributions(empirical, analytic, 4.0)
         assert report.passed
         assert all(c.margin == pytest.approx(0.0) for c in report.checks)
 
     def test_seeded_uniform_run_passes(self):
-        result = run_trials(TrialConfig(100_000, 42, MistakePolicy.uniform_random()))
+        result = run_trials(TrialConfig(100_000, 42, MistakePolicy("uniform")))
         report = compare_distributions(
-            result.resultant_states, analytic_mistake_table(MistakePolicy.uniform_random()), 4.0
+            result.resultant_states, analytic_mistake_table(MistakePolicy("uniform")), 4.0
         )
         assert report.passed
 
@@ -475,7 +479,7 @@ class TestCompareDistributions:
             {"AB": 90_000, "ABht": 5_000, "ABth": 5_000}
         )
         report = compare_distributions(
-            empirical, analytic_mistake_table(MistakePolicy.uniform_random()), 4.0
+            empirical, analytic_mistake_table(MistakePolicy("uniform")), 4.0
         )
         assert not report.passed
         assert all(not c.passed for c in report.checks)
@@ -483,9 +487,59 @@ class TestCompareDistributions:
     def test_label_mismatch(self):
         empirical = core.OutcomeDistribution.from_counts({"X": 1})
         with pytest.raises(ValueError, match="label sets"):
-            compare_distributions(empirical, analytic_mistake_table(MistakePolicy.uniform_random()), 4.0)
+            compare_distributions(empirical, analytic_mistake_table(MistakePolicy("uniform")), 4.0)
 
     def test_zero_total(self):
         empirical = core.OutcomeDistribution.from_counts({"AB": 0, "ABht": 0, "ABth": 0})
         with pytest.raises(ValueError, match="no samples"):
-            compare_distributions(empirical, analytic_mistake_table(MistakePolicy.uniform_random()), 4.0)
+            compare_distributions(empirical, analytic_mistake_table(MistakePolicy("uniform")), 4.0)
+
+
+class TestRecords:
+    """``RECORDS`` is the one spelling of the mechanism's branches."""
+
+    def test_each_record_evolves_to_its_resultant_state(self):
+        states, matrices = protocol.named_states(), protocol.named_matrices()
+        for code, (alice, transform, state) in enumerate(RECORDS):  # code = heads * 2 + apply_h0
+            assert (alice, transform) == ("th"[code >> 1], ("A_t01", "A_h0")[code & 1])
+            register = states["psi_h0" if alice == "h" else "psi_t01"]
+            evolved = core.apply(protocol.entangle_matrix(), core.apply(matrices[transform], register))
+            np.testing.assert_allclose(evolved.amplitudes, states[f"psi_{state}"].amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.17, 0.5, 1.0])
+    def test_records_agree_with_mechanism_rows(self, eps):
+        rows = mechanism_rows(MistakePolicy.biased(eps))
+        alice = {"psi_h0": "h", "psi_t01": "t"}
+        branches = [(alice[row.initial_state], row.transform, row.resultant_state) for row in rows]
+        assert branches == list(reversed(RECORDS))  # heads first
+        for row in rows:
+            assert row.p_initial == (P_HEADS if row.initial_state == "psi_h0" else 1.0 - P_HEADS)
+            assert row.p_transform == (1.0 - eps if row.resultant_state == "AB" else eps)
+            assert row.p_joint == row.p_initial * row.p_transform
+
+    def test_records_agree_with_the_kernel(self):
+        assert [STATE_LABELS[i] for i in montecarlo._STATE_OF_RECORD] == [state for _, _, state in RECORDS]
+        _, columns, _ = run_traced(TrialConfig(3_000, 41, MistakePolicy.biased(0.4)))
+        record = columns["heads"] * 2 + columns["apply_h0"]
+        assert sorted(set(record.tolist())) == [0, 1, 2, 3]
+        states = [STATE_LABELS[i] for i in columns["state_idx"].tolist()]
+        assert states == [RECORDS[code][2] for code in record.tolist()]
+
+
+class TestExpectedResultantStates:
+    """The closed form behind ``simulate --check``."""
+
+    @pytest.mark.parametrize("spec", POLICIES)
+    def test_analytic_mode_expects_no_mistakes(self, spec):
+        expected = expected_resultant_states(TrialConfig(10, 0, MistakePolicy.parse(spec), mode="analytic"))
+        assert expected.frequencies == {"AB": 1.0, "ABht": 0.0, "ABth": 0.0}
+
+    @pytest.mark.parametrize("spec", ["correct", "uniform", "biased:0.3"])
+    def test_collapse_mode_expects_the_policy_closed_form(self, spec):
+        policy = MistakePolicy.parse(spec)
+        expected = expected_resultant_states(TrialConfig(10, 0, policy))
+        assert expected.frequencies == analytic_mistake_table(policy).frequencies
+
+    def test_alternating_in_collapse_mode_has_no_closed_form(self):
+        with pytest.raises(ValueError, match="closed form"):
+            expected_resultant_states(TrialConfig(10, 0, MistakePolicy("alternating")))
