@@ -8,6 +8,7 @@ import argparse
 
 from wigner_lab.montecarlo import (
     SIGMA_BOUND,
+    STATE_LABELS,
     MistakePolicy,
     TrialConfig,
     compare_distributions,
@@ -22,17 +23,17 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    print(f"{'eps':>5}  {'AB':>18}  {'ABht':>18}  {'ABth':>18}  {SIGMA_BOUND:g}-sigma")
+    print(f"{'eps':>5}  " + "".join(f"{label:>18}  " for label in STATE_LABELS) + f"{SIGMA_BOUND:g}-sigma")
     for eps in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
         config = TrialConfig(args.trials, args.seed, MistakePolicy.biased(eps))
         result = run_trials(config)
         analytic = expected_resultant_states(config)
         report = compare_distributions(result.resultant_states, analytic, SIGMA_BOUND)
-        cells = [
-            f"{result.resultant_states.probability(k):.4f} vs {analytic.probability(k):.4f}"
-            for k in ("AB", "ABht", "ABth")
-        ]
-        print(f"{eps:>5.2f}  {cells[0]:>18}  {cells[1]:>18}  {cells[2]:>18}  {'pass' if report.passed else 'FAIL'}")
+        cells = "".join(
+            f"{result.resultant_states.probability(k):.4f} vs {analytic.probability(k):.4f}".rjust(18) + "  "
+            for k in STATE_LABELS
+        )
+        print(f"{eps:>5.2f}  {cells}{'pass' if report.passed else 'FAIL'}")
 
     h0_per_chunk = []
     alternating = run_trials(

@@ -219,33 +219,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     state = _resolve_state(args.name)
     report = protocol.paradox_audit(state, args.tol)
+    amplitudes = {name: getattr(report, name) for name in ("amp_h1", "amp_0okA", "amp_tokB")}
     if args.format == "json":
         payload = {
             "name": args.name,
             "tol": args.tol,
-            "amp_h1": [report.amp_h1.real, report.amp_h1.imag],
-            "amp_0okA": [report.amp_0okA.real, report.amp_0okA.imag],
-            "amp_tokB": [report.amp_tokB.real, report.amp_tokB.imag],
+            **{name: [z.real, z.imag] for name, z in amplitudes.items()},
             "p_okok": report.p_okok,
             "contradiction": report.contradiction_flag,
         }
         sys.stdout.write(jsonio.dumps(payload))
     elif args.format == "csv":
-        rows = [["quantity", "re", "im"]]
-        for name, z in (("amp_h1", report.amp_h1), ("amp_0okA", report.amp_0okA), ("amp_tokB", report.amp_tokB)):
-            rows.append([name, repr(z.real), repr(z.imag)])
+        rows = [["quantity", "re", "im"]] + [[name, repr(z.real), repr(z.imag)] for name, z in amplitudes.items()]
         rows.append(["p_okok", repr(report.p_okok), ""])
         rows.append(["contradiction", str(report.contradiction_flag).lower(), ""])
         sys.stdout.write(_csv_text(rows))
     else:
         print(f"audit {args.name}  (tol {args.tol:g})")
-        rows = [
-            ["amp_h1", _fmt_complex(report.amp_h1)],
-            ["amp_0okA", _fmt_complex(report.amp_0okA)],
-            ["amp_tokB", _fmt_complex(report.amp_tokB)],
-            ["p_okok", f"{report.p_okok:.5f}"],
-            ["contradiction", "yes" if report.contradiction_flag else "no"],
-        ]
+        rows = [[name, _fmt_complex(z)] for name, z in amplitudes.items()]
+        rows += [["p_okok", f"{report.p_okok:.5f}"], ["contradiction", "yes" if report.contradiction_flag else "no"]]
         print(_columns(rows))
     return 0
 
@@ -282,10 +274,10 @@ _ROWS = 1 << 13
 
 # Trace CSV row tails, indexed by the TraceChunk outcome code: record -1
 # (analytic mode: no record, no transform), then the records of
-# montecarlo.RECORDS, each with its 3 states by 4 Charlie outcomes.
+# protocol.RECORDS, each with its 3 states by 4 Charlie outcomes.
 _TRACE_TAILS = [
     f",{alice},{transform},{state},{charlie.replace(core.LABEL_SEP, ',')}\n"
-    for alice, transform, *_ in (("-", "-"), *montecarlo.RECORDS)
+    for alice, transform in [("-", "-")] + [(alice.value, transform) for alice, transform, _ in protocol.RECORDS]
     for state in montecarlo.STATE_LABELS
     for charlie in montecarlo.CHARLIE_LABELS
 ]
@@ -339,6 +331,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             result = run_trials(config)
         else:
             with _output_file(args.trace, "wb") as handle:
+                if args.out and os.path.samestat(os.fstat(out.fileno()), os.fstat(handle.fileno())):
+                    raise ValueError(f"--out and --trace name the same file: {args.trace}")
                 handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
                 result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
         report = None

@@ -71,19 +71,21 @@ def state_to_dict(v: StateVector) -> dict:
 
 
 def state_from_dict(data: dict) -> StateVector:
-    state = StateVector(vector_from_dict(data))
-    n = data.get("num_qubits")
-    if n is not None and (isinstance(n, bool) or n != state.num_qubits):  # JSON true is not 1
-        raise ValueError(f"num_qubits {_SHORT.repr(n)} does not match {len(data['amplitudes'])} amplitudes")
-    return state
+    return StateVector(vector_from_dict(data))
 
 
 def vector_from_dict(data: dict) -> np.ndarray:
     """Raw complex vector, no normalization check (synthesis inputs; the
-    shape checks behind ``state_from_dict``)."""
+    shape checks behind ``state_from_dict``).  A ``num_qubits``, when given,
+    must be the vector's qubit count; without one any length passes."""
     if not (isinstance(data, dict) and isinstance(data.get("amplitudes"), (list, tuple))):
         raise ValueError('a state must be a JSON object with an "amplitudes" list')
-    return np.array([_from_pair(a) for a in data["amplitudes"]], dtype=np.complex128)
+    vector = np.array([_from_pair(a) for a in data["amplitudes"]], dtype=np.complex128)
+    n, size = data.get("num_qubits"), vector.size
+    # JSON true is not 1; a size that is no power of two has no qubit count
+    if n is not None and (isinstance(n, bool) or size & (size - 1) or n != size.bit_length() - 1):
+        raise ValueError(f"num_qubits {_SHORT.repr(n)} does not match {size} amplitudes")
+    return vector
 
 
 def matrix_to_dict(u: SquareUnitary) -> dict:

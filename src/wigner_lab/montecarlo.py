@@ -29,10 +29,8 @@ import numpy as np
 from . import core, protocol
 from .core import OutcomeDistribution
 
-P_HEADS = 1.0 / 3.0
-
-STATE_LABELS = ("AB", "ABht", "ABth")
-CHARLIE_LABELS = ("ok_ok", "ok_fail", "fail_ok", "fail_fail")
+STATE_LABELS = ("AB", *(label.value for label in protocol.WrongStateLabel))
+CHARLIE_LABELS = tuple(core.LABEL_SEP.join((a, b)) for a in protocol.CHARLIE_LABELS for b in protocol.CHARLIE_LABELS)
 
 _CHUNK = 1 << 16
 # Trials per block inside a chunk: a block's words and work buffers
@@ -52,19 +50,7 @@ MODES = ("collapse", "analytic")
 # ``simulate --check`` passes a label within this many binomial standard deviations.
 SIGMA_BOUND = 4.0
 
-# The branches of the mistake mechanism by record code heads * 2 + apply_h0:
-# Alice's outcome, the evolution applied to her register and the register
-# state that follows.  The evolution keyed to her outcome leaves AB; the
-# other one is a mistake.
-RECORDS = (
-    ("t", "A_t01", "AB"),
-    ("t", "A_h0", "ABth"),
-    ("h", "A_t01", "ABht"),
-    ("h", "A_h0", "AB"),
-)
-# Alice's register and its probability, by her outcome.
-_REGISTERS = {"h": ("psi_h0", P_HEADS), "t": ("psi_t01", 1.0 - P_HEADS)}
-_STATE_OF_RECORD = np.array([STATE_LABELS.index(state) for _, _, state in RECORDS], dtype=np.intp)
+_STATE_OF_RECORD = np.array([STATE_LABELS.index(state) for _, _, state in protocol.RECORDS], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -331,7 +317,7 @@ def _run_chunk(
     ranks = tables.ranks
     analytic = config.mode == "analytic"
     alternating = config.policy.kind == "alternating"
-    heads_bound = np.uint64(_word_bound(P_HEADS))
+    heads_bound = np.uint64(_word_bound(protocol.P_HEADS))
     if not alternating:
         bound = _word_bound(config.policy.mistake_probability)
         every_mistake = bound == 1 << 64  # eps = 1: the bound does not fit a uint64
@@ -445,15 +431,16 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
 
 
 def mechanism_rows(policy: MistakePolicy) -> tuple[MechanismRow, ...]:
-    """The four branches of ``RECORDS``, heads first: Alice's register (heads
-    with P_HEADS), the transform applied (the one keyed to the other record
-    with probability eps), and the resultant state with its joint probability."""
+    """The four branches of ``protocol.RECORDS``, heads first: Alice's register
+    (heads with ``P_HEADS``), the transform applied (the one keyed to the other
+    record with probability eps), and the resultant state with its joint probability."""
     eps = policy.mistake_probability
     if eps is None:
         raise ValueError("alternating policy has no per-trial closed form; sample it with run_trials")
     rows = []
-    for alice, transform, state in reversed(RECORDS):
-        register, p_register = _REGISTERS[alice]
+    for alice, transform, state in reversed(protocol.RECORDS):
+        heads = alice is protocol.AliceOutcome.HEADS
+        register, p_register = ("psi_h0", protocol.P_HEADS) if heads else ("psi_t01", 1.0 - protocol.P_HEADS)
         p_transform = 1.0 - eps if state == "AB" else eps
         rows.append(MechanismRow(register, p_register, transform, p_transform, state, p_register * p_transform))
     return tuple(rows)

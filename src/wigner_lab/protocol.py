@@ -32,10 +32,6 @@ from .core import (
 
 AUDIT_TOL = 1e-9
 
-ALICE_LABELS = ("h", "t")
-BOB_LABELS = ("0", "1")
-CHARLIE_LABELS = ("ok", "fail")
-
 
 class AliceOutcome(Enum):
     """Alice's record of her first-qubit measurement."""
@@ -49,6 +45,22 @@ class WrongStateLabel(Enum):
 
     ABHT = "ABht"  # heads register hit by the tails-keyed evolution
     ABTH = "ABth"  # tails register hit by the heads-keyed evolution
+
+
+ALICE_LABELS = tuple(outcome.value for outcome in AliceOutcome)
+BOB_LABELS = ("0", "1")
+CHARLIE_LABELS = ("ok", "fail")
+
+# The branches of the protocol by record code heads * 2 + apply_h0: Alice's
+# outcome, the evolution applied to her register and the register state
+# that follows.  The evolution keyed to her outcome leaves AB; the other
+# one is a mistake.
+RECORDS = (
+    (AliceOutcome.TAILS, "A_t01", "AB"),
+    (AliceOutcome.TAILS, "A_h0", "ABth"),
+    (AliceOutcome.HEADS, "A_t01", "ABht"),
+    (AliceOutcome.HEADS, "A_h0", "AB"),
+)
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,10 @@ class ParadoxReport:
 def alice_first_qubit() -> StateVector:
     """The biased coin qubit sqrt(1/3)|h> + sqrt(2/3)|t>."""
     return StateVector([sqrt(1 / 3), sqrt(2 / 3)])
+
+
+# The coin's Born weight for heads, 1/3 to the last bit.
+P_HEADS = float(abs(alice_first_qubit().amplitudes[0]) ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -138,14 +154,19 @@ def charlie_basis(which: str) -> MeasurementBasis:
     return MeasurementBasis(vectors, CHARLIE_LABELS)
 
 
+def evolve(register: StateVector, transform: SquareUnitary) -> StateVector:
+    """``transform`` applied to ``register``, then the entangling unitary R."""
+    return core.apply(entangle_matrix(), core.apply(transform, register))
+
+
+def _evolve_record(alice: AliceOutcome, transform: str) -> StateVector:
+    return evolve(initial_register(alice), named_matrices()[transform])
+
+
 @lru_cache(maxsize=None)
 def wrong_state(label: WrongStateLabel) -> StateVector:
     """Register state after the evolution keyed to the opposite record."""
-    if label is WrongStateLabel.ABHT:
-        register, reset = initial_register(AliceOutcome.HEADS), reset_matrix(AliceOutcome.TAILS)
-    else:
-        register, reset = initial_register(AliceOutcome.TAILS), reset_matrix(AliceOutcome.HEADS)
-    return core.apply(entangle_matrix(), core.apply(reset, register))
+    return next(_evolve_record(alice, transform) for alice, transform, state in RECORDS if state == label.value)
 
 
 def alice_basis() -> MeasurementBasis:
@@ -210,18 +231,16 @@ def frame_view(state: StateVector, view: str) -> ExpansionCoefficients:
     """
     if state.num_qubits != 2:
         raise ValueError(f"frame views require a 2-qubit state, got {state.num_qubits} qubits")
-    key = view.lower()
-    if key == "bs":
-        return core.expand_in_frame(state, _bs_frame())
-    if key == "as":
-        return core.expand_in_frame(state, _as_frame())
-    raise ValueError(f"unknown view {view!r}, expected 'bs' or 'as'")
+    frame = {"bs": _bs_frame, "as": _as_frame}.get(view.lower())
+    if frame is None:
+        raise ValueError(f"unknown view {view!r}, expected 'bs' or 'as'")
+    return core.expand_in_frame(state, frame())
 
 
 # ---------------------------------------------------------------------------
 # Named registry exposed to the CLI.
 
-STATE_KEYS = ("psi_A", "psi_AB", "psi_h0", "psi_t01", "psi_ABht", "psi_ABth")
+STATE_KEYS = ("psi_A", "psi_AB", "psi_h0", "psi_t01", *(f"psi_{label.value}" for label in WrongStateLabel))
 MATRIX_KEYS = ("A_h0", "A_t01", "R")
 
 
@@ -231,8 +250,7 @@ def named_states() -> dict[str, StateVector]:
         "psi_AB": target_state(),
         "psi_h0": initial_register(AliceOutcome.HEADS),
         "psi_t01": initial_register(AliceOutcome.TAILS),
-        "psi_ABht": wrong_state(WrongStateLabel.ABHT),
-        "psi_ABth": wrong_state(WrongStateLabel.ABTH),
+        **{f"psi_{label.value}": wrong_state(label) for label in WrongStateLabel},
     }
 
 
@@ -265,9 +283,10 @@ def verification_checks() -> list[tuple[str, float]]:
     state, and the target's joint Charlie coefficients (1, -1, 1, 3)/sqrt(12)."""
     checks = [(f"unitary_{key}", core.is_unitary(mat).max_deviation) for key, mat in named_matrices().items()]
     target = target_state().amplitudes
-    for key, outcome in (("heads", AliceOutcome.HEADS), ("tails", AliceOutcome.TAILS)):
-        evolved = core.apply(entangle_matrix(), core.apply(reset_matrix(outcome), initial_register(outcome)))
-        checks.append((f"evolution_{key}", float(np.linalg.norm(evolved.amplitudes - target))))
+    for alice, transform, state in reversed(RECORDS):  # heads first
+        if state == "AB":
+            evolved = _evolve_record(alice, transform)
+            checks.append((f"evolution_{alice.name.lower()}", float(np.linalg.norm(evolved.amplitudes - target))))
     expansion = core.change_basis(target_state(), [charlie_basis("A"), charlie_basis("B")])
     expected = np.array([np.sqrt(1 / 12), -np.sqrt(1 / 12), np.sqrt(1 / 12), np.sqrt(9 / 12)])
     checks.append(("charlie_coefficients", float(np.abs(expansion.coefficients - expected).max())))

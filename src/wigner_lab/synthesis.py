@@ -54,9 +54,7 @@ def synthesize_to_e0(v) -> SynthesisResult:
         matrix = np.conj(alpha) * np.eye(dim, dtype=np.complex128)
     else:
         matrix = np.conj(alpha) * (np.eye(dim, dtype=np.complex128) - (2.0 / wnorm2) * np.outer(w, w.conj()))
-    e0 = np.zeros(dim, dtype=np.complex128)
-    e0[0] = 1.0
-    residual = float(np.linalg.norm(matrix @ vec - e0))
+    residual = float(np.linalg.norm(matrix @ vec - np.eye(1, dim, dtype=np.complex128)[0]))
     return SynthesisResult(SquareUnitary(matrix), residual)
 
 
@@ -64,8 +62,6 @@ def synthesize_from_e0(t) -> SynthesisResult:
     """Unitary U with U e0 = t; the adjoint of ``synthesize_to_e0(t)``."""
     vec = _unit_vector(t)
     matrix = synthesize_to_e0(vec).matrix.adjoint()
-    e0 = np.zeros(vec.size, dtype=np.complex128)
-    e0[0] = 1.0
-    residual = float(np.linalg.norm(matrix.matrix @ e0 - vec))
+    residual = float(np.linalg.norm(matrix.matrix[:, 0] - vec))  # U e0 is U's first column
     return SynthesisResult(matrix, residual)
 

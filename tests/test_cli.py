@@ -20,17 +20,17 @@ from hypothesis import strategies as st
 
 import wigner_lab
 from wigner_lab import jsonio, protocol
-from wigner_lab.cli import _ROWS, _TRACE_TAILS, _write_trace_rows, main
+from wigner_lab.cli import _ROWS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
 
-# The last: JSON true/false are not numbers (read as 1 and 0, it was the unit vector e0).
-MALFORMED_VECTORS = [
+# The last two: JSON true/false are not numbers (read as 1 and 0, each was
+# the unit vector e0), neither as amplitudes nor as the qubit count.
+MALFORMED_DOCUMENTS = [
     '{"amplitudes": [1, 2]}',
     "[1, 2]",
     '{"amplitudes": [[true, false], [false, false], [false, false], [false, false]]}',
+    '{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}',
 ]
-# A state's qubit count is a number too; a vector (synth) has none.
-MALFORMED_STATES = MALFORMED_VECTORS + ['{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}']
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
 
 
@@ -173,7 +173,7 @@ class TestAudit:
         code, _, _ = run_cli(capsys, "audit", "psi_nope")
         assert code == 2
 
-    @pytest.mark.parametrize("text", MALFORMED_STATES)
+    @pytest.mark.parametrize("text", MALFORMED_DOCUMENTS)
     def test_malformed_state_json_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
@@ -227,7 +227,7 @@ class TestSynth:
         assert code == 2
         assert err == "error: input is not a unit vector: norm = nan\n"
 
-    @pytest.mark.parametrize("text", MALFORMED_VECTORS)
+    @pytest.mark.parametrize("text", MALFORMED_DOCUMENTS)
     def test_malformed_vector_json_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
@@ -298,17 +298,33 @@ def unit_document(pairs):
     return {"amplitudes": [[re / norm, im / norm] for re, im in pairs]}
 
 
+def declares_a_wrong_qubit_count(document):
+    """Whether ``document`` has a ``num_qubits`` that is not the log2 of its
+    amplitude count (a boolean never is)."""
+    n = document.get("num_qubits") if isinstance(document, dict) else None
+    if n is None:
+        return False
+    amplitudes = document.get("amplitudes")
+    size = len(amplitudes) if isinstance(amplitudes, list) else 0
+    return isinstance(n, bool) or not any(n == k and size == 1 << k for k in range(8))
+
+
+UNIT_DOCUMENTS = (
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=8)
+    .filter(lambda pairs: any(re or im for re, im in pairs))
+    .map(unit_document)
+)
 # Mostly state-shaped, so documents reach the norm checks and the commands;
 # the unit vectors of any length and the named states pass some commands.
+# A unit vector also comes with a qubit count: right, a boolean or any value.
 FUZZ_DOCUMENTS = st.one_of(
     FUZZ_JSON,
     st.fixed_dictionaries(
         {"amplitudes": st.lists(FUZZ_PAIRS, max_size=5) | st.lists(FUZZ_PAIRS | FUZZ_JSON, max_size=5) | FUZZ_JSON},
         optional={"num_qubits": st.integers(0, 3) | FUZZ_JSON},
     ),
-    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=8)
-    .filter(lambda pairs: any(re or im for re, im in pairs))
-    .map(unit_document),
+    UNIT_DOCUMENTS,
+    st.builds(lambda doc, n: {**doc, "num_qubits": n}, UNIT_DOCUMENTS, st.integers(0, 3) | st.booleans() | FUZZ_JSON),
     st.sampled_from([jsonio.state_to_dict(state) for state in protocol.named_states().values()]),
 )
 FUZZ_COMMANDS = [("audit",), ("states",), ("synth", "--to-e0"), ("synth", "--to-e0", "--out")]
@@ -318,6 +334,7 @@ class TestDocumentFuzz:
     @given(document=FUZZ_DOCUMENTS, command=st.sampled_from(FUZZ_COMMANDS))
     @example(document={"amplitudes": [[math.nan, 0], [0, 0]]}, command=("synth", "--to-e0"))
     @example(document={"amplitudes": [[10**400, 0], [0, 0]]}, command=("states",))
+    @example(document={"num_qubits": True, "amplitudes": [[1, 0], [0, 0]]}, command=("synth", "--to-e0"))
     @settings(max_examples=200, deadline=None)
     def test_any_document_exits_0_1_or_2(self, document, command):
         # in process, warnings as errors: any warning or exception escaping main fails the example
@@ -330,6 +347,8 @@ class TestDocumentFuzz:
                 warnings.simplefilter("error")
                 code = main(argv)
             assert code in (0, 1, 2)
+            if declares_a_wrong_qubit_count(document):
+                assert code == 2
             if code == 2:
                 assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
             if "--out" in command:
@@ -374,14 +393,19 @@ FUZZ_SUBCOMMANDS = {
 def fuzz_argv(draw):
     """Mostly a subcommand's own flags, repeated or missing as they fall; now
     and then any other flag, a flag without its value, a stray word, a
-    missing positional, an unknown subcommand or none."""
+    missing positional, an unknown subcommand or none; or one path for both
+    --out and --trace."""
     command = draw(st.sampled_from([*FUZZ_SUBCOMMANDS] * 3 + ["bogus", None]))
     names, flags = FUZZ_SUBCOMMANDS.get(command, ([], []))
     argv = [] if command is None else [command]
     if names and draw(st.integers(0, 9)):
         argv.append(draw(st.sampled_from(names)))
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["own"] * 15 + ["any", "bare", "word"]))
+        kind = draw(st.sampled_from(["own"] * 15 + ["any", "bare", "word", "same"]))
+        if kind == "same":
+            path = draw(st.sampled_from(FUZZ_FLAGS["--out"]))
+            argv += ["--out", path, "--trace", path]
+            continue
         if kind == "word":
             argv.append(draw(st.sampled_from(["psi_AB", "2000", "-1"])))
             continue
@@ -397,6 +421,7 @@ class TestArgvFuzz:
     @example(argv=["simulate", "-n", "-1", "--out", "r.out", "--trace", "t.csv"])
     @example(argv=["simulate", "-n", "5", "--out", "r.out", "--trace", "missing/x"])
     @example(argv=["simulate", "-n", "17", "--out", "t.csv", "--trace", "t.csv", "--check"])
+    @example(argv=["simulate", "-n", "5", "--format", "json", "--out", "same.csv", "--trace", "same.csv"])
     @example(argv=["simulate", "--policy", "alternating", "--check", "--trace", "t.csv", "--out", "r.out"])
     @example(argv=["synth", "psi_h0", "--to-e0", "--out", "missing/x"])
     @settings(max_examples=400, deadline=None)
@@ -416,6 +441,10 @@ class TestArgvFuzz:
             finally:
                 os.chdir(cwd)
             assert code in ((0, 2) if usage_error else (0, 1, 2))
+            if not usage_error:
+                args = _build_parser().parse_args(argv)
+                if getattr(args, "trace", None) is not None and args.trace == args.out:
+                    assert code == 2, "one file for --out and --trace"
             if code == 2 and not usage_error:
                 assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
             if code == 2:
@@ -487,6 +516,25 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "-n", "10", "--out", str(out), "--trace", str(trace))
         assert code == 2
         assert out.exists()
+
+    def test_out_and_trace_on_one_path_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the results would overwrite the trace; refused before any trial runs
+        monkeypatch.setattr("wigner_lab.cli.run_trials", refuse_work)
+        path = str(tmp_path / "same.csv")
+        code, _, err = run_cli(capsys, "simulate", "-n", "5", "--format", "json", "--out", path, "--trace", path)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+        assert not os.listdir(tmp_path)  # the file this call created is gone
+
+    def test_out_through_a_symlink_to_the_trace_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("wigner_lab.cli.run_trials", refuse_work)
+        trace, alias = tmp_path / "same.csv", tmp_path / "alias.csv"
+        trace.write_text("old", encoding="utf-8")
+        alias.symlink_to(trace.name)
+        code, _, err = run_cli(capsys, "simulate", "-n", "5", "--out", str(alias), "--trace", str(trace))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["alias.csv", "same.csv"]  # both were there before
 
     def test_trace_into_missing_dir_names_the_path(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "trace.csv")

@@ -146,3 +146,10 @@ class TestVectorJson:
     def test_accepts_any_length(self):
         vec = jsonio.vector_from_dict({"amplitudes": [[1.0, 0.0]] * 3})
         assert vec.shape == (3,)
+
+    def test_checks_a_given_qubit_count(self):
+        # the check state_from_dict shares; a length without a qubit count has none
+        assert jsonio.vector_from_dict({"num_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}).shape == (2,)
+        for n, size in ((True, 2), (0, 2), (2, 2), (1.5, 2), ("1", 2), (1, 3)):
+            with pytest.raises(ValueError, match="num_qubits"):
+                jsonio.vector_from_dict({"num_qubits": n, "amplitudes": [[1.0, 0.0]] * size})

@@ -17,8 +17,6 @@ from wigner_lab.montecarlo import (
     _BLOCK,
     _CHUNK,
     CHARLIE_LABELS,
-    P_HEADS,
-    RECORDS,
     STATE_LABELS,
     MistakePolicy,
     RunResult,
@@ -29,7 +27,7 @@ from wigner_lab.montecarlo import (
     mechanism_rows,
     run_trials,
 )
-from wigner_lab.protocol import AliceOutcome, WrongStateLabel
+from wigner_lab.protocol import P_HEADS, RECORDS, AliceOutcome, WrongStateLabel
 
 COLUMNS = ("heads", "apply_h0", "state_idx", "charlie_idx")
 
@@ -501,15 +499,15 @@ class TestRecords:
     def test_each_record_evolves_to_its_resultant_state(self):
         states, matrices = protocol.named_states(), protocol.named_matrices()
         for code, (alice, transform, state) in enumerate(RECORDS):  # code = heads * 2 + apply_h0
-            assert (alice, transform) == ("th"[code >> 1], ("A_t01", "A_h0")[code & 1])
-            register = states["psi_h0" if alice == "h" else "psi_t01"]
+            assert (alice.value, transform) == ("th"[code >> 1], ("A_t01", "A_h0")[code & 1])
+            register = states["psi_h0" if alice is AliceOutcome.HEADS else "psi_t01"]
             evolved = core.apply(protocol.entangle_matrix(), core.apply(matrices[transform], register))
             np.testing.assert_allclose(evolved.amplitudes, states[f"psi_{state}"].amplitudes, atol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.17, 0.5, 1.0])
     def test_records_agree_with_mechanism_rows(self, eps):
         rows = mechanism_rows(MistakePolicy.biased(eps))
-        alice = {"psi_h0": "h", "psi_t01": "t"}
+        alice = {"psi_h0": AliceOutcome.HEADS, "psi_t01": AliceOutcome.TAILS}
         branches = [(alice[row.initial_state], row.transform, row.resultant_state) for row in rows]
         assert branches == list(reversed(RECORDS))  # heads first
         for row in rows:

@@ -1,6 +1,8 @@
-"""Smoke tests: the report scripts under ``scripts/`` run against the library."""
+"""Smoke tests: the report scripts under ``scripts/`` and the README's
+Python example run against the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +44,10 @@ def test_mistake_statistics():
     assert all(row.endswith("pass") for row in sweep)
     assert lines[8].startswith("alternating: A_h0 applied 10000/20000 times")
     assert lines[9].startswith("charlie frequencies")
+
+
+def test_readme_python_example():
+    # the docs cannot drift from the library: the example runs as written
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
