@@ -6,7 +6,8 @@ trial, their order) or the sampling rule changes a digest.  The traced
 sizes sit on both sides of the 65 536-trial chunk boundary and past the
 second one; the counts-only sizes span 3 chunks (the last one partial) and
 16 chunks, so they pin the multi-chunk counts path.  The remaining digests
-pin the output of the commands that print the protocol's constants.
+pin the output of the commands that print the protocol's constants, its
+basis and frame views, and the help of ``simulate``.
 """
 
 import hashlib
@@ -123,8 +124,44 @@ COMMAND_GOLDEN = {
     ("verify", "--format", "csv"): "2c037b7d170faf4f6cfd31135dfa7d462d2628d98abb770a7b6ab089ca687d28",
     ("verify",): "a3cc77f9f43ed4e9e7d8de5542b9f24ab96c758f7ca52dfc69a3eb8079672222",
     ("audit", "psi_AB", "--format", "json"): "290989ce105234bdca11321dc0f54770e94345347f630aad7d85717252f4e9d9",
+    ("audit", "psi_ABht", "--format", "json"): "956e8f22c9ddb26172a5f7ef296eebe129afb031ce8e1c98d7fed11ceffbf024",
+    ("audit", "psi_ABth", "--format", "json"): "cf429b6c009ed438020931082f14f999688f0b5af59eb60c052b96a915e1f3cb",
     ("states", "psi_AB", "--basis", "charlie", "--format", "json"): (
         "6f98e9fcfb4ee6539b89acb2efaced2e04de755533ffb2e31d1db19fa8818d0a"
+    ),
+    ("states", "psi_ABht", "--basis", "computational", "--format", "json"): (
+        "98070137efae475a6e7d862a1b4142459c06a6d2006dfb9dd300e6342654f29c"
+    ),
+    # the substitution-frame views of every two-qubit named state
+    ("states", "psi_AB", "--frame", "bs", "--format", "json"): (
+        "1ebd1bed4a5300b0e24297a037c5ff51bd573fb124dd1a61f1843a2ec03e5f54"
+    ),
+    ("states", "psi_AB", "--frame", "as", "--format", "json"): (
+        "726f42d3f14014e94d67bc62d5ea92a0690101fb3854fbf76b3deff2c7cecbc2"
+    ),
+    ("states", "psi_h0", "--frame", "bs", "--format", "json"): (
+        "c9cf3d7996a7780b92c8767a9b1cf89eab7c65a9459889807932e1b28b4c9e44"
+    ),
+    ("states", "psi_h0", "--frame", "as", "--format", "json"): (
+        "635024fca89886d870d3aac0a6f1e456297aacd93805aa98e7e7af0863b384ac"
+    ),
+    ("states", "psi_t01", "--frame", "bs", "--format", "json"): (
+        "92f78d257cea664a2b53c16e9a78b7f5cef2cde94c5ecf6aee5b636f075d6b6a"
+    ),
+    ("states", "psi_t01", "--frame", "as", "--format", "json"): (
+        "37b4017160e9c9dca3ebae0682b9419c9812dac6e9497f5af62d3b47ae501775"
+    ),
+    ("states", "psi_ABht", "--frame", "bs", "--format", "json"): (
+        "b4166c1a02caaf32da013710adc7a3ee924d73a9de7ee1250f51fb53ad691306"
+    ),
+    ("states", "psi_ABht", "--frame", "as", "--format", "json"): (
+        "6acb0928f30eb77e1ddd76ca8de95484746e1dd1b4a41d0cb79ed85fa237906a"
+    ),
+    ("states", "psi_ABth", "--frame", "bs", "--format", "json"): (
+        "7b2f1c4730996b73f2d0ff9159687c475467bb8206dcc287152ae3a59f522df5"
+    ),
+    ("states", "psi_ABth", "--frame", "as", "--format", "json"): (
+        "876613a7953373c604dd270a20c37cd6c6e268ae3c1f4d3759c896b97bc8912d"
     ),
     ("table", "--policy", "correct"): "863060d0a18d22c34fe09f7fe642851ae43feb74acb2e34c6cf5c2fc6e1cf04a",
     ("table", "--policy", "uniform"): "c2c38c894601fac90f2fd943a754a6f2b92ca4487aab46c41b9f3c88fbc6686a",
@@ -156,3 +193,18 @@ def test_command_digests(capsys, argv):
     assert main(list(argv)) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == COMMAND_GOLDEN[argv]
+
+
+# sha256 of ``simulate --help`` at 80 columns; Python 3.10 heads the options
+# "optional arguments:", later versions "options:", so the heading is read
+# in the later spelling
+SIMULATE_HELP_GOLDEN = "56bcb1639122867a8d164c00051b0be10f4aef5b98983c2325e55b10cbad075c"
+
+
+def test_simulate_help_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    stdout = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == SIMULATE_HELP_GOLDEN
