@@ -11,7 +11,7 @@ per-factor labels with ``_``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -99,51 +99,44 @@ class SquareUnitary:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Ordered orthonormal basis; column k of ``vectors`` is the outcome ``labels[k]``."""
+class Frame:
+    """Ordered spanning set of d linearly independent, not necessarily
+    orthogonal, labelled columns.  Coefficient magnitudes in such a frame
+    need not square-sum to the physical norm."""
 
     vectors: np.ndarray
     labels: tuple[str, ...]
+
+    _kind = "frame"  # names the columns in the label-count error
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.vectors)
         labels = tuple(self.labels)
         if len(labels) != mat.shape[1]:
-            raise ValueError("one label per basis vector required")
-        deviation = _unitarity_deviation(mat)
-        if deviation > TOL_UNITARY:
-            raise ValueError(f"basis is not orthonormal: max |<b_i|b_j> - delta_ij| = {deviation!r}")
+            raise ValueError(f"one label per {self._kind} vector required")
+        self._validate(mat)
         object.__setattr__(self, "vectors", _freeze(mat))
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """Ordered spanning set of d linearly independent, not necessarily
-    orthogonal, columns.  Coefficient magnitudes in such a frame need not
-    square-sum to the physical norm."""
-
-    vectors: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.vectors)
-        labels = tuple(self.labels)
-        if len(labels) != mat.shape[1]:
-            raise ValueError("one label per frame vector required")
+    def _validate(self, mat: np.ndarray) -> None:
         smallest = float(np.linalg.svd(mat, compute_uv=False)[-1])
         if smallest <= TOL_RANK:
             raise ValueError(f"frame vectors are linearly dependent: smallest singular value {smallest!r}")
-        object.__setattr__(self, "vectors", _freeze(mat))
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
+
+
+class MeasurementBasis(Frame):
+    """Ordered orthonormal basis; column k of ``vectors`` is the outcome ``labels[k]``."""
+
+    _kind = "basis"
+
+    def _validate(self, mat: np.ndarray) -> None:
+        deviation = _unitarity_deviation(mat)
+        if deviation > TOL_UNITARY:
+            raise ValueError(f"basis is not orthonormal: max |<b_i|b_j> - delta_ij| = {deviation!r}")
 
 
 def computational_basis(labels: Sequence[str] = ("0", "1")) -> MeasurementBasis:
@@ -151,11 +144,20 @@ def computational_basis(labels: Sequence[str] = ("0", "1")) -> MeasurementBasis:
     return MeasurementBasis(np.eye(len(labels)), tuple(labels))
 
 
-def tensor_frame(a: Frame | MeasurementBasis, b: Frame | MeasurementBasis) -> Frame:
+def _product(factors: Sequence[Frame]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Kronecker product of the factors, labels joined with ``_``, first factor most significant."""
+    if not factors:
+        raise ValueError("at least one basis required")
+    matrix, labels = factors[0].vectors, factors[0].labels
+    for factor in factors[1:]:
+        matrix = np.kron(matrix, factor.vectors)
+        labels = tuple(f"{la}{LABEL_SEP}{lb}" for la in labels for lb in factor.labels)
+    return matrix, labels
+
+
+def tensor_frame(a: Frame, b: Frame) -> Frame:
     """Kronecker product frame; labels join with ``_`` in (a, b) major order."""
-    vectors = np.kron(a.vectors, b.vectors)
-    labels = tuple(f"{la}{LABEL_SEP}{lb}" for la in a.labels for lb in b.labels)
-    return Frame(vectors, labels)
+    return Frame(*_product([a, b]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,22 +272,11 @@ def is_unitary(matrix, tol: float = TOL_UNITARY) -> UnitarityReport:
     return UnitarityReport(deviation <= tol, deviation)
 
 
-def _product_columns(bases: Sequence[MeasurementBasis], dim: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    if not bases:
-        raise ValueError("at least one basis required")
-    matrix = bases[0].vectors
-    labels: Iterable[tuple[str, ...]] = [(l,) for l in bases[0].labels]
-    for basis in bases[1:]:
-        matrix = np.kron(matrix, basis.vectors)
-        labels = [parts + (l,) for parts in labels for l in basis.labels]
-    if matrix.shape[0] != dim:
-        raise ValueError(f"basis product has dim {matrix.shape[0]}, state has dim {dim}")
-    return matrix, tuple(LABEL_SEP.join(parts) for parts in labels)
-
-
 def change_basis(v: StateVector, per_qubit_bases: Sequence[MeasurementBasis]) -> ExpansionCoefficients:
     """Coefficients of ``v`` over the tensor product of orthonormal bases."""
-    matrix, labels = _product_columns(per_qubit_bases, v.dim)
+    matrix, labels = _product(per_qubit_bases)
+    if matrix.shape[0] != v.dim:
+        raise ValueError(f"basis product has dim {matrix.shape[0]}, state has dim {v.dim}")
     coeffs = matrix.conj().T @ v.amplitudes
     return ExpansionCoefficients(labels, coeffs)
 

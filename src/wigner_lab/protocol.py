@@ -205,22 +205,19 @@ def paradox_audit(state: StateVector, tol: float = AUDIT_TOL) -> ParadoxReport:
     return ParadoxReport(amp_h1, amp_0okA, amp_tokB, p_okok, flag)
 
 
-@lru_cache(maxsize=None)
-def _bs_frame() -> Frame:
-    # {fail_A, t} on qubit A with computational on qubit B; the non-orthogonal
-    # set induced by eliminating |h> = sqrt(2)|fail>_A - |t>.
-    r = sqrt(1 / 2)
-    part_a = Frame(np.array([[r, 0.0], [r, 1.0]]), ("fail", "t"))
-    return tensor_frame(part_a, Frame(np.eye(2), BOB_LABELS))
+_FRAME_VIEWS = ("bs", "as")
 
 
 @lru_cache(maxsize=None)
-def _as_frame() -> Frame:
-    # Computational on qubit A with {0, fail_B} on qubit B; induced by
-    # eliminating |1> = sqrt(2)|fail>_B - |0>.
-    r = sqrt(1 / 2)
-    part_b = Frame(np.array([[1.0, r], [0.0, r]]), ("0", "fail"))
-    return tensor_frame(Frame(np.eye(2), ALICE_LABELS), part_b)
+def _substitution_frame(view: str) -> Frame:
+    # View q puts Charlie's fail vector in column q of qubit q's basis: it
+    # eliminates |h> = sqrt(2)|fail>_A - |t> ("bs") or |1> = sqrt(2)|fail>_B - |0> ("as").
+    q = _FRAME_VIEWS.index(view)
+    factors: list[Frame] = [alice_basis(), bob_basis()]
+    vectors, labels = factors[q].vectors.copy(), list(factors[q].labels)
+    vectors[:, q], labels[q] = charlie_basis("AB"[q]).vectors[:, 1], CHARLIE_LABELS[1]
+    factors[q] = Frame(vectors, labels)
+    return tensor_frame(*factors)
 
 
 def frame_view(state: StateVector, view: str) -> ExpansionCoefficients:
@@ -231,10 +228,9 @@ def frame_view(state: StateVector, view: str) -> ExpansionCoefficients:
     """
     if state.num_qubits != 2:
         raise ValueError(f"frame views require a 2-qubit state, got {state.num_qubits} qubits")
-    frame = {"bs": _bs_frame, "as": _as_frame}.get(view.lower())
-    if frame is None:
+    if view.lower() not in _FRAME_VIEWS:
         raise ValueError(f"unknown view {view!r}, expected 'bs' or 'as'")
-    return core.expand_in_frame(state, frame())
+    return core.expand_in_frame(state, _substitution_frame(view.lower()))
 
 
 # ---------------------------------------------------------------------------

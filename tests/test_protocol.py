@@ -241,7 +241,7 @@ class TestFrameViews:
     def test_reconstruction(self, key, view):
         state = protocol.named_states()[key]
         out = protocol.frame_view(state, view)
-        frame = protocol._bs_frame() if view == "bs" else protocol._as_frame()
+        frame = protocol._substitution_frame(view)
         reconstructed = frame.vectors @ out.coefficients
         assert np.abs(reconstructed - state.amplitudes).max() <= 1e-10
 
