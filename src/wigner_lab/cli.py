@@ -445,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("-n", "--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=_seed_type, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0")
     p_sim.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
-    p_sim.add_argument("--mode", choices=("collapse", "analytic"), default="collapse")
+    p_sim.add_argument("--mode", choices=montecarlo.MODES, default="collapse")
     p_sim.add_argument("--check", action="store_true", help=f"compare against the closed form at {SIGMA_BOUND:g} sigma")
     p_sim.add_argument("--trace", help="write a per-trial CSV trace to this path")
     p_sim.add_argument("--out", help="write results here instead of stdout")

@@ -81,7 +81,7 @@ class MistakePolicy:
     @classmethod
     def parse(cls, text: str) -> MistakePolicy:
         """Parse ``correct | uniform | alternating | biased:<eps>``."""
-        if text in ("correct", "uniform", "alternating"):
+        if text in POLICY_KINDS and text != "biased":
             return cls(text)
         if text.startswith("biased:"):
             try:
@@ -215,8 +215,8 @@ class _RankTables(NamedTuple):
     maps to the resultant state (``state_of_key``), to the joint bin
     ``state_idx * 4 + charlie_idx`` (``joint_of_key``) and to the trial's
     ``TraceChunk`` outcome code (``outcome_of_key``).  In analytic mode the
-    key is the rank alone, and ``analytic_outcome_of_key`` maps it to the
-    code, which is Charlie's index there.
+    key is the rank alone, a key of code 0 (state AB), and the outcome code
+    is its joint bin: ``joint_of_key`` maps it there too.
     """
 
     ranks: int
@@ -225,7 +225,6 @@ class _RankTables(NamedTuple):
     state_of_key: np.ndarray
     joint_of_key: np.ndarray
     outcome_of_key: np.ndarray
-    analytic_outcome_of_key: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -258,11 +257,10 @@ def _rank_tables() -> _RankTables:
     record_of_key = np.repeat(heads * 2 + (heads ^ mistake), ranks)
     state_of_key = _STATE_OF_RECORD[record_of_key]
     rank_of_key = np.tile(np.arange(ranks), 4)
-    joint_of_key = state_of_key * len(CHARLIE_LABELS) + charlie_of[state_of_key, rank_of_key]
+    joint_of_key = (state_of_key * len(CHARLIE_LABELS) + charlie_of[state_of_key, rank_of_key]).astype(np.uint8)
     # The TraceChunk code; an analytic key is a rank of state AB, with record -1.
     outcome_of_key = ((record_of_key + 1) * _JOINTS + joint_of_key).astype(np.uint8)
-    analytic_outcome_of_key = charlie_of[0].astype(np.uint8)
-    return _RankTables(ranks, base, edge, state_of_key, joint_of_key, outcome_of_key, analytic_outcome_of_key)
+    return _RankTables(ranks, base, edge, state_of_key, joint_of_key, outcome_of_key)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
@@ -326,7 +324,7 @@ def _run_chunk(
 
     if traced:
         outcome = np.empty(m, dtype=np.uint8)
-        outcome_of_key = tables.analytic_outcome_of_key if analytic else tables.outcome_of_key
+        outcome_of_key = tables.joint_of_key if analytic else tables.outcome_of_key
 
     for lo in range(0, m, _BLOCK):
         b = min(_BLOCK, m - lo)
