@@ -46,7 +46,8 @@ def synthesize_to_e0(v) -> SynthesisResult:
     """
     vec = _unit_vector(v)
     dim = vec.size
-    alpha = vec[0] / abs(vec[0]) if abs(vec[0]) > 0.0 else 1.0 + 0.0j
+    # the phase of v[0]; a subnormal v[0] has no finite reciprocal, so it gets phase 1, as 0 does
+    alpha = vec[0] / abs(vec[0]) if abs(vec[0]) >= np.finfo(np.float64).tiny else 1.0 + 0.0j
     w = vec.copy()
     w[0] -= alpha
     wnorm2 = float(np.vdot(w, w).real)

@@ -46,6 +46,12 @@ class TestSynthesizeToE0:
         result = synthesize_to_e0(v)
         np.testing.assert_allclose(result.matrix.matrix @ v, e0(3), atol=1e-15)
 
+    def test_subnormal_first_entry(self):
+        # 1 / |v[0]| overflows for a subnormal v[0] (a warning, an error in
+        # this suite): its phase is taken as 1
+        result = synthesize_to_e0(np.array([2.2250738585e-313j, 1.0]))
+        assert result.residual <= 1e-15
+
     def test_dim_one(self):
         result = synthesize_to_e0(np.array([-1.0 + 0j]))
         assert result.residual <= 1e-15
