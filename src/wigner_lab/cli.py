@@ -14,6 +14,7 @@ import dataclasses
 import io
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import BinaryIO
@@ -95,15 +96,17 @@ def _policy_type(text: str) -> MistakePolicy:
 @contextlib.contextmanager
 def _output_file(path: str, mode: str, **kwargs):
     """``path`` opened for writing; removed again if the block fails and this
-    call created it, so a failed call leaves no new file behind."""
-    created = not os.path.exists(path)
+    call created it, so a failed call leaves no new file behind.  Through a
+    dangling symlink, the file the call created goes and the link stays."""
+    target = os.path.realpath(path)
+    created = not os.path.lexists(target)
     try:
         with open(path, mode, **kwargs) as handle:
             yield handle
     except BaseException:
         if created:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(target)
         raise
 
 
@@ -111,6 +114,15 @@ def _open_out(path: str | None):
     """The ``--out`` file, opened for writing before any work is done, or
     stdout (left open) when there is none."""
     return _output_file(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _same_regular_file(results, trace: BinaryIO) -> bool:
+    """Whether the results would overwrite the trace: both are one regular file."""
+    trace_stat = os.fstat(trace.fileno())
+    try:
+        return stat.S_ISREG(trace_stat.st_mode) and os.path.samestat(os.fstat(results.fileno()), trace_stat)
+    except (AttributeError, io.UnsupportedOperation):  # an in-memory stream has no file descriptor
+        return False
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -331,8 +343,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             result = run_trials(config)
         else:
             with _output_file(args.trace, "wb") as handle:
-                if args.out and os.path.samestat(os.fstat(out.fileno()), os.fstat(handle.fileno())):
-                    raise ValueError(f"--out and --trace name the same file: {args.trace}")
+                if _same_regular_file(out, handle):
+                    results = "--out" if args.out else "stdout"
+                    raise ValueError(f"{results} and --trace name the same file: {args.trace}")
                 handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
                 result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
         report = None

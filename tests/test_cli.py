@@ -335,6 +335,7 @@ class TestDocumentFuzz:
     @example(document={"amplitudes": [[math.nan, 0], [0, 0]]}, command=("synth", "--to-e0"))
     @example(document={"amplitudes": [[10**400, 0], [0, 0]]}, command=("states",))
     @example(document={"num_qubits": True, "amplitudes": [[1, 0], [0, 0]]}, command=("synth", "--to-e0"))
+    @example(document={"amplitudes": [[0, 2.2250738585e-313], [0, 1]]}, command=("synth", "--to-e0"))
     @settings(max_examples=200, deadline=None)
     def test_any_document_exits_0_1_or_2(self, document, command):
         # in process, warnings as errors: any warning or exception escaping main fails the example
@@ -535,6 +536,37 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["alias.csv", "same.csv"]  # both were there before
+
+    def test_stdout_redirected_to_the_trace_exits_2(self, capsys, tmp_path, monkeypatch):
+        # as with `simulate --trace t.csv > t.csv`: the results would overwrite the trace
+        monkeypatch.setattr("wigner_lab.cli.run_trials", refuse_work)
+        path = tmp_path / "t.csv"
+        with open(path, "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
+            code = main(["simulate", "-n", "5", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: stdout and --trace name the same file: {path}\n"
+
+    def test_out_and_trace_both_devnull_exit_0(self, capsys):
+        # not a regular file: nothing written to it can be lost
+        code, out, _ = run_cli(capsys, "simulate", "-n", "5", "--out", os.devnull, "--trace", os.devnull)
+        assert code == 0 and out == ""
+
+    def test_stdout_and_trace_both_devnull_exit_0(self, capsys):
+        with open(os.devnull, "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
+            code = main(["simulate", "-n", "5", "--trace", os.devnull])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failed_call_keeps_a_dangling_out_link(self, capsys, tmp_path, monkeypatch):
+        # the call creates target.csv through the link, then fails on the trace
+        monkeypatch.chdir(tmp_path)
+        Path("link").symlink_to("target.csv")
+        code, _, err = run_cli(capsys, "simulate", "-n", "10", "--out", "link", "--trace", "missing/x")
+        assert code == 2
+        assert err.startswith("error: ") and "missing/x" in err
+        assert os.path.islink("link") and os.readlink("link") == "target.csv"
+        assert sorted(os.listdir(tmp_path)) == ["link"]  # target.csv, created by the call, is gone
 
     def test_trace_into_missing_dir_names_the_path(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "trace.csv")
@@ -762,6 +794,15 @@ class TestEntryPoint:
         proc = run_module("verify")
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_trace_to_stdout_through_a_pipe(self):
+        # `simulate --trace /dev/stdout | cat`: a pipe is not a regular file
+        proc = run_module("simulate", "-n", "3", "--format", "csv", "--trace", "/dev/stdout")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()  # the trace's 1 + 3 lines, then the results' 1 + 7
+        assert lines[0] == "trial,alice_outcome,transform,state,charlie_a,charlie_b"
+        assert lines[4] == "section,label,count,freq" and len(lines) == 12
 
     @pytest.mark.parametrize(
         "command, document",
