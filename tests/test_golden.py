@@ -7,7 +7,9 @@ sizes sit on both sides of the 65 536-trial chunk boundary and past the
 second one; the counts-only sizes span 3 chunks (the last one partial) and
 16 chunks, so they pin the multi-chunk counts path.  The remaining digests
 pin the output of the commands that print the protocol's constants, its
-basis and frame views, and the help of ``simulate``.
+basis and frame views, and the help of ``simulate``; the call digests pin
+exit code, stdout and stderr together, in every format and for failing
+calls.
 """
 
 import hashlib
@@ -208,3 +210,70 @@ def test_simulate_help_digest(capsys, monkeypatch):
     assert exc.value.code == 0
     stdout = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == SIMULATE_HELP_GOLDEN
+
+
+def call_digest(argv, capsys, monkeypatch, tmp_path):
+    """sha256 over one call's exit code, stdout and stderr, and the bytes of
+    the ``--out`` file when there is one; run in ``tmp_path``, so a relative
+    ``--out`` path appears the same in any checkout."""
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    written = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8") if "--out" in argv else ""
+    return hashlib.sha256(f"{code}\0{captured.out}\0{captured.err}\0{written}".encode("utf-8")).hexdigest()
+
+
+# argv -> call_digest; the pretty and csv output, the failing checks and the
+# synth calls that COMMAND_GOLDEN, which holds exit-0 stdout only, leaves out
+CALL_GOLDEN = {
+    ("states", "psi_A"): "f29f730a4f848c24f42059e47db0ce20c0176ac2c267ff5bfdea924b4c90c81e",
+    ("states", "psi_AB"): "a061895713513d3fdcd77482b65c319c38668b724bdf0cc2ab689ddd7fc224f8",
+    ("states", "psi_AB", "--basis", "charlie"): "5cf133c118819585aec5ebb476bfb5ba6256020a29dc1e69385c9431a16c5281",
+    ("states", "psi_ABht", "--frame", "bs"): "b46869b95929f432f9ce6add4c1fca8bf5ad3127c74f786087480e8148d77cc7",
+    ("states", "psi_ABth", "--frame", "as"): "780077047e177f2e4116915c1e2384a03f82673f3b84d008a1c8ea6bd1343a9a",
+    ("audit", "psi_AB"): "303a4615f7d754dbefbb7ee76797bbf5fcedceb18340148df48b8f2dd3b65b0c",
+    ("audit", "psi_ABht"): "7925decd33b1467eb8e90c98b29d1dd443c515628c4b7ce9f48e8a87f1195776",
+    ("audit", "psi_ABth"): "db106948efd2cf6654aa8eb373783992dcfa185217807469f4c7b966f9690987",
+    ("simulate", "-n", "1000", "--seed", "2018"): "3284fdf711f48bb95c2f6fa94ba4880d894b0fba15237b7b019a0aaf0f77f0e4",
+    ("simulate", "-n", "1000", "--seed", "2018", "--check"): (
+        "ad92fea86c659e23a65f058ba3d6016c245c009758e24c61115869064c41ef9e"
+    ),
+    ("states", "psi_A", "--format", "csv"): "22243819f5b47b69ccab9b8ea3ba3578eb6d56d23c3f5e38db19acc012857b24",
+    ("states", "psi_AB", "--format", "csv"): "57030677d02053903e8314a42a172df821942edc6932ad9f8093bd7763fa8dbf",
+    ("states", "psi_AB", "--basis", "charlie", "--format", "csv"): (
+        "fe75803cf148c88dae73ca8a297d69b26c72eeb325c52f16a9946c2b6c75bd63"
+    ),
+    ("states", "psi_ABht", "--frame", "bs", "--format", "csv"): (
+        "a43e0d0d3ba237a392dc06ac603fb4cc656c08779340ec523dcf39c33ce021f7"
+    ),
+    ("states", "psi_ABth", "--frame", "as", "--format", "csv"): (
+        "2b624dde7b879651a4fcb1c9fae10712e0d4c2b70e05b7fcb168c6c7f5d5a6fa"
+    ),
+    ("audit", "psi_AB", "--format", "csv"): "dfe07ae04de1421e8fdb044ae5af7f1c609c203ea2e9d176fc2e799ea5d9ce27",
+    ("audit", "psi_ABht", "--format", "csv"): "9e6623283d3cc42e568f01f14391d6ef7043ef04530a6260d02fedc517c77d3f",
+    ("audit", "psi_ABth", "--format", "csv"): "d09784a84b4869213b682c56e542b516b373aae98ad3b4c4c91eafc7ac85c42d",
+    ("simulate", "-n", "1000", "--seed", "2018", "--format", "csv"): (
+        "b1e828122c50c22f0a446690ec6c4f3b56900ea34df70e202aea95c12c39b0b1"
+    ),
+    ("simulate", "-n", "1000", "--seed", "2018", "--check", "--format", "csv"): (
+        "b1e828122c50c22f0a446690ec6c4f3b56900ea34df70e202aea95c12c39b0b1"
+    ),
+    ("simulate", "-n", "0", "--check"): "733c2c45e58fc1e3b0f9e8e09877f540061711bc3b980e322ae2f5bbe40a19b8",
+    # at tol 0 all checks but evolution_heads fail: exit 1
+    ("verify", "--tol", "0"): "440a92652aae857a967a1dc6a9e74724c68fc591d834829cde6747752fc85d86",
+    ("verify", "--tol", "0", "--format", "json"): "641d9603b055b172acbba5ec5bdcd346b4ef6930bcf7d28e654e31e706a14f07",
+    ("verify", "--tol", "0", "--format", "csv"): "43ff0ecc64c98f1e593ec015f323e713831757dafcc3f97d0a5eedf68820180a",
+    ("synth", "psi_h0", "--to-e0"): "4f0bc04d3417859ccb39e7b4e55be35ec4bd2481c35dde170d70d467bf931c39",
+    ("synth", "psi_h0", "--to-e0", "--out", "u.json"): (
+        "12812e8c2074e23d423c5ba54910474bfd00e3cc4e2406bc58b06fad104cc2d5"
+    ),
+    ("synth", "psi_AB", "--from-e0"): "1d46d853c022047d4a4aacb7459cb76639dea1979c4b55eb5f5c74a4ac0f06c2",
+    ("synth", "psi_AB", "--from-e0", "--out", "u.json"): (
+        "be9a759e08d07313ab1a1aebd8b2ea7678b041596bf83507d6e5852ad4d21725"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CALL_GOLDEN), ids=" ".join)
+def test_call_digests(capsys, monkeypatch, tmp_path, argv):
+    assert call_digest(argv, capsys, monkeypatch, tmp_path) == CALL_GOLDEN[argv]
