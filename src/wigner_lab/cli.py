@@ -54,11 +54,16 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{z.imag:+.4f}j"
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(fmt: str, payload: dict, rows: list[list], lines: list[str]) -> str:
+    """One result in the ``--format`` asked for: its JSON payload, its CSV
+    rows or its pretty lines."""
+    if fmt == "json":
+        return jsonio.dumps(payload)
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def _columns(rows: list[list[str]]) -> str:
@@ -111,9 +116,20 @@ def _output_file(path: str, mode: str, **kwargs):
 
 
 def _open_out(path: str | None):
-    """The ``--out`` file, opened for writing before any work is done, or
-    stdout (left open) when there is none."""
-    return _output_file(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    """The results stream: the ``--out`` file, opened for writing before any
+    work is done, or stdout (read at call time, left open) when there is none."""
+    if path is not None:
+        return _output_file(path, "w", encoding="utf-8")
+    if sys.stdout is None:  # started with fd 1 closed, as by `>&-`
+        raise ValueError("stdout is closed")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _report(line: str, stream) -> None:
+    """Print ``line``, which is not a result, to ``stream``; a closed stream drops it."""
+    if stream is not None:  # print(file=None) would write to stdout
+        with contextlib.suppress(OSError):
+            print(line, file=stream)
 
 
 def _same_regular_file(results, trace: BinaryIO) -> bool:
@@ -157,22 +173,21 @@ def _resolve_vector(name: str) -> np.ndarray:
 
 
 def _cmd_states(args: argparse.Namespace) -> int:
-    state = _resolve_state(args.name)
-    if args.frame is not None:
-        expansion = protocol.frame_view(state, args.frame)
-        view = f"frame:{args.frame}"
-        naive_norm: float | None = expansion.naive_norm
-    else:
-        if args.basis == "charlie":
-            bases = [protocol.charlie_basis("A" if q == 0 else "B") for q in range(state.num_qubits)]
+    with _open_out(None) as out:
+        state = _resolve_state(args.name)
+        if args.frame is not None:
+            expansion = protocol.frame_view(state, args.frame)
+            view = f"frame:{args.frame}"
         else:
-            bases = [core.computational_basis() for _ in range(state.num_qubits)]
-        expansion = core.change_basis(state, bases)
-        view = f"basis:{args.basis}"
-        naive_norm = None
+            if args.basis == "charlie":
+                bases = [protocol.charlie_basis("A" if q == 0 else "B") for q in range(state.num_qubits)]
+            else:
+                bases = [core.computational_basis() for _ in range(state.num_qubits)]
+            expansion = core.change_basis(state, bases)
+            view = f"basis:{args.basis}"
 
-    physical_norm = state.norm()
-    if args.format == "json":
+        physical_norm = state.norm()
+        terms = list(zip(expansion.labels, expansion.coefficients))
         payload = {
             "name": args.name,
             "view": view,
@@ -180,22 +195,16 @@ def _cmd_states(args: argparse.Namespace) -> int:
             "coefficients": [[z.real, z.imag] for z in expansion.coefficients],
             "physical_norm": physical_norm,
         }
-        if naive_norm is not None:
-            payload["naive_norm"] = naive_norm
-        sys.stdout.write(jsonio.dumps(payload))
-    elif args.format == "csv":
-        rows = [["label", "re", "im"]]
-        rows += [
-            [label, repr(float(z.real)), repr(float(z.imag))]
-            for label, z in zip(expansion.labels, expansion.coefficients)
+        rows = [["label", "re", "im"]] + [[label, repr(float(z.real)), repr(float(z.imag))] for label, z in terms]
+        lines = [
+            f"{args.name}  ({view})",
+            _columns([[label, _fmt_complex(z)] for label, z in terms]),
+            f"physical_norm  {_fmt(physical_norm)}",
         ]
-        sys.stdout.write(_csv_text(rows))
-    else:
-        print(f"{args.name}  ({view})")
-        print(_columns([[label, _fmt_complex(z)] for label, z in zip(expansion.labels, expansion.coefficients)]))
-        print(f"physical_norm  {_fmt(physical_norm)}")
-        if naive_norm is not None:
-            print(f"naive_norm     {_fmt(naive_norm)}")
+        if args.frame is not None:
+            payload["naive_norm"] = expansion.naive_norm
+            lines.append(f"naive_norm     {_fmt(expansion.naive_norm)}")
+        out.write(_render(args.format, payload, rows, lines))
     return 0
 
 
@@ -204,23 +213,21 @@ def _cmd_states(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = args.tol
-    checks = protocol.verification_checks()
-    passed = all(value <= tol for _, value in checks)
-    if args.format == "json":
+    with _open_out(None) as out:
+        tol = args.tol
+        checks = protocol.verification_checks()
+        passed = all(value <= tol for _, value in checks)
         payload = {
             "tol": tol,
             "checks": [{"name": n, "value": v, "passed": v <= tol} for n, v in checks],
             "passed": passed,
         }
-        sys.stdout.write(jsonio.dumps(payload))
-    elif args.format == "csv":
-        rows = [["name", "value", "passed"]]
-        rows += [[n, repr(v), str(v <= tol).lower()] for n, v in checks]
-        sys.stdout.write(_csv_text(rows))
-    else:
-        print(_columns([[n, f"{v:.3e}", "pass" if v <= tol else "FAIL"] for n, v in checks]))
-        print(f"{'all checks passed' if passed else 'CHECKS FAILED'} (tol {tol:g})")
+        rows = [["name", "value", "passed"]] + [[n, repr(v), str(v <= tol).lower()] for n, v in checks]
+        lines = [
+            _columns([[n, f"{v:.3e}", "pass" if v <= tol else "FAIL"] for n, v in checks]),
+            f"{'all checks passed' if passed else 'CHECKS FAILED'} (tol {tol:g})",
+        ]
+        out.write(_render(args.format, payload, rows, lines))
     return 0 if passed else 1
 
 
@@ -229,10 +236,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    state = _resolve_state(args.name)
-    report = protocol.paradox_audit(state, args.tol)
-    amplitudes = {name: getattr(report, name) for name in ("amp_h1", "amp_0okA", "amp_tokB")}
-    if args.format == "json":
+    with _open_out(None) as out:
+        state = _resolve_state(args.name)
+        report = protocol.paradox_audit(state, args.tol)
+        amplitudes = {name: getattr(report, name) for name in ("amp_h1", "amp_0okA", "amp_tokB")}
         payload = {
             "name": args.name,
             "tol": args.tol,
@@ -240,17 +247,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "p_okok": report.p_okok,
             "contradiction": report.contradiction_flag,
         }
-        sys.stdout.write(jsonio.dumps(payload))
-    elif args.format == "csv":
         rows = [["quantity", "re", "im"]] + [[name, repr(z.real), repr(z.imag)] for name, z in amplitudes.items()]
         rows.append(["p_okok", repr(report.p_okok), ""])
         rows.append(["contradiction", str(report.contradiction_flag).lower(), ""])
-        sys.stdout.write(_csv_text(rows))
-    else:
-        print(f"audit {args.name}  (tol {args.tol:g})")
-        rows = [[name, _fmt_complex(z)] for name, z in amplitudes.items()]
-        rows += [["p_okok", f"{report.p_okok:.5f}"], ["contradiction", "yes" if report.contradiction_flag else "no"]]
-        print(_columns(rows))
+        pretty = [[name, _fmt_complex(z)] for name, z in amplitudes.items()]
+        pretty += [["p_okok", f"{report.p_okok:.5f}"], ["contradiction", "yes" if report.contradiction_flag else "no"]]
+        lines = [f"audit {args.name}  (tol {args.tol:g})", _columns(pretty)]
+        out.write(_render(args.format, payload, rows, lines))
     return 0
 
 
@@ -263,13 +266,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore"):  # a huge entry makes the norm inf: rejected
         norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm) or abs(norm - 1.0) > SYNTH_NORM_TOL:  # a NaN norm fails every compare
-        print(f"error: input is not a unit vector: norm = {norm!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"input is not a unit vector: norm = {norm!r}")
     vec = vec / norm
     with _open_out(args.out) as out:
         result = synthesis.synthesize_from_e0(vec) if args.from_e0 else synthesis.synthesize_to_e0(vec)
         out.write(jsonio.dumps(jsonio.matrix_to_dict(result.matrix)))
-    print(f"residual: {result.residual:.3e}", file=sys.stdout if args.out else sys.stderr)
+    _report(f"residual: {result.residual:.3e}", sys.stdout if args.out is not None else sys.stderr)
     return 0
 
 
@@ -344,7 +346,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             with _output_file(args.trace, "wb") as handle:
                 if _same_regular_file(out, handle):
-                    results = "--out" if args.out else "stdout"
+                    results = "--out" if args.out is not None else "stdout"
                     raise ValueError(f"{results} and --trace name the same file: {args.trace}")
                 handle.write(b"trial,alice_outcome,transform,state,charlie_a,charlie_b\n")
                 result = run_trials(config, collect_traces=lambda chunk: _write_trace_rows(handle, chunk))
@@ -356,39 +358,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: ComparisonReport | None) -> str:
-    if fmt == "json":
-        payload = {
-            "config": {
-                "n_trials": config.n_trials,
-                "seed": config.seed,
-                "policy": config.policy.spec(),
-                "mode": config.mode,
-            },
-            "resultant_states": _dist_json(result.resultant_states),
-            "charlie": _dist_json(result.charlie),
+    payload = {
+        "config": {
+            "n_trials": config.n_trials,
             "seed": config.seed,
-        }
-        if report is not None:
-            payload["check"] = {
-                "sigma_bound": SIGMA_BOUND,
-                "passed": report.passed,
-                "labels": [dataclasses.asdict(c) for c in report.checks],
-            }
-        return jsonio.dumps(payload)
-    if fmt == "csv":
-        rows = [["section", "label", "count", "freq"]]
-        for section, dist in (("resultant_states", result.resultant_states), ("charlie", result.charlie)):
-            rows += [[section, label, str(dist.counts[label]), repr(dist.frequencies[label])] for label in dist.labels]
-        return _csv_text(rows)
+            "policy": config.policy.spec(),
+            "mode": config.mode,
+        },
+        "resultant_states": _dist_json(result.resultant_states),
+        "charlie": _dist_json(result.charlie),
+        "seed": config.seed,
+    }
+    rows = [["section", "label", "count", "freq"]]
     lines = [f"simulate  n={config.n_trials}  seed={config.seed}  policy={config.policy.spec()}  mode={config.mode}"]
-    for section, dist in (("resultant states", result.resultant_states), ("charlie outcomes", result.charlie)):
-        lines.append(section)
+    for section, title, dist in (
+        ("resultant_states", "resultant states", result.resultant_states),
+        ("charlie", "charlie outcomes", result.charlie),
+    ):
+        rows += [[section, label, str(dist.counts[label]), repr(dist.frequencies[label])] for label in dist.labels]
+        lines.append(title)
         lines.append(
             _columns([[label, str(dist.counts[label]), f"{dist.frequencies[label]:.5f}"] for label in dist.labels])
         )
     if report is not None:
+        payload["check"] = {
+            "sigma_bound": SIGMA_BOUND,
+            "passed": report.passed,
+            "labels": [dataclasses.asdict(c) for c in report.checks],
+        }
         lines.append(f"check vs closed form ({SIGMA_BOUND:g} sigma): " + ("pass" if report.passed else "FAIL"))
-    return "\n".join(lines) + "\n"
+    return _render(fmt, payload, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +395,21 @@ def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: Com
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    rows = mechanism_rows(args.policy)  # rejects alternating
-    aggregate = analytic_mistake_table(args.policy)
-    header = list(MechanismRow._fields)
-    if args.format == "json":
+    with _open_out(None) as out:
+        mechanisms = mechanism_rows(args.policy)  # rejects alternating
+        aggregate = analytic_mistake_table(args.policy)
+        header = list(MechanismRow._fields)
         payload = {
             "policy": args.policy.spec(),
-            "rows": [row._asdict() for row in rows],
+            "rows": [row._asdict() for row in mechanisms],
             "resultant_states": dict(aggregate.frequencies),
         }
-        sys.stdout.write(jsonio.dumps(payload))
-    elif args.format == "csv":
-        body = [[v if isinstance(v, str) else repr(v) for v in row] for row in rows]
-        sys.stdout.write(_csv_text([header] + body))
-    else:
-        body = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
-        print(_columns([header] + body))
-        print("aggregate  " + "  ".join(f"{label}={_fmt(p)}" for label, p in aggregate.frequencies.items()))
+        rows = [header] + [[v if isinstance(v, str) else repr(v) for v in row] for row in mechanisms]
+        lines = [
+            _columns([header] + [[v if isinstance(v, str) else _fmt(v) for v in row] for row in mechanisms]),
+            "aggregate  " + "  ".join(f"{label}={_fmt(p)}" for label, p in aggregate.frequencies.items()),
+        ]
+        out.write(_render(args.format, payload, rows, lines))
     return 0
 
 
@@ -446,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--tol", type=_tol_type, default=protocol.AUDIT_TOL)
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_synth = sub.add_parser("synth", parents=[fmt_parent], help="synthesize a unitary moving a unit vector to/from e0")
+    p_synth = sub.add_parser("synth", help="synthesize a unitary moving a unit vector to/from e0")
     p_synth.add_argument("input", help="registry key or vector JSON path")
     direction = p_synth.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-e0", dest="from_e0", action="store_false")
@@ -472,14 +469,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # an OSError's first argument is its errno; its text names the path
         message = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        _report(f"error: {message}", sys.stderr)  # with stderr closed, the exit code still tells
         return 2
 
 

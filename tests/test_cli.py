@@ -248,6 +248,18 @@ class TestSynth:
             main(["synth", "psi_h0"])
         assert exc.value.code == 2
 
+    def test_format_is_a_usage_error(self, capsys):
+        # synth writes JSON only; it takes no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "psi_h0", "--to-e0", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_empty_out_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "synth", "psi_h0", "--to-e0", "--out", "")
+        assert code == 2
+        assert out == "" and err == "error: [Errno 2] No such file or directory: ''\n"
+
 
 STATE_FILE_COMMANDS = [("audit",), ("states",), ("synth", "--to-e0")]
 
@@ -605,6 +617,11 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "-n", "100", "--policy", "alternating", "--format", "json")
         assert code == 0
 
+    def test_empty_out_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "-n", "3", "--out", "")
+        assert code == 2
+        assert out == "" and err == "error: [Errno 2] No such file or directory: ''\n"
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "results.json"
         code, out, _ = run_cli(
@@ -645,6 +662,60 @@ class TestSimulate:
         data = json.loads(out)
         assert data["resultant_states"]["AB"]["count"] == 10000
         assert data["check"]["passed"] is True
+
+
+# One call of every command that writes its results to stdout, in each format it takes.
+STDOUT_COMMANDS = [
+    (*command, "--format", fmt)
+    for command in [("states", "psi_AB"), ("verify",), ("audit", "psi_AB"), ("table",), ("simulate", "-n", "5")]
+    for fmt in ("pretty", "json", "csv")
+] + [("simulate", "-n", "5", "--trace", "t.csv"), ("synth", "psi_h0", "--to-e0")]
+
+
+class TestClosedStreams:
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=" ".join)
+    def test_closed_stdout_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        # Python sets sys.stdout to None when it starts with fd 1 closed
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(list(argv))
+        assert code == 2
+        assert capsys.readouterr().err == "error: stdout is closed\n"
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [("simulate", "-n", "5"), ("synth", "psi_h0", "--to-e0")], ids=lambda a: a[0])
+    def test_out_file_needs_no_stdout(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr(sys, "stdout", None)
+        path = tmp_path / "results"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_text(encoding="utf-8")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, expected", [(("audit", "psi_nope"), 2), (("synth", "psi_h0", "--to-e0"), 0)], ids=["audit", "synth"]
+    )
+    def test_stderr_none_keeps_stdout_clean(self, capsys, monkeypatch, argv, expected):
+        # print(file=None) would write the error, or synth's residual, to stdout
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(list(argv)) == expected
+        out = capsys.readouterr().out
+        assert out == "" if expected else json.loads(out)["dim"] == 4
+
+    @pytest.mark.parametrize(
+        "redirect, argv, stream",
+        [(">&-", ("verify",), "stderr"), ("2>&-", ("audit", "psi_nope"), "stdout")],
+        ids=["stdout", "stderr"],
+    )
+    def test_closed_descriptor_in_a_fresh_interpreter(self, redirect, argv, stream):
+        # the shell closes the descriptor, as a user's `>&-` or `2>&-` does
+        src = str(Path(wigner_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "wigner_lab", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert getattr(proc, stream) == ("error: stdout is closed\n" if stream == "stderr" else "")
 
 
 def random_chunk(seed, start, length, analytic):
