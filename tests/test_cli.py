@@ -692,30 +692,17 @@ class TestClosedStreams:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "argv, expected", [(("audit", "psi_nope"), 2), (("synth", "psi_h0", "--to-e0"), 0)], ids=["audit", "synth"]
+        "argv, code", [(("audit", "psi_nope"), 2), (("synth", "psi_h0", "--to-e0"), 0)], ids=["audit", "synth"]
     )
-    def test_stderr_none_keeps_stdout_clean(self, capsys, monkeypatch, argv, expected):
+    def test_stderr_none_keeps_stdout_clean(self, capsys, monkeypatch, argv, code):
         # print(file=None) would write the error, or synth's residual, to stdout
         monkeypatch.setattr(sys, "stderr", None)
-        assert main(list(argv)) == expected
+        assert main(list(argv)) == code
         out = capsys.readouterr().out
-        assert out == "" if expected else json.loads(out)["dim"] == 4
-
-    @pytest.mark.parametrize(
-        "redirect, argv, stream",
-        [(">&-", ("verify",), "stderr"), ("2>&-", ("audit", "psi_nope"), "stdout")],
-        ids=["stdout", "stderr"],
-    )
-    def test_closed_descriptor_in_a_fresh_interpreter(self, redirect, argv, stream):
-        # the shell closes the descriptor, as a user's `>&-` or `2>&-` does
-        src = str(Path(wigner_lab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "wigner_lab", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert getattr(proc, stream) == ("error: stdout is closed\n" if stream == "stderr" else "")
+        if code:
+            assert out == ""
+        else:
+            assert json.loads(out)["dim"] == 4
 
 
 def random_chunk(seed, start, length, analytic):
@@ -851,13 +838,15 @@ class TestTable:
         assert "0.1667" in out and "0.3333" in out
 
 
-def run_module(*args):
-    """``python -m wigner_lab ARGS`` in a fresh interpreter, as a user runs it."""
+def run_module(*args, redirect=""):
+    """``python -m wigner_lab ARGS`` in a fresh interpreter, as a user runs it;
+    through ``/bin/sh`` with ``redirect`` (such as ``>&-``) when one is given."""
     src = str(Path(wigner_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "wigner_lab", *args], env=env, capture_output=True, text=True, timeout=60
-    )
+    argv = [sys.executable, "-m", "wigner_lab", *args]
+    if redirect:
+        argv = ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestEntryPoint:
@@ -865,6 +854,16 @@ class TestEntryPoint:
         proc = run_module("verify")
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout
+
+    def test_closed_stdout_exits_2(self):
+        proc = run_module("verify", redirect=">&-")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: stdout is closed\n"
+
+    def test_error_with_closed_stderr_exits_2(self):
+        proc = run_module("audit", "psi_nope", redirect="2>&-")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     def test_trace_to_stdout_through_a_pipe(self):
