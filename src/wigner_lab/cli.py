@@ -365,9 +365,9 @@ def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: Com
             "policy": config.policy.spec(),
             "mode": config.mode,
         },
+        "provenance": montecarlo.provenance(),
         "resultant_states": _dist_json(result.resultant_states),
         "charlie": _dist_json(result.charlie),
-        "seed": config.seed,
     }
     rows = [["section", "label", "count", "freq"]]
     lines = [f"simulate  n={config.n_trials}  seed={config.seed}  policy={config.policy.spec()}  mode={config.mode}"]

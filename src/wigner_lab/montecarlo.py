@@ -45,6 +45,10 @@ _ALTERNATE = np.arange(_BLOCK) % 2 == 0
 # A Charlie word's bucket is its top 12 bits: 4 096 buckets.
 _BUCKET_SHIFT = 52
 
+# The seed -> output contract: bumped whenever a seed's output changes.
+CONTRACT = 1
+WORDS_PER_TRIAL = 3
+
 POLICY_KINDS = ("correct", "uniform", "alternating", "biased")
 MODES = ("collapse", "analytic")
 # ``simulate --check`` passes a label within this many binomial standard deviations.
@@ -268,6 +272,14 @@ def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
     uniforms, three per trial, in trial order.  The kernel reads the same
     stream as raw words (``bit_generator.random_raw``), one per uniform."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+
+
+def provenance() -> dict:
+    """What decides a run's output besides its ``TrialConfig``: the random
+    stream (Philox keyed by seed and chunk), the trials per chunk, the raw
+    words each trial reads and the contract's number.  Neither the numpy nor
+    the package version is in it: the output does not depend on them."""
+    return {"rng": "philox", "chunk_trials": _CHUNK, "words_per_trial": WORDS_PER_TRIAL, "contract": CONTRACT}
 
 
 def _worker_count() -> int:

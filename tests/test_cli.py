@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wigner_lab
-from wigner_lab import jsonio, protocol
+from wigner_lab import jsonio, montecarlo, protocol
 from wigner_lab.cli import _ROWS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
 
@@ -486,11 +486,27 @@ class TestSimulate:
         assert code == 0
         data = json.loads(out)
         assert data["config"] == {"n_trials": 1000, "seed": 1, "policy": "biased:0.25", "mode": "collapse"}
-        assert data["seed"] == 1
+        assert data["provenance"] == montecarlo.provenance()
+        assert "seed" not in data  # the seed is in config only
         assert set(data["resultant_states"]) == {"AB", "ABht", "ABth"}
         assert set(data["charlie"]) == {"ok_ok", "ok_fail", "fail_ok", "fail_fail"}
         counts = [v["count"] for v in data["resultant_states"].values()]
         assert sum(counts) == 1000
+
+    @pytest.mark.parametrize("policy, mode", [("alternating", "collapse"), ("biased:0.17", "analytic")])
+    def test_replay_from_config_and_provenance(self, capsys, policy, mode):
+        # a run is replayed from its JSON alone: the config gives the flags,
+        # and the provenance names the contract the library must follow
+        argv = ("simulate", "-n", "70001", "--seed", "12", "--policy", policy, "--mode", mode, "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["provenance"] == montecarlo.provenance()
+        config = data["config"]
+        replay = ["simulate", "-n", str(config["n_trials"]), "--seed", str(config["seed"]), "--policy", config["policy"]]
+        code, again, _ = run_cli(capsys, *replay, "--mode", config["mode"], "--format", "json")
+        assert code == 0
+        assert again == out
 
     def test_zero_trials(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "-n", "0", "--format", "json")
@@ -635,13 +651,13 @@ class TestSimulate:
         monkeypatch.setenv("WIGNER_LAB_SEED", "99")
         code, out, _ = run_cli(capsys, "simulate", "-n", "100", "--format", "json")
         assert code == 0
-        assert json.loads(out)["seed"] == 99
+        assert json.loads(out)["config"]["seed"] == 99
 
     def test_flag_wins_over_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WIGNER_LAB_SEED", "99")
         code, out, _ = run_cli(capsys, "simulate", "-n", "100", "--seed", "5", "--format", "json")
         assert code == 0
-        assert json.loads(out)["seed"] == 5
+        assert json.loads(out)["config"]["seed"] == 5
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("WIGNER_LAB_SEED", "not-a-number")

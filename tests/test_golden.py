@@ -29,51 +29,51 @@ SETTINGS = {
 GOLDEN = {
     ("alternating", 65_535): (
         "1862fba3fd63d6f0671957df8a22e42e405a7b58db8d87daad8eb4d9421b029e",
-        "bff53b2c96a0d36a46387997e634123b8c24e4bf63ac2eee72e4f01bf7aaf80c",
+        "1eddcd5611dfcfacfd3881497a091988676e133a3dd1954cdec4234e3825ab67",
     ),
     ("alternating", 65_536): (
         "e68c7e9b1a9b7be6830e6192135c681ebb504a06a66dc765e7cc91e3c6d334bc",
-        "a377bf1106afcc94d9d28489602f1e518b265e4f9a1fe9102e2f92a5709137b5",
+        "af2cee70770d9ebce02ce60e498399f2671ec55fedffab91a95273c9f5a44578",
     ),
     ("alternating", 65_537): (
         "65fec6e83d302fc3f0f045f1062d4b86bc5ca5eeee2e02dd3920203814c57a1f",
-        "79a1559600ab619d6f510f48650b5eb2278ba2e136e39781b53c3e3ac4e6b8a1",
+        "0939a9bfddc14aa7e5322194676cacb677bcb55519a9a8bf608939af5e2d5ce8",
     ),
     ("alternating", 141_000): (
         "669bc2685e69d30d62b9a64899a1ab93f71df01051830886022f93c2e2049763",
-        "7aced086fca5aefecbd599c545445d5fb402624eccb9e75f7fd96c17d796a627",
+        "aa128a4f608fb32cc4c6cd2f296ad85e9761a37132e8fcfc98f0898fa69381a1",
     ),
     ("biased:0.17", 65_535): (
         "8466d860630d4e1cfcdba177428fa67e8ed6dc54bd6c790dcdab104a81bde5cf",
-        "a0f48551ecbad0e2fe017d2ae238be8a9cbf9d19c262a6a32ba12e528c20de64",
+        "8dfcf5c905c173aa3032f644bda89b969e8f99c4ee28c86ab066cf67d673b809",
     ),
     ("biased:0.17", 65_536): (
         "e9991c3d438d93857b0c2220449ee3fdb5879813d953658f6f58cbb572db3fd3",
-        "4d68cad040ed7c641e906a2bbdd5ef1f4ba5b7e54a9d69cf182194d792b1e18d",
+        "b5d6f4a375e47f2b20e11bdcf6a1b290bd2657e22f913bc91a772deb449759c5",
     ),
     ("biased:0.17", 65_537): (
         "62b204e32d07ed7d440a2b75c57dcf39520dceaa6f3b0d7a9ece053b1901000d",
-        "efa0ce8d70cde76a0d9e385f09013b72021cad50607597282911f146347432a9",
+        "03407b5b57c66f974a84bfe2adfe1e227361f185aa6b2198e9833fe8a5f4ccbe",
     ),
     ("biased:0.17", 141_000): (
         "de736d2ec28328900e4850bfc8c064d9ad65fc7a9be3e812f249ce35bba11d67",
-        "2ab2c3dee806480c734d0711ea270151ea9d668ebb686765c2c3d8edd07347ec",
+        "5e41e3b8a26aa92df8815075a3950ca43658e1d5f6f13f8c066dee3d1ad16810",
     ),
     ("analytic", 65_535): (
         "cd1767f2d1e9e8d455fbc307b70b39a8c56fecf9db53d95123d874b003aba2b6",
-        "4547d1d703e5ffe9cadbf398f3faf6d137d8769c3ba742d4d3bf8cef9e457a57",
+        "71778d72c101cc955f45fdc237475dece52e5161e5bcfc679a14720495dc4aae",
     ),
     ("analytic", 65_536): (
         "fa111c8da115fd6e773159f451da3222016d6817ef8a773f87898d950b1d7996",
-        "918f761ea00e19c1556f1ee218ad85752e52da3387dbefa2b3722ec6c77c32dd",
+        "95bc0a767677f7f19f3f2ac56abd5b5ddae4ddb5c87655b1ced2d150df27823b",
     ),
     ("analytic", 65_537): (
         "e3ec75844c36198867878eb0ef54db8fd39cefef87e7c05245ffdd180a211a77",
-        "c439d10de8754627fa8df980621dbd19bd5f004cc4df7000d255aed7a7828470",
+        "68dead3037db0ce34ae191250930bba9a791ce071c12b70f27e9d3a47c59806d",
     ),
     ("analytic", 141_000): (
         "a49163f297e23ab9e3825e074f2fc597480c402f8d13293192c1c83640b2947f",
-        "8c0abd501bbfcdbe931f2363346422165e9ad94b51f47cdfde985b152dc24ef4",
+        "ec77a6c895c1bc31abe902a894e2855bfe842bbe387bd5ac4ac31920bcacc88c",
     ),
 }
 
@@ -99,16 +99,16 @@ COUNTS_SETTINGS = {
 
 # (setting, n) -> sha256 of the --format json stdout, without --trace
 COUNTS_GOLDEN = {
-    ("correct", 196_609): "9f13e15bd3769284317a460e3e44f4c90631c195bc1442745fb3a0250c7b2115",
-    ("correct", 1_000_003): "fd480d48be580c2626c65716feec5e48f705edf7e94b7fc1675cb5c0ff7fde7d",
-    ("uniform", 196_609): "abba62333400f051ed4819406d05e0dabc9b7d476311f9d1f140bab77d6c97e3",
-    ("uniform", 1_000_003): "e6f828178aadd8ea9306a5de6a183168f22229b85d600360095cba30e7183e43",
-    ("biased:0.17", 196_609): "03ecb8643d196ddf4ea29c1542f5ff1842040e9df95dd43b83f6d108acf1bd80",
-    ("biased:0.17", 1_000_003): "87f091e02f1e89a9f9271bed542f0e1b4943f07ac2a4b6fc39f690eeefe8d975",
-    ("alternating", 196_609): "7c87e1675de54d59343ba2c086a89042adf0c659c28686ed86435e8e436809f6",
-    ("alternating", 1_000_003): "0e182ccdfbdcb8c1e8ce4ce6cdece6f29bd57b361d8c4f01780150504a5189eb",
-    ("analytic", 196_609): "d5096e12214c74d7036ca04b2168ea531e8b4479f3ba68a7eb64be0ebf8bd55d",
-    ("analytic", 1_000_003): "9a91303d093cfb64566d65866cec0151eeee1b23ef5a39b3e4ec27661ae63c5b",
+    ("correct", 196_609): "1c640bf531ccce95adf4508f7b9e109b0e6bb5fb3e9a527b962741fac8e85154",
+    ("correct", 1_000_003): "a4030f27cc55b8ad185620de10c61bb0c416bae25abbe9a64a17a5988d04a8d1",
+    ("uniform", 196_609): "cb8974c74daed0ea810f4e22112428514e9e232f4663c73a5c764108d23aab89",
+    ("uniform", 1_000_003): "0886d8dff7658f05bcbe1e008846d7b3c6aa706f6e93501d2454cbf66d752cf7",
+    ("biased:0.17", 196_609): "e7f1161cdc3dd12e613d8e55eeeaf0a8198c4f813da48f50a89891bfee9ba58f",
+    ("biased:0.17", 1_000_003): "6ae90d6230b16aa28e3683b8dc7dbabc67f61e43d86b47dfaba3b38481f740f9",
+    ("alternating", 196_609): "b31cbafe195b0ccb413e9e9ea639f21a09e70b047908b0b7d07292b900be1171",
+    ("alternating", 1_000_003): "812e0b88b2806ee3d442ecb32c4c84497df6cd4c2639a5e3b095ea84d02f0667",
+    ("analytic", 196_609): "1980f654432e92630cef7bef108b046f07a7b32acd9357a854728ad6bcbd4d1e",
+    ("analytic", 1_000_003): "d90e999593accaf10e55aceaded9b255e06c397d4a35a743d5c852f0a0ec0ea5",
 }
 
 
