@@ -17,7 +17,8 @@ trial order.
 
 from __future__ import annotations
 
-import math
+import bisect
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -41,13 +42,19 @@ _MAX_WORKERS = 4
 
 # Joint bins state_idx * 4 + charlie_idx: trace outcome codes per record.
 _JOINTS = len(STATE_LABELS) * len(CHARLIE_LABELS)
-_ALTERNATE = np.arange(_BLOCK) % 2 == 0
-# A Charlie word's bucket is its top 12 bits: 4 096 buckets.
+# The guide-table code of a bucket that holds two or more distinct cell
+# bounds: one past the last TraceChunk code.
+_FALLBACK = 5 * _JOINTS
+# A word's guide bucket is its top 12 bits: 4 096 buckets per trial parity.
 _BUCKET_SHIFT = 52
+_BUCKETS = 1 << (64 - _BUCKET_SHIFT)
+_BUCKET_LOW = (1 << _BUCKET_SHIFT) - 1
+# The odd trials of a block read the second set of buckets (alternating only).
+_ODD_BUCKETS = np.arange(_BLOCK) % 2 * _BUCKETS
 
 # The seed -> output contract: bumped whenever a seed's output changes.
-CONTRACT = 1
-WORDS_PER_TRIAL = 3
+CONTRACT = 2
+WORDS_PER_TRIAL = 1
 
 POLICY_KINDS = ("correct", "uniform", "alternating", "biased")
 MODES = ("collapse", "analytic")
@@ -190,87 +197,160 @@ class ComparisonReport:
 
 
 @lru_cache(maxsize=None)
-def _charlie_thresholds() -> np.ndarray:
-    """Row k < 3 holds, per resultant state, P(Charlie's outcome index <= k)."""
+def _charlie_born() -> tuple[tuple[float, ...], ...]:
+    """Per resultant state, the Born probabilities of Charlie's outcomes, in
+    ``CHARLIE_LABELS`` order: the only Born table the sampler reads."""
     bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
     states = protocol.named_states()
-    cumulative = [
-        np.cumsum([core.born_probabilities(states[f"psi_{label}"], bases).probability(k) for k in CHARLIE_LABELS])
+    return tuple(
+        tuple(core.born_probabilities(states[f"psi_{label}"], bases).probability(k) for k in CHARLIE_LABELS)
         for label in STATE_LABELS
-    ]
-    return np.array(cumulative)[:, :-1].T.copy()
+    )
 
 
-def _word_bound(p: float) -> int:
-    """The least raw Philox word whose double is at least ``p`` in [0, 1].
-
-    numpy's Philox double is ``(word >> 11) * 2**-53``, so ``u < p`` holds
-    exactly when ``word < _word_bound(p)``.  The bound is ``2**64`` for
-    ``p == 1``: every word is below it."""
-    return math.ceil(p * 2.0**53) << 11
+def _dyadic(x: float) -> tuple[int, int]:
+    """The double ``x`` exactly, as ``(n, s)`` with ``x == n / 2**s``."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
 
 
-class _RankTables(NamedTuple):
-    """Tables that classify a trial by one key, ``code * ranks + rank``.
-
-    ``code`` is ``heads * 2 + mistake``.  ``rank`` is the number of distinct
-    Charlie word bounds, over all three states, at or below the trial's
-    Charlie word ``w``: ``base[w >> 52] + (w >= edge[w >> 52])``.  The key
-    maps to the resultant state (``state_of_key``), to the joint bin
-    ``state_idx * 4 + charlie_idx`` (``joint_of_key``) and to the trial's
-    ``TraceChunk`` outcome code (``outcome_of_key``).  In analytic mode the
-    key is the rank alone, a key of code 0 (state AB), and the outcome code
-    is its joint bin: ``joint_of_key`` maps it there too.
-    """
-
-    ranks: int
-    base: np.ndarray
-    edge: np.ndarray
-    state_of_key: np.ndarray
-    joint_of_key: np.ndarray
-    outcome_of_key: np.ndarray
+class _Cell(NamedTuple):
+    heads: int
+    mistake: int
+    weight: tuple[int, int]  # P(record) * P(Charlie's outcome), exactly (see _dyadic)
 
 
 @lru_cache(maxsize=None)
-def _rank_tables() -> _RankTables:
-    """Build the rank tables from ``_charlie_thresholds``.
+def _cells(mode: str) -> tuple[tuple[_Cell, ...], np.ndarray]:
+    """The cells of one trial in the contract's order, ``(heads * 2 +
+    mistake) * 4 + charlie_idx``, or ``charlie_idx`` alone in analytic mode,
+    where Charlie measures the target state, and each cell's ``TraceChunk``
+    outcome code.  The policy's factor, the mistake's probability, is left
+    out.  Checks, over every cell, that the resultant state is AB exactly
+    when there is no mistake."""
+    born = _charlie_born()
+    if mode == "analytic":
+        return tuple(_Cell(0, 0, _dyadic(p)) for p in born[0]), np.arange(len(CHARLIE_LABELS), dtype=np.uint8)
+    cells, codes = [], []
+    for heads in (0, 1):
+        n, s = _dyadic(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
+        for mistake in (0, 1):
+            record = heads * 2 + (heads ^ mistake)
+            state = int(_STATE_OF_RECORD[record])
+            if (state == 0) == mistake:
+                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
+            for charlie, p in enumerate(born[state]):
+                m, t = _dyadic(p)
+                cells.append(_Cell(heads, mistake, (n * m, s + t)))
+                codes.append(((record + 1) * len(STATE_LABELS) + state) * len(CHARLIE_LABELS) + charlie)
+    return tuple(cells), np.array(codes, dtype=np.uint8)
 
-    A bucket (the top 12 bits of a word) holds at most one distinct bound,
-    so one compare with that bound ranks every word in the bucket; a bucket
-    without a bound gets its first word as edge, which every word in it
-    passes."""
-    # Row s holds state s's three word bounds.
-    thresholds = _charlie_thresholds().T
-    bounds = np.array([_word_bound(t) for t in thresholds.ravel().tolist()], dtype=np.uint64)
-    bounds = bounds.reshape(thresholds.shape)
-    ordered = np.sort(bounds, axis=None)
-    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
-    buckets = (distinct >> np.uint64(_BUCKET_SHIFT)).astype(np.intp)
-    if (buckets[1:] == buckets[:-1]).any():
-        raise AssertionError("two Charlie bounds share a bucket, so the bucket rank would be inexact")
-    edge = np.arange(1 << (64 - _BUCKET_SHIFT), dtype=np.uint64) << np.uint64(_BUCKET_SHIFT)
-    edge[buckets] = distinct
-    # base + 1 is the rank of a word at or above its bucket's edge; a word
-    # below the edge (only in a bucket holding a bound) ranks one lower.
-    base = np.searchsorted(distinct, edge, side="right") - 1
-    ranks = len(distinct) + 1
-    # charlie_of[s, r]: how many of state s's bounds lie at or below a word of rank r.
-    charlie_of = np.zeros((len(STATE_LABELS), ranks), dtype=np.intp)
-    charlie_of[:, 1:] = (bounds[:, :, None] <= distinct).sum(axis=1)
-    heads, mistake = np.arange(4) >> 1, np.arange(4) & 1  # apply_h0 = heads ^ mistake
-    record_of_key = np.repeat(heads * 2 + (heads ^ mistake), ranks)
-    state_of_key = _STATE_OF_RECORD[record_of_key]
-    rank_of_key = np.tile(np.arange(ranks), 4)
-    joint_of_key = (state_of_key * len(CHARLIE_LABELS) + charlie_of[state_of_key, rank_of_key]).astype(np.uint8)
-    # The TraceChunk code; an analytic key is a rank of state AB, with record -1.
-    outcome_of_key = ((record_of_key + 1) * _JOINTS + joint_of_key).astype(np.uint8)
-    return _RankTables(ranks, base, edge, state_of_key, joint_of_key, outcome_of_key)
+
+@lru_cache(maxsize=None)
+def _partial_sums(mode: str, parity: int | None) -> tuple[tuple[int, int], ...]:
+    """For k = 0 .. 16 (0 .. 4 in analytic mode), the sums ``(A_k, B_k)``
+    of the first k cells' weights without the policy's factor, in exact
+    integers at one power-of-two scale: B sums the mistake cells, or for a
+    ``parity`` (``alternating``) the cells the trial's parity allows, and A
+    the others.  A cell's full weight is that times ``x0`` for an A cell and
+    ``x1`` for a B cell (see ``_exact_bounds``)."""
+    cells, _ = _cells(mode)
+    top = max(s for *_, (_, s) in cells)
+    a = b = 0
+    sums = [(a, b)]
+    for heads, mistake, (n, s) in cells:
+        if (mistake if parity is None else heads ^ mistake == 1 - parity):
+            b += n << (top - s)
+        else:
+            a += n << (top - s)
+        sums.append((a, b))
+    return tuple(sums)
+
+
+def _exact_bounds(sums: tuple[tuple[int, int], ...], x0: float, x1: float) -> list[int]:
+    """The cumulative bounds ``floor(2**64 * S_k / S)``, where ``S_k = x0 *
+    A_k + x1 * B_k`` for ``(A_k, B_k) = sums[k]`` and ``S`` is the last
+    ``S_k``, exactly: a double is ``n / 2**s`` (``_dyadic``)."""
+    (n0, s0), (n1, s1) = _dyadic(x0), _dyadic(x1)
+    n0, n1 = n0 << s1, n1 << s0  # over the common denominator 2**(s0 + s1)
+    total = n0 * sums[-1][0] + n1 * sums[-1][1]
+    return [((n0 * a + n1 * b) << 64) // total for a, b in sums]
+
+
+class _CellTables(NamedTuple):
+    """The inverse-CDF lookup of one setting (policy and mode).
+
+    A trial's word ``w`` falls in cell ``k`` when ``bounds[k] <= w <
+    bounds[k + 1]`` (``_exact_bounds``).  The guide table splits the words
+    into buckets of their top 12 bits, 4 096 per trial parity
+    (``alternating`` has a second set, for odd trials, at bucket ``4096 +
+    (w >> 52)``).  Bucket ``j`` holds at most one distinct bound inside it,
+    ``edge[j]`` (0 when it holds none), and ``code[2 * j + (w >=
+    edge[j])]`` is the trial's ``TraceChunk`` outcome code.  A bucket
+    holding two or more distinct bounds has ``_FALLBACK`` there instead, and
+    its words are counted exactly against ``interior[parity]``, the bounds
+    but the first that are below ``2**64``: the count is the cell, and
+    ``code_of_cell`` maps it to its code.
+    """
+
+    edge: np.ndarray
+    code: np.ndarray
+    interior: tuple[np.ndarray, ...]
+    code_of_cell: np.ndarray
+
+
+def _guide(interior: list[int], code_of_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge and code tables of one trial parity (see ``_CellTables``).
+
+    Cell k starts at key ``2 * j + 1`` of the code table when its bound lies
+    inside bucket j, and at key ``2 * j`` when it is the bucket's first word;
+    a bucket without a bound has edge 0, so every word of it is above."""
+    start, inside, shared = [0], {}, []
+    for bound in interior:
+        bucket = bound >> _BUCKET_SHIFT
+        if bound & _BUCKET_LOW:
+            start.append(2 * bucket + 1)
+            if inside.setdefault(bucket, bound) != bound:  # a second distinct bound
+                shared += (2 * bucket, 2 * bucket + 1)
+        else:
+            start.append(2 * bucket)
+    start.append(2 * _BUCKETS)
+    code = np.repeat(code_of_cell[: len(start) - 1], np.diff(start))
+    if shared:
+        code[shared] = _FALLBACK
+    edge = np.zeros(_BUCKETS, dtype=np.uint64)
+    edge[list(inside)] = np.array(list(inside.values()), dtype=np.uint64)
+    return edge, code
+
+
+def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
+    """The cell bounds of a setting, one list per trial parity: two for
+    ``alternating``, which applies A_h0 on even trials, else one."""
+    eps = policy.mistake_probability if mode == "collapse" else 0.0
+    if eps is None:
+        return [_exact_bounds(_partial_sums(mode, parity), 0.0, 1.0) for parity in (0, 1)]
+    return [_exact_bounds(_partial_sums(mode, None), 1.0 - eps, eps)]
+
+
+@lru_cache(maxsize=16)
+def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
+    """Build the guide tables of a setting from its exact cell bounds."""
+    code_of_cell = _cells(mode)[1]
+    edges, codes, interiors = [], [], []
+    for bounds in _setting_bounds(policy, mode):
+        interior = [bound for bound in bounds[1:] if bound < 1 << 64]
+        edge, code = _guide(interior, code_of_cell)
+        edges.append(edge)
+        codes.append(code)
+        interiors.append(np.array(interior, dtype=np.uint64))
+    edge, code = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (edges, codes))
+    return _CellTables(edge, code, tuple(interiors), code_of_cell)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
-    """The Philox stream of one chunk: successive ``random`` draws give its
-    uniforms, three per trial, in trial order.  The kernel reads the same
-    stream as raw words (``bit_generator.random_raw``), one per uniform."""
+    """The Philox stream of one chunk, keyed by (seed, chunk index); the
+    kernel reads it as raw words (``bit_generator.random_raw``), one per
+    trial, in trial order."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
 
 
@@ -301,78 +381,63 @@ class _Workspace:
 
     def __init__(self, size: int):
         self.key = np.empty(size, dtype=np.intp)
-        self.state = np.empty(size, dtype=np.intp)
         self.bucket = np.empty(size, dtype=np.uint64)
         self.edge = np.empty(size, dtype=np.uint64)
-        self.code, self.part = np.empty((2, size), dtype=np.uint8)
-        self.heads, self.mistake, self.above, self.flag = np.empty((4, size), dtype=bool)
+        self.code = np.empty(size, dtype=np.uint8)
+        self.above = np.empty(size, dtype=bool)
+
+
+def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, counts: np.ndarray) -> None:
+    """Replace each ``_FALLBACK`` code of a block by the code of its word's
+    cell, counted exactly by ``searchsorted`` over the cell bounds, and
+    move its tally in ``counts`` to that code."""
+    at = np.flatnonzero(code == _FALLBACK)
+    parities = len(tables.interior)
+    for parity, interior in enumerate(tables.interior):
+        here = at[at % parities == parity]  # blocks start at even trial indices
+        code[here] = tables.code_of_cell[np.searchsorted(interior, words[here], side="right")]
+    np.add.at(counts, code[at], 1)
+    counts[_FALLBACK] = 0
 
 
 def _run_chunk(
-    config: TrialConfig, chunk_index: int, tables: _RankTables, work: _Workspace, traced: bool = False
+    config: TrialConfig, chunk_index: int, tables: _CellTables, work: _Workspace, traced: bool = False
 ) -> tuple[np.ndarray, TraceChunk | None]:
     """Run the trials of one chunk, ``_BLOCK`` trials at a time.
 
-    Each block draws three raw Philox words per trial and classifies each
-    trial by integer compares into one key (see ``_RankTables``); a block
-    tallies its keys with one ``bincount``, and the chunk's key tally folds
-    into the joint tally through ``joint_of_key``.  Returns the chunk's
+    Each block draws one raw Philox word per trial and looks its cell up in
+    the guide table (see ``_CellTables``): a shift, one ``take`` of the
+    bucket's edge, one compare and one ``take`` of the outcome code.  A
+    block tallies its codes with one ``bincount``.  Returns the chunk's
     joint tally (bin ``state_idx * 4 + charlie_idx``) and, when ``traced``,
-    its per-trial outcome codes, one ``outcome_of_key`` lookup per block.
-    Worker threads run this, so it calls only private helpers and numpy.
+    its per-trial outcome codes.  Worker threads run this, so it calls only
+    private helpers and numpy.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
     draw_words = _chunk_uniforms(config.seed, chunk_index).bit_generator.random_raw
-    ranks = tables.ranks
-    analytic = config.mode == "analytic"
-    alternating = config.policy.kind == "alternating"
-    heads_bound = np.uint64(_word_bound(protocol.P_HEADS))
-    if not alternating:
-        bound = _word_bound(config.policy.mistake_probability)
-        every_mistake = bound == 1 << 64  # eps = 1: the bound does not fit a uint64
-        mistake_bound = np.uint64(min(bound, (1 << 64) - 1))
-    key_tally = np.zeros(4 * ranks, dtype=np.int64)
-
-    if traced:
-        outcome = np.empty(m, dtype=np.uint8)
-        outcome_of_key = tables.joint_of_key if analytic else tables.outcome_of_key
+    by_parity = len(tables.interior) == 2
+    code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
+    outcome = np.empty(m, dtype=np.uint8) if traced else None
 
     for lo in range(0, m, _BLOCK):
         b = min(_BLOCK, m - lo)
-        words = draw_words((b, 3))  # columns: record, mistake, Charlie
-        charlie_w, key = words[:, 2], work.key[:b]
-        bucket = np.right_shift(charlie_w, np.uint64(_BUCKET_SHIFT), out=work.bucket[:b]).view(np.intp)
+        words = draw_words(b)
+        bucket = np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=work.bucket[:b]).view(np.intp)
+        if by_parity:
+            bucket += _ODD_BUCKETS[:b]
         # Every index is in range; mode="clip" writes into out, "raise" would copy it.
-        tables.base.take(bucket, out=key, mode="clip")
         edge = tables.edge.take(bucket, out=work.edge[:b], mode="clip")
-        above = np.greater_equal(charlie_w, edge, out=work.above[:b]).view(np.uint8)
-        if analytic:
-            key += above
-        else:
-            heads, mistake, state, flag = work.heads[:b], work.mistake[:b], work.state[:b], work.flag[:b]
-            np.less(words[:, 0], heads_bound, out=heads)
-            if alternating:
-                np.not_equal(heads, _ALTERNATE[:b], out=mistake)  # blocks start at even trial indices
-            elif every_mistake:
-                mistake.fill(True)
-            else:
-                np.less(words[:, 1], mistake_bound, out=mistake)
-            # key += (heads * 2 + mistake) * ranks + above, summed in uint8 first
-            code = np.multiply(heads.view(np.uint8), 2 * ranks, out=work.code[:b])
-            code += np.multiply(mistake.view(np.uint8), ranks, out=work.part[:b])
-            code += above
-            key += code
-            tables.state_of_key.take(key, out=state, mode="clip")
-            np.equal(state, 0, out=flag)
-            if np.equal(flag, mistake, out=flag).any():
-                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-        key_tally += np.bincount(key, minlength=len(key_tally))
-        if traced:
-            outcome_of_key.take(key, out=outcome[lo : lo + b], mode="clip")
+        above = np.greater_equal(words, edge, out=work.above[:b]).view(np.uint8)
+        key = np.add(bucket, bucket, out=work.key[:b])
+        key += above
+        code = tables.code.take(key, out=outcome[lo : lo + b] if traced else work.code[:b], mode="clip")
+        counts = np.bincount(code, minlength=_FALLBACK + 1)
+        if counts[_FALLBACK]:
+            _look_up_exactly(tables, words, code, counts)
+        code_tally += counts
 
-    tally = np.zeros(_JOINTS, dtype=np.int64)
-    np.add.at(tally, tables.joint_of_key, key_tally)
+    tally = code_tally[:_FALLBACK].reshape(-1, _JOINTS).sum(axis=0)
     if not traced:
         return tally, None
     return tally, TraceChunk(start, outcome)
@@ -384,12 +449,11 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     ``TraceChunk`` of per-trial outcome codes in trial order, and nothing
     per trial is kept.
 
-    Trial ``i`` uses row ``i % _CHUNK`` of the uniforms keyed by (seed,
-    ``i // _CHUNK``): column 0 draws Alice's record, column 1 the mistake
-    and column 2 Charlie's outcome.  So results depend only on (seed,
-    n_trials, policy, mode), whatever the execution schedule.  The uniforms
-    are compared as raw 64-bit Philox words against exact integer bounds
-    (``_word_bound``), so each decision is the one the double would give.
+    Trial ``i`` reads word ``i % _CHUNK`` of the Philox stream keyed by
+    (seed, ``i // _CHUNK``) and takes the cell of the joint outcome (heads,
+    mistake, Charlie) that the word falls in, by inverse CDF over exact
+    integer bounds (``_exact_bounds``).  So results depend only on (seed,
+    n_trials, policy, mode), whatever the execution schedule.
 
     Every run goes through ``run_share(work, first)``: it runs chunks
     ``first, first + workers, ...`` in order on one workspace and sums their
@@ -400,7 +464,7 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     exactly.  A share that raises, or the caller leaving early, stops every
     share before its next chunk.
     """
-    tables = _rank_tables()  # built here, so worker threads never build it
+    tables = _cell_tables(config.policy, config.mode)  # built here, so worker threads never build it
     n_chunks = -(-config.n_trials // _CHUNK)
     traced = collect_traces is not None
     workers = 1 if traced or n_chunks < 2 else _worker_count()

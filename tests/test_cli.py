@@ -503,8 +503,8 @@ class TestSimulate:
         data = json.loads(out)
         assert data["provenance"] == montecarlo.provenance()
         config = data["config"]
-        replay = ["simulate", "-n", str(config["n_trials"]), "--seed", str(config["seed"]), "--policy", config["policy"]]
-        code, again, _ = run_cli(capsys, *replay, "--mode", config["mode"], "--format", "json")
+        replay = ["simulate", "-n", str(config["n_trials"]), "--seed", str(config["seed"]), "--format", "json"]
+        code, again, _ = run_cli(capsys, *replay, "--policy", config["policy"], "--mode", config["mode"])
         assert code == 0
         assert again == out
 

@@ -7,7 +7,6 @@ from unittest import mock
 
 import contract
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,6 @@ def spec_tally(codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes % (len(STATE_LABELS) * len(CHARLIE_LABELS)), minlength=12).reshape(3, 4)
 
 
-@pytest.mark.xfail(strict=True, reason="the kernel still follows contract 1")
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
@@ -57,7 +55,6 @@ def test_run_trials_follows_the_contract(seed, n, spec, mode):
         assert [result.charlie.counts[label] for label in CHARLIE_LABELS] == joint.sum(axis=0).tolist()
 
 
-@pytest.mark.xfail(strict=True, reason="the kernel still follows contract 1")
 def test_replay_from_provenance_and_config(capsys):
     # the spec replays a simulate run from its JSON alone
     assert main(["simulate", "-n", "70001", "--seed", "99", "--policy", "biased:0.001", "--format", "json"]) == 0

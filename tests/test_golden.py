@@ -28,52 +28,52 @@ SETTINGS = {
 # (setting, n) -> (sha256 of the --trace CSV, sha256 of the --format json stdout)
 GOLDEN = {
     ("alternating", 65_535): (
-        "1862fba3fd63d6f0671957df8a22e42e405a7b58db8d87daad8eb4d9421b029e",
-        "1eddcd5611dfcfacfd3881497a091988676e133a3dd1954cdec4234e3825ab67",
+        "852b0f87d29ed354b27464763f70605fd30b532ea773166067f5dec30e8c1a29",
+        "06e8a6ff90371fa3b90dec6df9aaf1ec8d2c0de0f3a4d643e281b0668be81462",
     ),
     ("alternating", 65_536): (
-        "e68c7e9b1a9b7be6830e6192135c681ebb504a06a66dc765e7cc91e3c6d334bc",
-        "af2cee70770d9ebce02ce60e498399f2671ec55fedffab91a95273c9f5a44578",
+        "d23a2e2194e812bb3557eaf3800468662204dfb81b65bb786c4915bac9bc5fd2",
+        "99ab1d0183dc99bf2d150c62d6ff32dba46a3f8ef723639c9fb72980d586f8c6",
     ),
     ("alternating", 65_537): (
-        "65fec6e83d302fc3f0f045f1062d4b86bc5ca5eeee2e02dd3920203814c57a1f",
-        "0939a9bfddc14aa7e5322194676cacb677bcb55519a9a8bf608939af5e2d5ce8",
+        "cd1107151f91efa5ffb7b7ad38dd583504fb8b6b753db6b5edbe34543520d3cd",
+        "6f19c56a3ca895691f9635d27f8ddd15dc1a0f4491895aef5db038ff3b73d126",
     ),
     ("alternating", 141_000): (
-        "669bc2685e69d30d62b9a64899a1ab93f71df01051830886022f93c2e2049763",
-        "aa128a4f608fb32cc4c6cd2f296ad85e9761a37132e8fcfc98f0898fa69381a1",
+        "04bed5ba9982c58a0c578511208916053795c58fc20607afba46f693c940410c",
+        "4d6a10cca07006c489f4e819df0c3b62d015c1db2f00ae0f7b7c0e1051b13112",
     ),
     ("biased:0.17", 65_535): (
-        "8466d860630d4e1cfcdba177428fa67e8ed6dc54bd6c790dcdab104a81bde5cf",
-        "8dfcf5c905c173aa3032f644bda89b969e8f99c4ee28c86ab066cf67d673b809",
+        "d8969ae27b801fccfb4d3e661a01cb081d757eeff1b08067ca2993cbc946f260",
+        "38b2b1937e518e80d850ed2f9fec02ddbbbde1da5bd54704abf00cd155df21f6",
     ),
     ("biased:0.17", 65_536): (
-        "e9991c3d438d93857b0c2220449ee3fdb5879813d953658f6f58cbb572db3fd3",
-        "b5d6f4a375e47f2b20e11bdcf6a1b290bd2657e22f913bc91a772deb449759c5",
+        "0f9d956614558b72dbcb62092693e91b1f17967145a9b49ce8a5095511d99ad5",
+        "060b37d08e755cd42598e48befd2262a2bae845e87d3683dcba8d15a187c96c9",
     ),
     ("biased:0.17", 65_537): (
-        "62b204e32d07ed7d440a2b75c57dcf39520dceaa6f3b0d7a9ece053b1901000d",
-        "03407b5b57c66f974a84bfe2adfe1e227361f185aa6b2198e9833fe8a5f4ccbe",
+        "685f6b70df139530ccf41f1bd209436ddceb07e2f0897b7e93d1f84e858d1d72",
+        "cd25c3f4d22ee62ce11afe3f6f0032fb1417a482adea8c663463237e73d5568f",
     ),
     ("biased:0.17", 141_000): (
-        "de736d2ec28328900e4850bfc8c064d9ad65fc7a9be3e812f249ce35bba11d67",
-        "5e41e3b8a26aa92df8815075a3950ca43658e1d5f6f13f8c066dee3d1ad16810",
+        "82bca0ed2e25ea3cc856cf23afeb79bc011d1ce15fdd2fb1c4b956633d403e08",
+        "6e28667ca2967d51f8919c7b7c0229f39101cc59d9cfcc54c1a4585d2d48f161",
     ),
     ("analytic", 65_535): (
-        "cd1767f2d1e9e8d455fbc307b70b39a8c56fecf9db53d95123d874b003aba2b6",
-        "71778d72c101cc955f45fdc237475dece52e5161e5bcfc679a14720495dc4aae",
+        "3a9423cd2fa34dc80299d5976648239458e93c40e18e26c01027a655100dd59b",
+        "c09e554b5a8b1e782f20a8215d4e62e08766536c9fbf7d724f1f94accd4e4bb3",
     ),
     ("analytic", 65_536): (
-        "fa111c8da115fd6e773159f451da3222016d6817ef8a773f87898d950b1d7996",
-        "95bc0a767677f7f19f3f2ac56abd5b5ddae4ddb5c87655b1ced2d150df27823b",
+        "29e885fbe5cafbd5a1436cad79d62e29ed517a196401641b208f1d569f7435e9",
+        "12278b47fa1c548e490053f3724f2d4ae6dd86b9149180537c142ed3543a78bb",
     ),
     ("analytic", 65_537): (
-        "e3ec75844c36198867878eb0ef54db8fd39cefef87e7c05245ffdd180a211a77",
-        "68dead3037db0ce34ae191250930bba9a791ce071c12b70f27e9d3a47c59806d",
+        "01297c7e26ec7c0d4cc4c42bdbf4f078a9221c5e0356ac0c171b3a013f5e5a0a",
+        "e072ce5188efe3c509b88b46fb509c13943640ee6dc990d31449f497f6d5ad4f",
     ),
     ("analytic", 141_000): (
-        "a49163f297e23ab9e3825e074f2fc597480c402f8d13293192c1c83640b2947f",
-        "ec77a6c895c1bc31abe902a894e2855bfe842bbe387bd5ac4ac31920bcacc88c",
+        "8234678bc319cd9fc16b84819ba0c830a16bb01901c848d78150455159555e59",
+        "8cd6a65b8ab8f8f176b5e135899a8ebcc3bcb110c5d687fdf3fe87b3c74d1395",
     ),
 }
 
@@ -99,16 +99,16 @@ COUNTS_SETTINGS = {
 
 # (setting, n) -> sha256 of the --format json stdout, without --trace
 COUNTS_GOLDEN = {
-    ("correct", 196_609): "1c640bf531ccce95adf4508f7b9e109b0e6bb5fb3e9a527b962741fac8e85154",
-    ("correct", 1_000_003): "a4030f27cc55b8ad185620de10c61bb0c416bae25abbe9a64a17a5988d04a8d1",
-    ("uniform", 196_609): "cb8974c74daed0ea810f4e22112428514e9e232f4663c73a5c764108d23aab89",
-    ("uniform", 1_000_003): "0886d8dff7658f05bcbe1e008846d7b3c6aa706f6e93501d2454cbf66d752cf7",
-    ("biased:0.17", 196_609): "e7f1161cdc3dd12e613d8e55eeeaf0a8198c4f813da48f50a89891bfee9ba58f",
-    ("biased:0.17", 1_000_003): "6ae90d6230b16aa28e3683b8dc7dbabc67f61e43d86b47dfaba3b38481f740f9",
-    ("alternating", 196_609): "b31cbafe195b0ccb413e9e9ea639f21a09e70b047908b0b7d07292b900be1171",
-    ("alternating", 1_000_003): "812e0b88b2806ee3d442ecb32c4c84497df6cd4c2639a5e3b095ea84d02f0667",
-    ("analytic", 196_609): "1980f654432e92630cef7bef108b046f07a7b32acd9357a854728ad6bcbd4d1e",
-    ("analytic", 1_000_003): "d90e999593accaf10e55aceaded9b255e06c397d4a35a743d5c852f0a0ec0ea5",
+    ("correct", 196_609): "97755d0bafb57955cf6c4a564b6ed258dbf84e5f1fdd2b56cff09d46bcec8514",
+    ("correct", 1_000_003): "7c7d65c51451d6434b90d6f467857cffd7b924ec3dd26986fe5f5025a1270450",
+    ("uniform", 196_609): "bbb0e8bfac5738059caa5e97faae969dbb767b4d1ec2eb3a6c53e7c4aacc2c54",
+    ("uniform", 1_000_003): "3b71f7b528da6aa66a9464acfb8d19744f69b3c8782c9d97e043510bdd800e6d",
+    ("biased:0.17", 196_609): "945f27eca9d209a08d22eef49605a1e90b72808f89cae04221dfb29ceedcc7a1",
+    ("biased:0.17", 1_000_003): "192dfb34e755d8f61c4359e0dfa5ecc6ddbc30baccb53a13c9791c67f221606d",
+    ("alternating", 196_609): "1437c0d2f67664a0f833df2bb3c46e4102d681a1d6a8d7b24dce740484424628",
+    ("alternating", 1_000_003): "8d1c5e31552e4362b933462b0ca4afb74f3d58a40a87dd6d1cabadafaf971bc4",
+    ("analytic", 196_609): "187be27af9b2d36cb96ebed8aad69e667aeed8aed285a2fb6a5182d8794180c6",
+    ("analytic", 1_000_003): "cf81ecfe82a367cffe5f6fcf50e8df30cee8e913ccced1c6e30680a301777aef",
 }
 
 
@@ -234,9 +234,9 @@ CALL_GOLDEN = {
     ("audit", "psi_AB"): "303a4615f7d754dbefbb7ee76797bbf5fcedceb18340148df48b8f2dd3b65b0c",
     ("audit", "psi_ABht"): "7925decd33b1467eb8e90c98b29d1dd443c515628c4b7ce9f48e8a87f1195776",
     ("audit", "psi_ABth"): "db106948efd2cf6654aa8eb373783992dcfa185217807469f4c7b966f9690987",
-    ("simulate", "-n", "1000", "--seed", "2018"): "3284fdf711f48bb95c2f6fa94ba4880d894b0fba15237b7b019a0aaf0f77f0e4",
+    ("simulate", "-n", "1000", "--seed", "2018"): "8fba499385f0bea097e1e68feca36d3b2588a20a0388216c82404066bbfedce5",
     ("simulate", "-n", "1000", "--seed", "2018", "--check"): (
-        "ad92fea86c659e23a65f058ba3d6016c245c009758e24c61115869064c41ef9e"
+        "28dd068e416dba1f6da996e659e51077d47a08131dda8df0487eb32458cc5ff9"
     ),
     ("states", "psi_A", "--format", "csv"): "22243819f5b47b69ccab9b8ea3ba3578eb6d56d23c3f5e38db19acc012857b24",
     ("states", "psi_AB", "--format", "csv"): "57030677d02053903e8314a42a172df821942edc6932ad9f8093bd7763fa8dbf",
@@ -253,10 +253,10 @@ CALL_GOLDEN = {
     ("audit", "psi_ABht", "--format", "csv"): "9e6623283d3cc42e568f01f14391d6ef7043ef04530a6260d02fedc517c77d3f",
     ("audit", "psi_ABth", "--format", "csv"): "d09784a84b4869213b682c56e542b516b373aae98ad3b4c4c91eafc7ac85c42d",
     ("simulate", "-n", "1000", "--seed", "2018", "--format", "csv"): (
-        "b1e828122c50c22f0a446690ec6c4f3b56900ea34df70e202aea95c12c39b0b1"
+        "1e1b5858a07124400142ab1a3aae19edc8ced5e04642d1d57e680a303712f9f0"
     ),
     ("simulate", "-n", "1000", "--seed", "2018", "--check", "--format", "csv"): (
-        "b1e828122c50c22f0a446690ec6c4f3b56900ea34df70e202aea95c12c39b0b1"
+        "1e1b5858a07124400142ab1a3aae19edc8ced5e04642d1d57e680a303712f9f0"
     ),
     ("simulate", "-n", "0", "--check"): "733c2c45e58fc1e3b0f9e8e09877f540061711bc3b980e322ae2f5bbe40a19b8",
     # at tol 0 all checks but evolution_heads fail: exit 1

@@ -6,11 +6,12 @@ import inspect
 import signal
 import sys
 import threading
+from fractions import Fraction
+from types import SimpleNamespace
 
+import contract
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wigner_lab import core, montecarlo, protocol
 from wigner_lab.montecarlo import (
@@ -301,51 +302,45 @@ class TestSchedule:
 
 WORD_LIMIT = 1 << 64
 
+# every policy kind and mode; biased:0.001 and biased:1e-09 put two bounds in one guide bucket
+SETTINGS = [(spec, "collapse") for spec in (*POLICIES, "biased:0.001", "biased:1e-09", "biased:1.0")] + [
+    ("uniform", "analytic")
+]
 
-def word_uniform(word: int) -> float:
-    """numpy's Philox double of a raw word, in exact Python arithmetic."""
-    return (word >> 11) * 2.0**-53
 
+def fake_stream(words):
+    """A stand-in for ``_chunk_uniforms`` whose chunk 0 reads ``words``."""
 
-def charlie_references():
-    """Per resultant state, Charlie's cumulative Born probabilities,
-    computed apart from the kernel's tables."""
-    bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
-    states = (protocol.target_state(), *map(protocol.wrong_state, (WrongStateLabel.ABHT, WrongStateLabel.ABTH)))
-    return [
-        np.cumsum([core.born_probabilities(state, bases).probability(label) for label in CHARLIE_LABELS])
-        for state in states
-    ]
+    def chunk_uniforms(seed, chunk_index):
+        assert chunk_index == 0
+        position = [0]
+
+        def random_raw(size):
+            position[0] += size
+            return words[position[0] - size : position[0]]
+
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+    return chunk_uniforms
 
 
 class TestRawWords:
-    """The kernel reads raw Philox words and compares them with integer bounds."""
+    """The kernel reads one raw Philox word per trial."""
 
-    def test_philox_double_is_the_top_53_bits_of_a_raw_word(self):
-        # numpy's contract the kernel rests on, checked on a chunk's stream
-        # drawn in kernel-sized blocks; runs on every numpy the CI installs
-        n = 2 * _BLOCK + 1_001
-        doubles = montecarlo._chunk_uniforms(2024, 3).random((n, 3))
-        raw = montecarlo._chunk_uniforms(2024, 3).bit_generator
-        words = np.concatenate([raw.random_raw((b, 3)) for b in (_BLOCK, _BLOCK, 1_001)])
-        assert words.dtype == np.uint64
-        np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+    def test_a_chunk_reads_one_word_per_trial(self, monkeypatch):
+        # a chunk of m trials reads exactly the stream's first m words
+        streams = []
+        original = montecarlo._chunk_uniforms
 
-    def test_word_bound_ends(self):
-        assert montecarlo._word_bound(0.0) == 0
-        assert montecarlo._word_bound(1.0) == WORD_LIMIT
-        assert montecarlo._word_bound(2.0**-53) == 1 << 11
+        def recording(seed, chunk_index):
+            streams.append(original(seed, chunk_index))
+            return streams[-1]
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        p=st.floats(min_value=0.0, max_value=1.0),
-        noise=st.lists(st.integers(min_value=0, max_value=WORD_LIMIT - 1), max_size=8),
-    )
-    def test_word_bound_is_exact(self, p, noise):
-        bound = montecarlo._word_bound(p)
-        for word in (bound - 1, bound, bound + 2_047, *noise):
-            if 0 <= word < WORD_LIMIT:
-                assert (word_uniform(word) >= p) == (word >= bound), (p, word)
+        monkeypatch.setattr(montecarlo, "_chunk_uniforms", recording)
+        m = 2 * _BLOCK + 1_001
+        run_trials(TrialConfig(m, 2024, MistakePolicy("uniform")))
+        expected = montecarlo._chunk_uniforms(2024, 0).bit_generator.random_raw(m + 1)[-1]
+        assert streams[0].bit_generator.random_raw() == expected
 
     @pytest.mark.parametrize("traced", [False, True], ids=["counts", "traced"])
     def test_epsilon_zero_and_one_are_exact(self, traced):
@@ -361,31 +356,52 @@ class TestRawWords:
             assert sum(result.resultant_states.counts.values()) == n
 
 
-class TestRankTables:
-    def test_rank_key_matches_searchsorted_at_every_bound_and_bucket_edge(self):
-        tables = montecarlo._rank_tables()
-        bounds = [montecarlo._word_bound(t) for t in montecarlo._charlie_thresholds().ravel().tolist()]
-        edges = [j << montecarlo._BUCKET_SHIFT for j in range(1 << (64 - montecarlo._BUCKET_SHIFT))]
-        words = {w + d for w in bounds + edges for d in (-1, 0, 1)} | {WORD_LIMIT - 1}
-        words = np.array(sorted(w for w in words if 0 <= w < WORD_LIMIT), dtype=np.uint64)
-        bucket = (words >> np.uint64(montecarlo._BUCKET_SHIFT)).astype(np.intp)
-        rank = tables.base[bucket] + (words >= tables.edge[bucket])
-        assert rank.min() == 0 and rank.max() == tables.ranks - 1
-        u = (words >> np.uint64(11)) * 2.0**-53
-        references = charlie_references()
-        for code in range(4):  # heads * 2 + mistake
-            key = code * tables.ranks + rank
-            state = tables.state_of_key[code * tables.ranks]
-            np.testing.assert_array_equal(tables.state_of_key[key], state)
-            expected = np.minimum(np.searchsorted(references[state], u, side="right"), len(CHARLIE_LABELS) - 1)
-            np.testing.assert_array_equal(tables.joint_of_key[key], state * len(CHARLIE_LABELS) + expected)
+class TestCells:
+    """The kernel's cell bounds and its guide-table lookup."""
 
-    def test_builder_refuses_two_bounds_in_one_bucket(self, monkeypatch):
-        thresholds = montecarlo._charlie_thresholds().copy()
-        thresholds[0, 1] = thresholds[0, 0] + 1e-5  # a bucket is 2**-12 wide
-        monkeypatch.setattr(montecarlo, "_charlie_thresholds", lambda: thresholds)
-        with pytest.raises(AssertionError, match="share a bucket"):
-            montecarlo._rank_tables.__wrapped__()
+    @pytest.mark.parametrize("spec, mode", SETTINGS)
+    def test_guide_lookup_matches_searchsorted_at_every_bound_and_bucket_edge(self, monkeypatch, spec, mode):
+        # every word at a bound, one below and one above, at each bucket's
+        # first and last word and at the ends, each at an even and an odd
+        # trial, through the kernel and through the spec's searchsorted
+        policy = MistakePolicy.parse(spec)
+        eps = policy.mistake_probability
+        bounds = [b for parity in (0, 1) for b in contract.cells(eps, mode, parity)[0]]
+        edges = [j << montecarlo._BUCKET_SHIFT for j in range(montecarlo._BUCKETS)]
+        words = {w + d for w in bounds + edges for d in (-1, 0, 1)} | {0, WORD_LIMIT - 1}
+        words = np.repeat(np.array(sorted(w for w in words if 0 <= w < WORD_LIMIT), dtype=np.uint64), 2)
+        assert len(words) <= _CHUNK
+        monkeypatch.setattr(montecarlo, "_chunk_uniforms", fake_stream(words))
+        chunks = []
+        run_trials(TrialConfig(len(words), 0, policy, mode), collect_traces=chunks.append)
+        expected = contract.outcome_codes(0, len(words), eps, mode, words=lambda seed, chunk, m: words)
+        np.testing.assert_array_equal(chunks[0].outcome, expected)
+        tables = montecarlo._cell_tables(policy, mode)
+        assert (tables.code == montecarlo._FALLBACK).any() == (spec in ("biased:0.001", "biased:1e-09"))
+
+    @pytest.mark.parametrize("spec, mode", SETTINGS)
+    def test_cell_widths_are_exact_probabilities(self, spec, mode):
+        policy = MistakePolicy.parse(spec)
+        for parity in (0, 1):
+            weights, codes = contract.weights(policy.mistake_probability, mode, parity)
+            bounds = montecarlo._setting_bounds(policy, mode)[parity if spec == "alternating" else 0]
+            assert bounds == contract.cells(policy.mistake_probability, mode, parity)[0]
+            total = sum(weights)
+            for k, weight in enumerate(weights):
+                assert abs(Fraction(bounds[k + 1] - bounds[k], WORD_LIMIT) - weight / total) <= Fraction(1, WORD_LIMIT)
+            if policy.mistake_probability is None:
+                continue
+            # per resultant state, the cells add up to the closed form
+            expected = expected_resultant_states(TrialConfig(1, 0, policy, mode))
+            for index, label in enumerate(STATE_LABELS):
+                width = sum(bounds[k + 1] - bounds[k] for k, code in enumerate(codes) if code // 4 % 3 == index)
+                assert abs(width / WORD_LIMIT - expected.probability(label)) <= 1e-15
+
+    def test_corrupted_cell_table_raises(self, monkeypatch):
+        # tails with no mistake now claims ABth: the table build refuses it
+        monkeypatch.setattr(montecarlo, "_STATE_OF_RECORD", montecarlo._STATE_OF_RECORD[[1, 0, 2, 3]])
+        with pytest.raises(AssertionError, match="AB exactly when the transform matches the record"):
+            montecarlo._cells.__wrapped__("collapse")
 
 
 class TestTraces:
@@ -420,16 +436,6 @@ class TestTraces:
             )
             diff = np.abs(evolved.amplitudes - canonical[state].amplitudes).max()
             assert diff <= 1e-12
-
-    def test_charlie_index_matches_searchsorted(self):
-        # the kernel ranks raw words against integer bounds; searchsorted on the doubles is the reference
-        config = TrialConfig(3_000, 31, MistakePolicy("uniform"))
-        _, columns, _ = run_traced(config)
-        u = montecarlo._chunk_uniforms(config.seed, 0).random((config.n_trials, 3))[:, 2]
-        for index, cumulative in enumerate(charlie_references()):
-            mask = columns["state_idx"] == index
-            expected = np.minimum(np.searchsorted(cumulative, u[mask], side="right"), len(CHARLIE_LABELS) - 1)
-            np.testing.assert_array_equal(columns["charlie_idx"][mask], expected)
 
     def test_trace_count_and_indices(self):
         n = 2 * _CHUNK + 500
