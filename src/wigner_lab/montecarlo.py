@@ -17,8 +17,6 @@ trial order.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -35,7 +33,7 @@ CHARLIE_LABELS = tuple(core.LABEL_SEP.join((a, b)) for a in protocol.CHARLIE_LAB
 
 _CHUNK = 1 << 16
 # Trials per block inside a chunk: a block's words and work buffers
-# (about 0.5 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
+# (about 0.3 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
 # block starts at an even trial index.
 _BLOCK = 1 << 13
 _MAX_WORKERS = 4
@@ -214,23 +212,18 @@ def _dyadic(x: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
-class _Cell(NamedTuple):
-    heads: int
-    mistake: int
-    weight: tuple[int, int]  # P(record) * P(Charlie's outcome), exactly (see _dyadic)
-
-
 @lru_cache(maxsize=None)
-def _cells(mode: str) -> tuple[tuple[_Cell, ...], np.ndarray]:
+def _cells(mode: str) -> tuple[tuple[tuple[int, int, tuple[int, int]], ...], np.ndarray]:
     """The cells of one trial in the contract's order, ``(heads * 2 +
     mistake) * 4 + charlie_idx``, or ``charlie_idx`` alone in analytic mode,
-    where Charlie measures the target state, and each cell's ``TraceChunk``
-    outcome code.  The policy's factor, the mistake's probability, is left
-    out.  Checks, over every cell, that the resultant state is AB exactly
-    when there is no mistake."""
+    where Charlie measures the target state: each cell's heads, mistake and
+    weight without the policy's factor, P(record) * P(Charlie's outcome)
+    exactly (see ``_dyadic``), and each cell's ``TraceChunk`` outcome code.
+    Checks, over every cell, that the resultant state is AB exactly when
+    there is no mistake."""
     born = _charlie_born()
     if mode == "analytic":
-        return tuple(_Cell(0, 0, _dyadic(p)) for p in born[0]), np.arange(len(CHARLIE_LABELS), dtype=np.uint8)
+        return tuple((0, 0, _dyadic(p)) for p in born[0]), np.arange(len(CHARLIE_LABELS), dtype=np.uint8)
     cells, codes = [], []
     for heads in (0, 1):
         n, s = _dyadic(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
@@ -241,7 +234,7 @@ def _cells(mode: str) -> tuple[tuple[_Cell, ...], np.ndarray]:
                 raise AssertionError("resultant state must be AB exactly when the transform matches the record")
             for charlie, p in enumerate(born[state]):
                 m, t = _dyadic(p)
-                cells.append(_Cell(heads, mistake, (n * m, s + t)))
+                cells.append((heads, mistake, (n * m, s + t)))
                 codes.append(((record + 1) * len(STATE_LABELS) + state) * len(CHARLIE_LABELS) + charlie)
     return tuple(cells), np.array(codes, dtype=np.uint8)
 
@@ -249,11 +242,11 @@ def _cells(mode: str) -> tuple[tuple[_Cell, ...], np.ndarray]:
 @lru_cache(maxsize=None)
 def _partial_sums(mode: str, parity: int | None) -> tuple[tuple[int, int], ...]:
     """For k = 0 .. 16 (0 .. 4 in analytic mode), the sums ``(A_k, B_k)``
-    of the first k cells' weights without the policy's factor, in exact
-    integers at one power-of-two scale: B sums the mistake cells, or for a
-    ``parity`` (``alternating``) the cells the trial's parity allows, and A
-    the others.  A cell's full weight is that times ``x0`` for an A cell and
-    ``x1`` for a B cell (see ``_exact_bounds``)."""
+    of the first k cells' weights (see ``_cells``) in exact integers at one
+    power-of-two scale: B sums the mistake cells, or for a ``parity``
+    (``alternating``) the cells the trial's parity allows, and A the
+    others.  The policy's factor is ``x0`` for an A cell and ``x1`` for a B
+    cell (see ``_exact_bounds``)."""
     cells, _ = _cells(mode)
     top = max(s for *_, (_, s) in cells)
     a = b = 0
@@ -332,7 +325,7 @@ def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
     return [_exact_bounds(_partial_sums(mode, None), 1.0 - eps, eps)]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
 def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
     """Build the guide tables of a setting from its exact cell bounds."""
     code_of_cell = _cells(mode)[1]

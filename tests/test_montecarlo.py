@@ -17,7 +17,6 @@ from wigner_lab import core, montecarlo, protocol
 from wigner_lab.montecarlo import (
     _BLOCK,
     _CHUNK,
-    CHARLIE_LABELS,
     STATE_LABELS,
     MistakePolicy,
     RunResult,
