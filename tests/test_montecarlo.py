@@ -3,8 +3,6 @@ determinism, and agreement with the exact state machinery."""
 
 import dataclasses
 import inspect
-import signal
-import sys
 import threading
 from fractions import Fraction
 from types import SimpleNamespace
@@ -174,111 +172,49 @@ class TestDeterminism:
 POLICIES = ("correct", "uniform", "alternating", "biased:0.3")
 
 
-def run_in_thread(fn, timeout=60):
-    """Call ``fn`` on a helper thread; return its result or re-raise its
-    error, failing the test if it has not finished within ``timeout`` s."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = fn()
-        except Exception as exc:  # handed back to the test thread
-            outcome["error"] = exc
-
-    caller = threading.Thread(target=target, daemon=True)
-    caller.start()
-    caller.join(timeout)
-    assert not caller.is_alive(), "run did not finish"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
 class TestSchedule:
-    """Chunks may run on worker threads; the result may not depend on it."""
+    """Chunks run in order on the calling thread; counts-only and traced
+    runs give the same result."""
 
     N_FIVE_CHUNKS = 4 * _CHUNK + 1_234
 
     @pytest.mark.parametrize("mode", montecarlo.MODES)
     @pytest.mark.parametrize("spec", POLICIES)
-    def test_counts_independent_of_worker_count(self, monkeypatch, spec, mode):
+    def test_counts_independent_of_worker_count(self, spec, mode):
         config = TrialConfig(self.N_FIVE_CHUNKS, 77, MistakePolicy.parse(spec), mode)
-        results = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda workers=workers: workers)
-            results.append(run_trials(config))
+        counts = run_trials(config)
         traced = run_trials(config, collect_traces=lambda chunk: None)
-        for result in (*results[1:], traced):
-            assert result.resultant_states.counts == results[0].resultant_states.counts
-            assert result.charlie.counts == results[0].charlie.counts
+        assert traced.resultant_states.counts == counts.resultant_states.counts
+        assert traced.charlie.counts == counts.charlie.counts
 
-    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
-        # Each share reuses its own workspace; a workspace that two threads
-        # wrote at once would mix two chunks' buffers and change the counts.
-        config = TrialConfig(9 * _CHUNK + 5, 12, MistakePolicy.biased(0.4))
-        serial = run_trials(config, collect_traces=lambda chunk: None)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 6)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                result = run_in_thread(lambda: run_trials(config))
-                assert result.resultant_states.counts == serial.resultant_states.counts
-                assert result.charlie.counts == serial.charlie.counts
-        finally:
-            sys.setswitchinterval(interval)
+    def test_counts_run_draws_chunks_in_order_on_calling_thread(self, monkeypatch):
+        draws = []
+        original = montecarlo._chunk_uniforms
 
-    def test_worker_error_propagates_and_cancels_queued_chunks(self, monkeypatch):
-        # Every chunk is queued at once; chunks 0 and 1 finish only after
-        # chunk 2 has failed, so the error surfaces while most are queued.
-        workers, n_chunks = 3, 32
+        def recording(seed, chunk_index):
+            draws.append((threading.get_ident(), chunk_index))
+            return original(seed, chunk_index)
+
+        monkeypatch.setattr(montecarlo, "_chunk_uniforms", recording)
+        run_trials(TrialConfig(self.N_FIVE_CHUNKS, 3, MistakePolicy("uniform")))
+        assert draws == [(threading.get_ident(), chunk_index) for chunk_index in range(5)]
+
+    def test_chunk_error_reaches_caller_and_stops_the_run(self, monkeypatch):
         started = []
-        failed = threading.Event()
         original = montecarlo._chunk_uniforms
 
         def failing(seed, chunk_index):
             started.append(chunk_index)
             if chunk_index == 2:
-                failed.set()
                 raise RuntimeError("chunk 2 failed")
-            if chunk_index < 2:
-                failed.wait(timeout=10)
             return original(seed, chunk_index)
 
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_chunk_uniforms", failing)
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
-            run_in_thread(lambda: run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy("uniform"))))
-        assert {0, 1, 2} <= set(started)
-        assert len(started) <= n_chunks // 2, f"queued chunks ran after the failure: {sorted(started)}"
+            run_trials(TrialConfig(self.N_FIVE_CHUNKS, 5, MistakePolicy("uniform")))
+        assert started == [0, 1, 2]
 
-    @pytest.mark.skipif(
-        not hasattr(signal, "pthread_kill") or signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
-        reason="needs POSIX signals and Python's own Ctrl-C handler",
-    )
-    def test_interrupt_stops_every_share(self, monkeypatch):
-        # Ctrl-C reaches the calling thread while chunk 1 runs; every share
-        # must stop before its next chunk instead of running its stride out.
-        workers, n_chunks = 3, 32
-        started = []
-        caller = threading.get_ident()
-        original = montecarlo._chunk_uniforms
-
-        def interrupting(seed, chunk_index):
-            started.append(chunk_index)
-            if chunk_index == 1:
-                signal.pthread_kill(caller, signal.SIGINT)
-            return original(seed, chunk_index)
-
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        monkeypatch.setattr(montecarlo, "_chunk_uniforms", interrupting)
-        with pytest.raises(KeyboardInterrupt):
-            run_trials(TrialConfig(n_chunks * _CHUNK, 5, MistakePolicy("uniform")))
-        assert 1 in started
-        assert len(started) <= n_chunks // 2, f"chunks ran after the interrupt: {sorted(started)}"
-
-    def test_traced_run_calls_sink_in_order_on_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+    def test_traced_run_calls_sink_in_order_on_calling_thread(self):
         calls = []
         n = 3 * _CHUNK + 9
         run_trials(
@@ -286,17 +222,6 @@ class TestSchedule:
             collect_traces=lambda chunk: calls.append((threading.get_ident(), chunk.start)),
         )
         assert calls == [(threading.get_ident(), start) for start in range(0, n, _CHUNK)]
-
-    def test_single_chunk_and_traced_runs_start_no_pool(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("no worker pool expected")
-
-        monkeypatch.setattr(montecarlo, "_worker_count", no_pool)
-        run_trials(TrialConfig(_CHUNK, 6, MistakePolicy("uniform")))
-        run_trials(TrialConfig(2 * _CHUNK, 6, MistakePolicy("uniform")), collect_traces=lambda chunk: None)
-
-    def test_worker_count_is_bounded(self):
-        assert 1 <= montecarlo._worker_count() <= montecarlo._MAX_WORKERS
 
 
 WORD_LIMIT = 1 << 64
@@ -343,7 +268,7 @@ class TestRawWords:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["counts", "traced"])
     def test_epsilon_zero_and_one_are_exact(self, traced):
-        n = 2 * _CHUNK + 7  # several chunks: worker threads when not traced
+        n = 2 * _CHUNK + 7  # several chunks
         for eps, ab in ((0.0, n), (1.0, 0)):
             config = TrialConfig(n, 8, MistakePolicy.biased(eps))
             if traced:
