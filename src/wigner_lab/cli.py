@@ -2,7 +2,8 @@
 paradox audits, unitary synthesis, and protocol simulation.
 
 Exit codes: 0 success, 1 verification or statistical check failure,
-2 usage or input error.
+2 usage or input error, 130 interrupted (Ctrl-C), 141 the reader of the
+output closed early (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -472,7 +473,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
+    except BrokenPipeError:  # the shell's code for a writer killed by SIGPIPE
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         # an OSError's first argument is its errno; its text names the path
         message = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
@@ -481,4 +487,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """The console entry point: ``main`` on the process's arguments, where
+    an interrupt (Ctrl-C) exits 130 without a traceback."""
+    try:
+        code = main(sys.argv[1:])
+    except KeyboardInterrupt:
+        code = 130
+    if code == 141 and sys.stdout is not None:
+        # Python flushes stdout at exit: send what is left to devnull so the
+        # closed pipe does not raise again (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

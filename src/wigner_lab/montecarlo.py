@@ -26,17 +26,17 @@ CHARLIE_LABELS = tuple(core.LABEL_SEP.join((a, b)) for a in protocol.CHARLIE_LAB
 
 _CHUNK = 1 << 16
 # Trials per block inside a chunk: a block's words and work buffers
-# (about 0.3 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
+# (about 0.14 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
 # block starts at an even trial index.
 _BLOCK = 1 << 13
 
 # Joint bins state_idx * 4 + charlie_idx: trace outcome codes per record.
 _JOINTS = len(STATE_LABELS) * len(CHARLIE_LABELS)
-# The guide-table code of a bucket that holds two or more distinct cell
-# bounds: one past the last TraceChunk code.
+# The guide-table code of a bucket that has a cell bound strictly inside
+# it: one past the last TraceChunk code.
 _FALLBACK = 5 * _JOINTS
-# A word's guide bucket is its top 12 bits: 4 096 buckets per trial parity.
-_BUCKET_SHIFT = 52
+# A word's guide bucket is its top 16 bits: 65 536 buckets per trial parity.
+_BUCKET_SHIFT = 48
 _BUCKETS = 1 << (64 - _BUCKET_SHIFT)
 _BUCKET_LOW = (1 << _BUCKET_SHIFT) - 1
 # The odd trials of a block read the second set of buckets (alternating only).
@@ -267,45 +267,29 @@ class _CellTables(NamedTuple):
 
     A trial's word ``w`` falls in cell ``k`` when ``bounds[k] <= w <
     bounds[k + 1]`` (``_exact_bounds``).  The guide table splits the words
-    into buckets of their top 12 bits, 4 096 per trial parity
-    (``alternating`` has a second set, for odd trials, at bucket ``4096 +
-    (w >> 52)``).  Bucket ``j`` holds at most one distinct bound inside it,
-    ``edge[j]`` (0 when it holds none), and ``code[2 * j + (w >=
-    edge[j])]`` is the trial's ``TraceChunk`` outcome code.  A bucket
-    holding two or more distinct bounds has ``_FALLBACK`` there instead, and
-    its words are counted exactly against ``interior[parity]``, the bounds
-    but the first that are below ``2**64``: the count is the cell, and
-    ``code_of_cell`` maps it to its code.
+    into buckets of their top 16 bits, 65 536 per trial parity
+    (``alternating`` has a second set, for odd trials, at bucket ``65536 +
+    (w >> 48)``), and ``code[bucket]`` is the trial's ``TraceChunk``
+    outcome code.  A bucket that has a bound strictly inside it, 15 of
+    65 536 at most, holds ``_FALLBACK`` instead, and its words are counted
+    exactly against ``interior[parity]``, the bounds but the first that are
+    below ``2**64``: the count is the cell, and ``code_of_cell`` maps it to
+    its code.
     """
 
-    edge: np.ndarray
     code: np.ndarray
     interior: tuple[np.ndarray, ...]
     code_of_cell: np.ndarray
 
 
-def _guide(interior: list[int], code_of_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edge and code tables of one trial parity (see ``_CellTables``).
-
-    Cell k starts at key ``2 * j + 1`` of the code table when its bound lies
-    inside bucket j, and at key ``2 * j`` when it is the bucket's first word;
-    a bucket without a bound has edge 0, so every word of it is above."""
-    start, inside, shared = [0], {}, []
-    for bound in interior:
-        bucket = bound >> _BUCKET_SHIFT
-        if bound & _BUCKET_LOW:
-            start.append(2 * bucket + 1)
-            if inside.setdefault(bucket, bound) != bound:  # a second distinct bound
-                shared += (2 * bucket, 2 * bucket + 1)
-        else:
-            start.append(2 * bucket)
-    start.append(2 * _BUCKETS)
+def _guide(interior: list[int], code_of_cell: np.ndarray) -> np.ndarray:
+    """The code table of one trial parity (see ``_CellTables``): cell k
+    fills the buckets from the one its bound falls in, and a bucket with a
+    bound strictly inside it holds ``_FALLBACK`` instead."""
+    start = [0, *(bound >> _BUCKET_SHIFT for bound in interior), _BUCKETS]
     code = np.repeat(code_of_cell[: len(start) - 1], np.diff(start))
-    if shared:
-        code[shared] = _FALLBACK
-    edge = np.zeros(_BUCKETS, dtype=np.uint64)
-    edge[list(inside)] = np.array(list(inside.values()), dtype=np.uint64)
-    return edge, code
+    code[[bound >> _BUCKET_SHIFT for bound in interior if bound & _BUCKET_LOW]] = _FALLBACK
+    return code
 
 
 def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
@@ -321,15 +305,9 @@ def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
 def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
     """Build the guide tables of a setting from its exact cell bounds."""
     code_of_cell = _cells(mode)[1]
-    edges, codes, interiors = [], [], []
-    for bounds in _setting_bounds(policy, mode):
-        interior = [bound for bound in bounds[1:] if bound < 1 << 64]
-        edge, code = _guide(interior, code_of_cell)
-        edges.append(edge)
-        codes.append(code)
-        interiors.append(np.array(interior, dtype=np.uint64))
-    edge, code = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (edges, codes))
-    return _CellTables(edge, code, tuple(interiors), code_of_cell)
+    interiors = [[bound for bound in bounds[1:] if bound < 1 << 64] for bounds in _setting_bounds(policy, mode)]
+    code = np.concatenate([_guide(interior, code_of_cell) for interior in interiors])
+    return _CellTables(code, tuple(np.array(interior, dtype=np.uint64) for interior in interiors), code_of_cell)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
@@ -352,24 +330,21 @@ class _Workspace:
     block and chunk to chunk; they are freed when the run ends."""
 
     def __init__(self, size: int):
-        self.key = np.empty(size, dtype=np.intp)
         self.bucket = np.empty(size, dtype=np.uint64)
-        self.edge = np.empty(size, dtype=np.uint64)
         self.code = np.empty(size, dtype=np.uint8)
-        self.above = np.empty(size, dtype=bool)
 
 
 def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, counts: np.ndarray) -> None:
     """Replace each ``_FALLBACK`` code of a block by the code of its word's
     cell, counted exactly by ``searchsorted`` over the cell bounds, and
-    move its tally in ``counts`` to that code."""
-    at = np.flatnonzero(code == _FALLBACK)
-    parities = len(tables.interior)
+    tally it in ``counts`` under that code (``_run_chunk`` drops the
+    ``_FALLBACK`` bin)."""
+    at = (code == _FALLBACK).nonzero()[0]
+    by_parity = len(tables.interior) == 2
     for parity, interior in enumerate(tables.interior):
-        here = at[at % parities == parity]  # blocks start at even trial indices
+        here = at[at % 2 == parity] if by_parity else at  # blocks start at even trial indices
         code[here] = tables.code_of_cell[np.searchsorted(interior, words[here], side="right")]
-    np.add.at(counts, code[at], 1)
-    counts[_FALLBACK] = 0
+    counts += np.bincount(code[at], minlength=len(counts))
 
 
 def _run_chunk(
@@ -378,11 +353,12 @@ def _run_chunk(
     """Run the trials of one chunk, ``_BLOCK`` trials at a time.
 
     Each block draws one raw Philox word per trial and looks its cell up in
-    the guide table (see ``_CellTables``): a shift, one ``take`` of the
-    bucket's edge, one compare and one ``take`` of the outcome code.  A
-    block tallies its codes with one ``bincount``.  Returns the chunk's
-    joint tally (bin ``state_idx * 4 + charlie_idx``) and, when ``traced``,
-    its per-trial outcome codes.
+    the guide table (see ``_CellTables``): a shift to the word's bucket and
+    one ``take`` of its outcome code.  A block tallies its codes with one
+    ``bincount``; the words of a ``_FALLBACK`` bucket, under two a block,
+    then go to ``_look_up_exactly``.  Returns the chunk's joint tally (bin
+    ``state_idx * 4 + charlie_idx``) and, when ``traced``, its per-trial
+    outcome codes.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
@@ -398,11 +374,7 @@ def _run_chunk(
         if by_parity:
             bucket += _ODD_BUCKETS[:b]
         # Every index is in range; mode="clip" writes into out, "raise" would copy it.
-        edge = tables.edge.take(bucket, out=work.edge[:b], mode="clip")
-        above = np.greater_equal(words, edge, out=work.above[:b]).view(np.uint8)
-        key = np.add(bucket, bucket, out=work.key[:b])
-        key += above
-        code = tables.code.take(key, out=outcome[lo : lo + b] if traced else work.code[:b], mode="clip")
+        code = tables.code.take(bucket, out=outcome[lo : lo + b] if traced else work.code[:b], mode="clip")
         counts = np.bincount(code, minlength=_FALLBACK + 1)
         if counts[_FALLBACK]:
             _look_up_exactly(tables, words, code, counts)

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -854,15 +856,33 @@ class TestTable:
         assert "0.1667" in out and "0.3333" in out
 
 
+def module_env():
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(wigner_lab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_module(*args, redirect=""):
     """``python -m wigner_lab ARGS`` in a fresh interpreter, as a user runs it;
     through ``/bin/sh`` with ``redirect`` (such as ``>&-``) when one is given."""
-    src = str(Path(wigner_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "wigner_lab", *args]
     if redirect:
         argv = ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", *argv]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run(argv, env=module_env(), capture_output=True, text=True, timeout=60)
+
+
+def start_module(*args):
+    """``python -m wigner_lab ARGS`` started with its output on pipes and
+    Ctrl-C raising ``KeyboardInterrupt``, as in a terminal, even where this
+    process ignores SIGINT (a background job)."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "wigner_lab", *args],
+        env=module_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
 
 
 class TestEntryPoint:
@@ -889,6 +909,40 @@ class TestEntryPoint:
         lines = proc.stdout.splitlines()  # the trace's 1 + 3 lines, then the results' 1 + 7
         assert lines[0] == "trial,alice_outcome,transform,state,charlie_a,charlie_b"
         assert lines[4] == "section,label,count,freq" and len(lines) == 12
+
+    def test_interrupt_exits_130_without_a_traceback(self, tmp_path):
+        # Ctrl-C while the trace is being written; the file the call created goes
+        trace = tmp_path / "t.csv"
+        proc = start_module("simulate", "-n", str(10**12), "--trace", str(trace))
+        try:
+            deadline = time.monotonic() + 60
+            while not (trace.exists() and trace.stat().st_size) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert (proc.returncode, out, err) == (130, "", "")
+        assert not trace.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize(
+        "args, kept",
+        [(("simulate", "-n", "300000", "--trace", "/dev/stdout"), 50), (("states", "psi_AB", "--format", "json"), 0)],
+        ids=["trace-head", "states-true"],
+    )
+    def test_reader_that_closes_early_exits_141_silently(self, args, kept):
+        # `simulate --trace /dev/stdout | head -c 50` and `states ... | true`
+        proc = start_module(*args)
+        try:
+            assert len(proc.stdout.read(kept)) == kept
+            proc.stdout.close()
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert (proc.returncode, err) == (141, "")
 
     @pytest.mark.parametrize(
         "command, document",

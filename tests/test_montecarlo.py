@@ -226,18 +226,18 @@ class TestSchedule:
 
 WORD_LIMIT = 1 << 64
 
-# every policy kind and mode; biased:0.001 and biased:1e-09 put two bounds in one guide bucket
+# every policy kind and mode; biased:0.001 puts two distinct bounds in one guide bucket
 SETTINGS = [(spec, "collapse") for spec in (*POLICIES, "biased:0.001", "biased:1e-09", "biased:1.0")] + [
     ("uniform", "analytic")
 ]
 
 
 def fake_stream(words):
-    """A stand-in for ``_chunk_uniforms`` whose chunk 0 reads ``words``."""
+    """A stand-in for ``_chunk_uniforms`` whose chunk k reads ``words`` from
+    offset ``k * _CHUNK``."""
 
     def chunk_uniforms(seed, chunk_index):
-        assert chunk_index == 0
-        position = [0]
+        position = [chunk_index * _CHUNK]
 
         def random_raw(size):
             position[0] += size
@@ -285,23 +285,36 @@ class TestCells:
 
     @pytest.mark.parametrize("spec, mode", SETTINGS)
     def test_guide_lookup_matches_searchsorted_at_every_bound_and_bucket_edge(self, monkeypatch, spec, mode):
-        # every word at a bound, one below and one above, at each bucket's
-        # first and last word and at the ends, each at an even and an odd
-        # trial, through the kernel and through the spec's searchsorted
+        # every word at a bound, one below and one above, and each bucket's
+        # first and last word, each at an even and an odd trial, over several
+        # chunks, through the kernel (traced and counts-only) and the spec
         policy = MistakePolicy.parse(spec)
         eps = policy.mistake_probability
         bounds = [b for parity in (0, 1) for b in contract.cells(eps, mode, parity)[0]]
-        edges = [j << montecarlo._BUCKET_SHIFT for j in range(montecarlo._BUCKETS)]
-        words = {w + d for w in bounds + edges for d in (-1, 0, 1)} | {0, WORD_LIMIT - 1}
-        words = np.repeat(np.array(sorted(w for w in words if 0 <= w < WORD_LIMIT), dtype=np.uint64), 2)
-        assert len(words) <= _CHUNK
+        first = np.arange(montecarlo._BUCKETS, dtype=np.uint64) << np.uint64(montecarlo._BUCKET_SHIFT)
+        near = np.array([w + d for w in bounds for d in (-1, 0, 1) if 0 <= w + d < WORD_LIMIT], dtype=np.uint64)
+        words = np.repeat(np.unique(np.concatenate([first, first | np.uint64(montecarlo._BUCKET_LOW), near])), 2)
         monkeypatch.setattr(montecarlo, "_chunk_uniforms", fake_stream(words))
+        config = TrialConfig(len(words), 0, policy, mode)
         chunks = []
-        run_trials(TrialConfig(len(words), 0, policy, mode), collect_traces=chunks.append)
-        expected = contract.outcome_codes(0, len(words), eps, mode, words=lambda seed, chunk, m: words)
-        np.testing.assert_array_equal(chunks[0].outcome, expected)
-        tables = montecarlo._cell_tables(policy, mode)
-        assert (tables.code == montecarlo._FALLBACK).any() == (spec in ("biased:0.001", "biased:1e-09"))
+        traced = run_trials(config, collect_traces=chunks.append)
+        expected = contract.outcome_codes(
+            0, len(words), eps, mode, words=lambda seed, chunk, m: words[chunk * _CHUNK : chunk * _CHUNK + m]
+        )
+        assert len(chunks) > 1
+        np.testing.assert_array_equal(np.concatenate([chunk.outcome for chunk in chunks]), expected)
+        # the counts-only run moves each fallback word's tally to its cell too
+        joint = np.bincount(expected % montecarlo._JOINTS, minlength=montecarlo._JOINTS).reshape(len(STATE_LABELS), -1)
+        for result in (run_trials(config), traced):
+            assert list(result.resultant_states.counts.values()) == joint.sum(axis=1).tolist()
+            assert list(result.charlie.counts.values()) == joint.sum(axis=0).tolist()
+        # a bucket falls back to searchsorted exactly when a bound lies strictly inside it
+        code = montecarlo._cell_tables(policy, mode).code.reshape(-1, montecarlo._BUCKETS)
+        for parity, table in enumerate(code):
+            inside = {b for b in contract.cells(eps, mode, parity)[0] if b & montecarlo._BUCKET_LOW}
+            buckets = {b >> montecarlo._BUCKET_SHIFT for b in inside}
+            assert set(np.flatnonzero(table == montecarlo._FALLBACK).tolist()) == buckets
+            assert len(buckets) < len(inside) or spec != "biased:0.001"  # two distinct bounds share a bucket
 
     @pytest.mark.parametrize("spec, mode", SETTINGS)
     def test_cell_widths_are_exact_probabilities(self, spec, mode):
