@@ -287,13 +287,14 @@ def _dist_json(dist: OutcomeDistribution) -> dict:
 # Trace rows encoded per write; the encoder holds one such block of rows.
 _ROWS = 1 << 13
 
-# Trace CSV row tails, indexed by the TraceChunk outcome code: record -1
-# (analytic mode: no record, no transform), then the records of
-# protocol.RECORDS, each with its 3 states by 4 Charlie outcomes.
+# Trace CSV row tails, indexed by the TraceChunk outcome code branch * 4 +
+# charlie_idx: per montecarlo branch, the outcome and transform of its record
+# in protocol.RECORDS (record -1, analytic mode, reads "-,-", the last entry)
+# and its resultant state.
+_RECORD_FIELDS = [f"{alice.value},{transform}" for alice, transform, _ in protocol.RECORDS] + ["-,-"]
 _TRACE_TAILS = [
-    f",{alice},{transform},{state},{charlie.replace(core.LABEL_SEP, ',')}\n"
-    for alice, transform in [("-", "-")] + [(alice.value, transform) for alice, transform, _ in protocol.RECORDS]
-    for state in montecarlo.STATE_LABELS
+    f",{_RECORD_FIELDS[record]},{montecarlo.STATE_LABELS[state]},{charlie.replace(core.LABEL_SEP, ',')}\n"
+    for record, state in zip(montecarlo._RECORD_OF_BRANCH.tolist(), montecarlo._STATE_OF_BRANCH.tolist())
     for charlie in montecarlo.CHARLIE_LABELS
 ]
 # The tails as ASCII bytes, NUL-padded to one width; no tail holds a NUL.

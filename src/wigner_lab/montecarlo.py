@@ -30,11 +30,6 @@ _CHUNK = 1 << 16
 # block starts at an even trial index.
 _BLOCK = 1 << 13
 
-# Joint bins state_idx * 4 + charlie_idx: trace outcome codes per record.
-_JOINTS = len(STATE_LABELS) * len(CHARLIE_LABELS)
-# The guide-table code of a bucket that has a cell bound strictly inside
-# it: one past the last TraceChunk code.
-_FALLBACK = 5 * _JOINTS
 # A word's guide bucket is its top 16 bits: 65 536 buckets per trial parity.
 _BUCKET_SHIFT = 48
 _BUCKETS = 1 << (64 - _BUCKET_SHIFT)
@@ -51,7 +46,15 @@ MODES = ("collapse", "analytic")
 # ``simulate --check`` passes a label within this many binomial standard deviations.
 SIGMA_BOUND = 4.0
 
-_STATE_OF_RECORD = np.array([STATE_LABELS.index(state) for _, _, state in protocol.RECORDS], dtype=np.intp)
+# A trial's outcome code is its cell (see ``_cells``), ``branch * 4 +
+# charlie_idx``, where branches 0 .. 3 are ``heads * 2 + mistake`` and 4 is
+# analytic mode's.  Per branch: its record ``heads * 2 + apply_h0``, the index
+# of its row in protocol.RECORDS (-1: none), and its resultant state.
+_RECORD_OF_BRANCH = np.array([heads * 2 + (heads ^ mistake) for heads in (0, 1) for mistake in (0, 1)] + [-1])
+_STATE_OF_BRANCH = np.array([STATE_LABELS.index(protocol.RECORDS[r][2]) for r in _RECORD_OF_BRANCH[:-1]] + [0], np.intp)
+_ANALYTIC = 16  # the first code of analytic mode
+# The guide-table code of a bucket with a cell bound strictly inside it.
+_FALLBACK = len(_RECORD_OF_BRANCH) * len(CHARLIE_LABELS)
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,10 @@ class TrialConfig:
 class TraceChunk:
     """The trials ``start .. start + len(outcome) - 1``, one outcome code each.
 
-    The code (uint8) is ``((record + 1) * 3 + state_idx) * 4 + charlie_idx``:
-    ``record`` is ``heads * 2 + apply_h0``, or -1 in analytic mode, where
-    Charlie measures the target state directly, so analytic codes are below
-    12 and collapse codes at or above.  The properties decode the columns:
+    The code (uint8) is the trial's cell ``k`` of the contract (see
+    ``_cells``): ``(heads * 2 + mistake) * 4 + charlie_idx`` in collapse
+    mode, 0 .. 15, and ``16 + charlie_idx`` in analytic mode, where Charlie
+    measures the target state.  The properties decode the columns:
     ``heads`` is Alice's record and ``apply_h0`` whether ``A_h0`` (else
     ``A_t01``) was applied, both None in analytic mode; ``state_idx`` and
     ``charlie_idx`` index ``STATE_LABELS`` and ``CHARLIE_LABELS``.
@@ -134,19 +137,19 @@ class TraceChunk:
 
     @property
     def _analytic(self) -> bool:
-        return not self.outcome.size or self.outcome[0] < _JOINTS
+        return not self.outcome.size or self.outcome[0] >= _ANALYTIC
 
     @property
     def heads(self) -> np.ndarray | None:
-        return None if self._analytic else self.outcome >= 3 * _JOINTS  # record 2 or 3
+        return None if self._analytic else _RECORD_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)] >= 2
 
     @property
     def apply_h0(self) -> np.ndarray | None:
-        return None if self._analytic else self.outcome // _JOINTS % 2 == 0  # record 1 or 3
+        return None if self._analytic else _RECORD_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)] % 2 == 1
 
     @property
     def state_idx(self) -> np.ndarray:
-        return (self.outcome // len(CHARLIE_LABELS) % len(STATE_LABELS)).astype(np.intp)
+        return _STATE_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)]
 
     @property
     def charlie_idx(self) -> np.ndarray:
@@ -205,30 +208,28 @@ def _dyadic(x: float) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _cells(mode: str) -> tuple[tuple[tuple[int, int, tuple[int, int]], ...], np.ndarray]:
+def _cells(mode: str) -> tuple[tuple[int, int, tuple[int, int]], ...]:
     """The cells of one trial in the contract's order, ``(heads * 2 +
     mistake) * 4 + charlie_idx``, or ``charlie_idx`` alone in analytic mode,
     where Charlie measures the target state: each cell's heads, mistake and
     weight without the policy's factor, P(record) * P(Charlie's outcome)
-    exactly (see ``_dyadic``), and each cell's ``TraceChunk`` outcome code.
-    Checks, over every cell, that the resultant state is AB exactly when
-    there is no mistake."""
+    exactly (see ``_dyadic``).  A cell's ``TraceChunk`` outcome code is its
+    index, plus ``_ANALYTIC`` in analytic mode.  Checks, over every cell,
+    that the resultant state is AB exactly when there is no mistake."""
     born = _charlie_born()
     if mode == "analytic":
-        return tuple((0, 0, _dyadic(p)) for p in born[0]), np.arange(len(CHARLIE_LABELS), dtype=np.uint8)
-    cells, codes = [], []
+        return tuple((0, 0, _dyadic(p)) for p in born[0])
+    cells = []
     for heads in (0, 1):
         n, s = _dyadic(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
         for mistake in (0, 1):
-            record = heads * 2 + (heads ^ mistake)
-            state = int(_STATE_OF_RECORD[record])
+            state = int(_STATE_OF_BRANCH[heads * 2 + mistake])
             if (state == 0) == mistake:
                 raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-            for charlie, p in enumerate(born[state]):
+            for p in born[state]:
                 m, t = _dyadic(p)
                 cells.append((heads, mistake, (n * m, s + t)))
-                codes.append(((record + 1) * len(STATE_LABELS) + state) * len(CHARLIE_LABELS) + charlie)
-    return tuple(cells), np.array(codes, dtype=np.uint8)
+    return tuple(cells)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +240,7 @@ def _partial_sums(mode: str, parity: int | None) -> tuple[tuple[int, int], ...]:
     (``alternating``) the cells the trial's parity allows, and A the
     others.  The policy's factor is ``x0`` for an A cell and ``x1`` for a B
     cell (see ``_exact_bounds``)."""
-    cells, _ = _cells(mode)
+    cells = _cells(mode)
     top = max(s for *_, (_, s) in cells)
     a = b = 0
     sums = [(a, b)]
@@ -269,25 +270,25 @@ class _CellTables(NamedTuple):
     bounds[k + 1]`` (``_exact_bounds``).  The guide table splits the words
     into buckets of their top 16 bits, 65 536 per trial parity
     (``alternating`` has a second set, for odd trials, at bucket ``65536 +
-    (w >> 48)``), and ``code[bucket]`` is the trial's ``TraceChunk``
-    outcome code.  A bucket that has a bound strictly inside it, 15 of
-    65 536 at most, holds ``_FALLBACK`` instead, and its words are counted
-    exactly against ``interior[parity]``, the bounds but the first that are
-    below ``2**64``: the count is the cell, and ``code_of_cell`` maps it to
-    its code.
+    (w >> 48)``), and ``code[bucket]`` is the trial's cell, its
+    ``TraceChunk`` outcome code.  A bucket that has a bound strictly inside
+    it, 15 of 65 536 at most, holds ``_FALLBACK`` instead, and its words
+    are counted exactly against ``interior[parity]``, the bounds but the
+    first that are below ``2**64``: the count is the cell's index, and its
+    code adds ``first``, the mode's first code.
     """
 
     code: np.ndarray
     interior: tuple[np.ndarray, ...]
-    code_of_cell: np.ndarray
+    first: int
 
 
-def _guide(interior: list[int], code_of_cell: np.ndarray) -> np.ndarray:
+def _guide(interior: list[int], first: int) -> np.ndarray:
     """The code table of one trial parity (see ``_CellTables``): cell k
     fills the buckets from the one its bound falls in, and a bucket with a
     bound strictly inside it holds ``_FALLBACK`` instead."""
     start = [0, *(bound >> _BUCKET_SHIFT for bound in interior), _BUCKETS]
-    code = np.repeat(code_of_cell[: len(start) - 1], np.diff(start))
+    code = np.repeat(np.arange(first, first + len(start) - 1, dtype=np.uint8), np.diff(start))
     code[[bound >> _BUCKET_SHIFT for bound in interior if bound & _BUCKET_LOW]] = _FALLBACK
     return code
 
@@ -304,10 +305,10 @@ def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
 @lru_cache(maxsize=8)
 def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
     """Build the guide tables of a setting from its exact cell bounds."""
-    code_of_cell = _cells(mode)[1]
+    first = _ANALYTIC if mode == "analytic" else 0
     interiors = [[bound for bound in bounds[1:] if bound < 1 << 64] for bounds in _setting_bounds(policy, mode)]
-    code = np.concatenate([_guide(interior, code_of_cell) for interior in interiors])
-    return _CellTables(code, tuple(np.array(interior, dtype=np.uint64) for interior in interiors), code_of_cell)
+    code = np.concatenate([_guide(interior, first) for interior in interiors])
+    return _CellTables(code, tuple(np.array(interior, dtype=np.uint64) for interior in interiors), first)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
@@ -337,13 +338,12 @@ class _Workspace:
 def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, counts: np.ndarray) -> None:
     """Replace each ``_FALLBACK`` code of a block by the code of its word's
     cell, counted exactly by ``searchsorted`` over the cell bounds, and
-    tally it in ``counts`` under that code (``_run_chunk`` drops the
-    ``_FALLBACK`` bin)."""
+    tally it in ``counts`` under that code too."""
     at = (code == _FALLBACK).nonzero()[0]
     by_parity = len(tables.interior) == 2
     for parity, interior in enumerate(tables.interior):
         here = at[at % 2 == parity] if by_parity else at  # blocks start at even trial indices
-        code[here] = tables.code_of_cell[np.searchsorted(interior, words[here], side="right")]
+        code[here] = np.searchsorted(interior, words[here], side="right") + tables.first
     counts += np.bincount(code[at], minlength=len(counts))
 
 
@@ -356,9 +356,9 @@ def _run_chunk(
     the guide table (see ``_CellTables``): a shift to the word's bucket and
     one ``take`` of its outcome code.  A block tallies its codes with one
     ``bincount``; the words of a ``_FALLBACK`` bucket, under two a block,
-    then go to ``_look_up_exactly``.  Returns the chunk's joint tally (bin
-    ``state_idx * 4 + charlie_idx``) and, when ``traced``, its per-trial
-    outcome codes.
+    then go to ``_look_up_exactly``.  Returns the chunk's tally by outcome
+    code, whose last bin, ``_FALLBACK``, counts the words looked up exactly,
+    and, when ``traced``, its per-trial outcome codes.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
@@ -380,10 +380,7 @@ def _run_chunk(
             _look_up_exactly(tables, words, code, counts)
         code_tally += counts
 
-    tally = code_tally[:_FALLBACK].reshape(-1, _JOINTS).sum(axis=0)
-    if not traced:
-        return tally, None
-    return tally, TraceChunk(start, outcome)
+    return code_tally, TraceChunk(start, outcome) if traced else None
 
 
 def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None] | None = None) -> RunResult:
@@ -404,16 +401,17 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     tables = _cell_tables(config.policy, config.mode)
     traced = collect_traces is not None
     work = _Workspace(min(_BLOCK, config.n_trials))
-    tally = np.zeros(_JOINTS, dtype=np.int64)
+    code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     for chunk_index in range(-(-config.n_trials // _CHUNK)):
         chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
-        tally += chunk_tally
+        code_tally += chunk_tally
         if traced:
             collect_traces(chunk)
 
-    joint = tally.reshape(len(STATE_LABELS), len(CHARLIE_LABELS))
+    joint = code_tally[:_FALLBACK].reshape(len(_STATE_OF_BRANCH), len(CHARLIE_LABELS))  # branch by Charlie
+    states = [int(joint[_STATE_OF_BRANCH == state].sum()) for state in range(len(STATE_LABELS))]
     return RunResult(
-        resultant_states=OutcomeDistribution.from_counts(dict(zip(STATE_LABELS, joint.sum(axis=1).tolist()))),
+        resultant_states=OutcomeDistribution.from_counts(dict(zip(STATE_LABELS, states))),
         charlie=OutcomeDistribution.from_counts(dict(zip(CHARLIE_LABELS, joint.sum(axis=0).tolist()))),
     )
 

@@ -40,11 +40,11 @@ def resultant(heads: int, apply_h0: int) -> int:
     return next(i for i, s in enumerate(STATES) if np.allclose(evolved.amplitudes, named[f"psi_{s}"].amplitudes))
 
 
-def weights(eps: float | None, mode: str, parity: int) -> tuple[list[Fraction], list[int]]:
-    """Each cell's exact weight and TraceChunk code, in the contract's order; eps None is alternating."""
+def weights(eps: float | None, mode: str, parity: int) -> list[Fraction]:
+    """Each cell's exact weight, in the contract's order; eps None is alternating."""
     if mode == "analytic":
-        return [Fraction(p) for p in charlie("AB")], list(range(4))
-    cells, codes = [], []
+        return [Fraction(p) for p in charlie("AB")]
+    cells = []
     for heads in (0, 1):
         for mistake in (0, 1):
             apply_h0 = heads ^ mistake
@@ -52,26 +52,26 @@ def weights(eps: float | None, mode: str, parity: int) -> tuple[list[Fraction], 
             p_heads = protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS
             state = resultant(heads, apply_h0)
             cells += [Fraction(p_heads) * Fraction(p_mistake) * Fraction(p) for p in charlie(STATES[state])]
-            codes += [((heads * 2 + apply_h0 + 1) * 3 + state) * 4 + c for c in range(4)]
-    return cells, codes
+    return cells
 
 
 @lru_cache(maxsize=None)
-def cells(eps: float | None, mode: str, parity: int) -> tuple[list[int], list[int]]:
-    """The bounds b_0 .. b_K, b_k = floor(2**64 S_k / S), and each cell's TraceChunk code."""
-    w, codes = weights(eps, mode, parity)
-    return [sum(w[:k]) * 2**64 // sum(w) for k in range(len(w) + 1)], codes
+def cells(eps: float | None, mode: str, parity: int) -> list[int]:
+    """The bounds b_0 .. b_K, b_k = floor(2**64 S_k / S)."""
+    w = weights(eps, mode, parity)
+    return [sum(w[:k]) * 2**64 // sum(w) for k in range(len(w) + 1)]
 
 
 def outcome_codes(seed: int, n: int, eps: float | None, mode: str, words=chunk_words) -> np.ndarray:
-    """One TraceChunk outcome code per trial: the cell k with b_k <= w < b_k+1."""
+    """One TraceChunk outcome code per trial: the cell k with b_k <= w < b_k+1,
+    or 16 + k in analytic mode."""
     codes = [np.empty(0, dtype=np.uint8)]
     for start in range(0, n, CHUNK):
         w = words(seed, start // CHUNK, min(CHUNK, n - start))
         code, parity = np.empty(len(w), dtype=np.uint8), (start + np.arange(len(w))) % 2
         for p in (0, 1):
-            bounds, code_of_cell = cells(eps, mode, p)
-            k = np.searchsorted(np.array([b for b in bounds if b < 2**64], dtype=np.uint64), w, side="right") - 1
-            code[parity == p] = np.array(code_of_cell, dtype=np.uint8)[k[parity == p]]
+            bounds = np.array([b for b in cells(eps, mode, p) if b < 2**64], dtype=np.uint64)
+            k = np.searchsorted(bounds, w, side="right") - 1
+            code[parity == p] = k[parity == p] + (16 if mode == "analytic" else 0)
         codes.append(code)
     return np.concatenate(codes)

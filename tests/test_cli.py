@@ -724,19 +724,22 @@ class TestClosedStreams:
 
 
 def random_chunk(seed, start, length, analytic):
-    """A chunk of random trials, its outcome codes built from random columns."""
-    rng = np.random.default_rng(seed)
-    record = np.full(length, -1) if analytic else rng.integers(0, 4, length)  # heads * 2 + apply_h0
-    state_idx, charlie_idx = rng.integers(0, 3, length), rng.integers(0, 4, length)
-    return TraceChunk(start, (((record + 1) * 3 + state_idx) * 4 + charlie_idx).astype(np.uint8))
+    """A chunk of random trials: outcome codes drawn from the 16 collapse
+    cells, or from analytic mode's 16 + charlie_idx."""
+    low, high = (16, 20) if analytic else (0, 16)
+    return TraceChunk(start, np.random.default_rng(seed).integers(low, high, length).astype(np.uint8))
 
 
 def reference_rows(chunk):
-    """The row text of a chunk, one Python string per row."""
-    code = chunk.state_idx * 4 + chunk.charlie_idx
-    if chunk.heads is not None:
-        code = code + (chunk.heads * 2 + chunk.apply_h0 + 1) * 12
-    return "".join(str(chunk.start + i) + _TRACE_TAILS[c] for i, c in enumerate(code.tolist())).encode("ascii")
+    """The row text of a chunk, one Python string per row, spelled from its decoded columns."""
+    n = len(chunk.outcome)
+    alice = ["-"] * n if chunk.heads is None else ["h" if heads else "t" for heads in chunk.heads.tolist()]
+    transform = ["-"] * n if chunk.apply_h0 is None else ["A_h0" if h0 else "A_t01" for h0 in chunk.apply_h0.tolist()]
+    columns = zip(alice, transform, chunk.state_idx.tolist(), chunk.charlie_idx.tolist())
+    return "".join(
+        f"{chunk.start + i},{a},{t},{STATE_LABELS[state]},{CHARLIE_LABELS[charlie].replace('_', ',')}\n"
+        for i, (a, t, state, charlie) in enumerate(columns)
+    ).encode("ascii")
 
 
 def encoded_rows(chunk):
@@ -758,8 +761,8 @@ class ByteCounter:
 
 class TestTraceEncoding:
     def test_outcome_codes_spell_their_tails(self):
-        # analytic codes 0..11 (record -1), then collapse codes 12..59
-        for codes in (np.arange(12), np.arange(12, 60)):
+        # the collapse cells 0..15, then analytic codes 16..19
+        for codes in (np.arange(16), np.arange(16, 20)):
             chunk = TraceChunk(0, codes.astype(np.uint8))
             heads, apply_h0 = chunk.heads, chunk.apply_h0
             for i, code in enumerate(codes.tolist()):
@@ -768,7 +771,7 @@ class TestTraceEncoding:
                     alice, transform = "h" if heads[i] else "t", "A_h0" if apply_h0[i] else "A_t01"
                 state, charlie = STATE_LABELS[chunk.state_idx[i]], CHARLIE_LABELS[chunk.charlie_idx[i]]
                 assert _TRACE_TAILS[code] == f",{alice},{transform},{state},{charlie.replace('_', ',')}\n"
-        assert len(_TRACE_TAILS) == 60
+        assert len(_TRACE_TAILS) == 20
 
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
     @pytest.mark.parametrize(

@@ -19,8 +19,14 @@ POLICIES = ("correct", "uniform", "alternating", *(f"biased:{eps!r}" for eps in 
 
 
 def spec_tally(codes: np.ndarray) -> np.ndarray:
-    """Joint tally (state_idx * 4 + charlie_idx) of outcome codes."""
-    return np.bincount(codes % (len(STATE_LABELS) * len(CHARLIE_LABELS)), minlength=12).reshape(3, 4)
+    """Joint tally (state_idx, charlie_idx) of outcome codes: code k = (heads * 2 +
+    mistake) * 4 + charlie_idx is in the state ``contract.resultant`` finds, and
+    analytic mode's 16 + charlie_idx in AB."""
+    joint = np.zeros((len(STATE_LABELS), len(CHARLIE_LABELS)), dtype=np.int64)
+    for branch, tally in enumerate(np.bincount(codes, minlength=20).reshape(5, 4)):
+        heads, mistake = divmod(branch, 2)
+        joint[0 if branch == 4 else contract.resultant(heads, heads ^ mistake)] += tally
+    return joint
 
 
 @settings(max_examples=40, deadline=None)
@@ -51,6 +57,22 @@ def test_run_trials_follows_the_contract(seed, n, spec, mode):
     for result in (traced, counts):
         assert [result.resultant_states.counts[label] for label in STATE_LABELS] == joint.sum(axis=1).tolist()
         assert [result.charlie.counts[label] for label in CHARLIE_LABELS] == joint.sum(axis=0).tolist()
+
+
+def test_outcome_code_is_the_contract_cell():
+    # TraceChunk decodes code k = (heads * 2 + mistake) * 4 + charlie_idx into k's cell
+    collapse = montecarlo.TraceChunk(0, np.arange(16, dtype=np.uint8))
+    for k in range(16):
+        heads, mistake = k >= 8, k // 4 % 2 == 1
+        assert collapse.heads[k] == heads
+        assert collapse.apply_h0[k] == heads ^ mistake
+        assert collapse.state_idx[k] == contract.resultant(heads, heads ^ mistake)
+        assert collapse.charlie_idx[k] == k % 4
+    # analytic mode's 16 + charlie_idx: no record, and Charlie measures AB
+    analytic = montecarlo.TraceChunk(0, np.arange(16, 20, dtype=np.uint8))
+    assert analytic.heads is None and analytic.apply_h0 is None
+    assert analytic.state_idx.tolist() == [contract.STATES.index("AB")] * 4
+    assert analytic.charlie_idx.tolist() == [0, 1, 2, 3]
 
 
 def test_replay_from_provenance_and_config(capsys):

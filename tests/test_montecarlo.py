@@ -15,9 +15,11 @@ from wigner_lab import core, montecarlo, protocol
 from wigner_lab.montecarlo import (
     _BLOCK,
     _CHUNK,
+    CHARLIE_LABELS,
     STATE_LABELS,
     MistakePolicy,
     RunResult,
+    TraceChunk,
     TrialConfig,
     analytic_mistake_table,
     compare_distributions,
@@ -290,7 +292,7 @@ class TestCells:
         # chunks, through the kernel (traced and counts-only) and the spec
         policy = MistakePolicy.parse(spec)
         eps = policy.mistake_probability
-        bounds = [b for parity in (0, 1) for b in contract.cells(eps, mode, parity)[0]]
+        bounds = [b for parity in (0, 1) for b in contract.cells(eps, mode, parity)]
         first = np.arange(montecarlo._BUCKETS, dtype=np.uint64) << np.uint64(montecarlo._BUCKET_SHIFT)
         near = np.array([w + d for w in bounds for d in (-1, 0, 1) if 0 <= w + d < WORD_LIMIT], dtype=np.uint64)
         words = np.repeat(np.unique(np.concatenate([first, first | np.uint64(montecarlo._BUCKET_LOW), near])), 2)
@@ -304,14 +306,16 @@ class TestCells:
         assert len(chunks) > 1
         np.testing.assert_array_equal(np.concatenate([chunk.outcome for chunk in chunks]), expected)
         # the counts-only run moves each fallback word's tally to its cell too
-        joint = np.bincount(expected % montecarlo._JOINTS, minlength=montecarlo._JOINTS).reshape(len(STATE_LABELS), -1)
+        columns = TraceChunk(0, expected)
+        states = np.bincount(columns.state_idx, minlength=len(STATE_LABELS)).tolist()
+        charlie = np.bincount(columns.charlie_idx, minlength=len(CHARLIE_LABELS)).tolist()
         for result in (run_trials(config), traced):
-            assert list(result.resultant_states.counts.values()) == joint.sum(axis=1).tolist()
-            assert list(result.charlie.counts.values()) == joint.sum(axis=0).tolist()
+            assert list(result.resultant_states.counts.values()) == states
+            assert list(result.charlie.counts.values()) == charlie
         # a bucket falls back to searchsorted exactly when a bound lies strictly inside it
         code = montecarlo._cell_tables(policy, mode).code.reshape(-1, montecarlo._BUCKETS)
         for parity, table in enumerate(code):
-            inside = {b for b in contract.cells(eps, mode, parity)[0] if b & montecarlo._BUCKET_LOW}
+            inside = {b for b in contract.cells(eps, mode, parity) if b & montecarlo._BUCKET_LOW}
             buckets = {b >> montecarlo._BUCKET_SHIFT for b in inside}
             assert set(np.flatnonzero(table == montecarlo._FALLBACK).tolist()) == buckets
             assert len(buckets) < len(inside) or spec != "biased:0.001"  # two distinct bounds share a bucket
@@ -320,23 +324,28 @@ class TestCells:
     def test_cell_widths_are_exact_probabilities(self, spec, mode):
         policy = MistakePolicy.parse(spec)
         for parity in (0, 1):
-            weights, codes = contract.weights(policy.mistake_probability, mode, parity)
+            weights = contract.weights(policy.mistake_probability, mode, parity)
             bounds = montecarlo._setting_bounds(policy, mode)[parity if spec == "alternating" else 0]
-            assert bounds == contract.cells(policy.mistake_probability, mode, parity)[0]
+            assert bounds == contract.cells(policy.mistake_probability, mode, parity)
             total = sum(weights)
             for k, weight in enumerate(weights):
                 assert abs(Fraction(bounds[k + 1] - bounds[k], WORD_LIMIT) - weight / total) <= Fraction(1, WORD_LIMIT)
             if policy.mistake_probability is None:
                 continue
-            # per resultant state, the cells add up to the closed form
+            # per resultant state, the cells add up to the closed form; cell k
+            # has heads k >= 8 and a mistake when bit 2 of k is set
             expected = expected_resultant_states(TrialConfig(1, 0, policy, mode))
-            for index, label in enumerate(STATE_LABELS):
-                width = sum(bounds[k + 1] - bounds[k] for k, code in enumerate(codes) if code // 4 % 3 == index)
+            widths = dict.fromkeys(STATE_LABELS, 0)
+            for k in range(len(weights)):
+                heads, mistake = divmod(k // 4, 2)
+                state = "AB" if mode == "analytic" else contract.STATES[contract.resultant(heads, heads ^ mistake)]
+                widths[state] += bounds[k + 1] - bounds[k]
+            for label, width in widths.items():
                 assert abs(width / WORD_LIMIT - expected.probability(label)) <= 1e-15
 
     def test_corrupted_cell_table_raises(self, monkeypatch):
         # tails with no mistake now claims ABth: the table build refuses it
-        monkeypatch.setattr(montecarlo, "_STATE_OF_RECORD", montecarlo._STATE_OF_RECORD[[1, 0, 2, 3]])
+        monkeypatch.setattr(montecarlo, "_STATE_OF_BRANCH", montecarlo._STATE_OF_BRANCH[[1, 0, 2, 3]])
         with pytest.raises(AssertionError, match="AB exactly when the transform matches the record"):
             montecarlo._cells.__wrapped__("collapse")
 
@@ -385,14 +394,14 @@ class TestTraces:
 
     @pytest.mark.parametrize("mode", ["collapse", "analytic"])
     def test_outcome_is_one_uint8_code_per_trial(self, mode):
-        # analytic codes have record -1 and lie below 12; collapse codes from 12 to 59
+        # collapse codes are the 16 cells, analytic codes 16 + charlie_idx
         n = _CHUNK + 3 * _BLOCK + 11
         chunks = []
         run_trials(TrialConfig(n, 37, MistakePolicy("uniform"), mode=mode), collect_traces=chunks.append)
         assert [c.outcome.dtype for c in chunks] == [np.uint8, np.uint8]
         assert [len(c.outcome) for c in chunks] == [_CHUNK, n - _CHUNK]
         outcome = np.concatenate([c.outcome for c in chunks])
-        low, high = (0, 12) if mode == "analytic" else (12, 60)
+        low, high = (16, 20) if mode == "analytic" else (0, 16)
         assert low <= outcome.min() and outcome.max() < high
 
     def test_traces_off_by_default(self):
@@ -459,7 +468,8 @@ class TestRecords:
             assert row.p_joint == row.p_initial * row.p_transform
 
     def test_records_agree_with_the_kernel(self):
-        assert [STATE_LABELS[i] for i in montecarlo._STATE_OF_RECORD] == [state for _, _, state in RECORDS]
+        # per branch heads * 2 + mistake, then analytic mode's
+        assert [STATE_LABELS[i] for i in montecarlo._STATE_OF_BRANCH] == ["AB", "ABth", "AB", "ABht", "AB"]
         _, columns, _ = run_traced(TrialConfig(3_000, 41, MistakePolicy.biased(0.4)))
         record = columns["heads"] * 2 + columns["apply_h0"]
         assert sorted(set(record.tolist())) == [0, 1, 2, 3]
