@@ -12,8 +12,11 @@ when traced, calls the sink with each chunk in trial order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,6 +78,8 @@ class MistakePolicy:
         if self.kind == "biased":
             if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
                 raise ValueError(f"biased policy needs epsilon in [0, 1], got {self.epsilon!r}")
+            # the cell bounds and ``spec`` read eps as a double; + 0.0 turns -0.0 into 0.0
+            object.__setattr__(self, "epsilon", float(self.epsilon) + 0.0)
         elif self.epsilon is not None:
             raise ValueError(f"policy {self.kind!r} does not take an epsilon")
 
@@ -111,6 +116,11 @@ class TrialConfig:
     mode: str = "collapse"
 
     def __post_init__(self):
+        for name in ("n_trials", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_trials < 0:
             raise ValueError("n_trials must be >= 0")
         if not 0 <= self.seed < 1 << 64:
@@ -201,73 +211,37 @@ def _charlie_born() -> tuple[tuple[float, ...], ...]:
     )
 
 
-def _dyadic(x: float) -> tuple[int, int]:
-    """The double ``x`` exactly, as ``(n, s)`` with ``x == n / 2**s``."""
-    n, d = x.as_integer_ratio()
-    return n, d.bit_length() - 1
-
-
 @lru_cache(maxsize=None)
-def _cells(mode: str) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+def _cells(mode: str) -> tuple[tuple[int, int, int], ...]:
     """The cells of one trial in the contract's order, ``(heads * 2 +
     mistake) * 4 + charlie_idx``, or ``charlie_idx`` alone in analytic mode,
     where Charlie measures the target state: each cell's heads, mistake and
     weight without the policy's factor, P(record) * P(Charlie's outcome)
-    exactly (see ``_dyadic``).  A cell's ``TraceChunk`` outcome code is its
-    index, plus ``_ANALYTIC`` in analytic mode.  Checks, over every cell,
-    that the resultant state is AB exactly when there is no mistake."""
+    exactly, as an integer at one power-of-two scale (a double's
+    denominator is a power of two).  A cell's ``TraceChunk`` outcome code is
+    its index, plus ``_ANALYTIC`` in analytic mode.  Checks, over every
+    cell, that the resultant state is AB exactly when there is no mistake."""
     born = _charlie_born()
     if mode == "analytic":
-        return tuple((0, 0, _dyadic(p)) for p in born[0])
-    cells = []
-    for heads in (0, 1):
-        n, s = _dyadic(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
-        for mistake in (0, 1):
-            state = int(_STATE_OF_BRANCH[heads * 2 + mistake])
-            if (state == 0) == mistake:
-                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-            for p in born[state]:
-                m, t = _dyadic(p)
-                cells.append((heads, mistake, (n * m, s + t)))
-    return tuple(cells)
-
-
-@lru_cache(maxsize=None)
-def _partial_sums(mode: str, parity: int | None) -> tuple[tuple[int, int], ...]:
-    """For k = 0 .. 16 (0 .. 4 in analytic mode), the sums ``(A_k, B_k)``
-    of the first k cells' weights (see ``_cells``) in exact integers at one
-    power-of-two scale: B sums the mistake cells, or for a ``parity``
-    (``alternating``) the cells the trial's parity allows, and A the
-    others.  The policy's factor is ``x0`` for an A cell and ``x1`` for a B
-    cell (see ``_exact_bounds``)."""
-    cells = _cells(mode)
-    top = max(s for *_, (_, s) in cells)
-    a = b = 0
-    sums = [(a, b)]
-    for heads, mistake, (n, s) in cells:
-        if (mistake if parity is None else heads ^ mistake == 1 - parity):
-            b += n << (top - s)
-        else:
-            a += n << (top - s)
-        sums.append((a, b))
-    return tuple(sums)
-
-
-def _exact_bounds(sums: tuple[tuple[int, int], ...], x0: float, x1: float) -> list[int]:
-    """The cumulative bounds ``floor(2**64 * S_k / S)``, where ``S_k = x0 *
-    A_k + x1 * B_k`` for ``(A_k, B_k) = sums[k]`` and ``S`` is the last
-    ``S_k``, exactly: a double is ``n / 2**s`` (``_dyadic``)."""
-    (n0, s0), (n1, s1) = _dyadic(x0), _dyadic(x1)
-    n0, n1 = n0 << s1, n1 << s0  # over the common denominator 2**(s0 + s1)
-    total = n0 * sums[-1][0] + n1 * sums[-1][1]
-    return [((n0 * a + n1 * b) << 64) // total for a, b in sums]
+        cells = [(0, 0, Fraction(p)) for p in born[0]]
+    else:
+        cells = []
+        for heads in (0, 1):
+            p_heads = Fraction(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
+            for mistake in (0, 1):
+                state = int(_STATE_OF_BRANCH[heads * 2 + mistake])
+                if (state == 0) == mistake:
+                    raise AssertionError("resultant state must be AB exactly when the transform matches the record")
+                cells += [(heads, mistake, p_heads * Fraction(p)) for p in born[state]]
+    scale = max(weight.denominator for *_, weight in cells)
+    return tuple((heads, mistake, int(weight * scale)) for heads, mistake, weight in cells)
 
 
 class _CellTables(NamedTuple):
     """The inverse-CDF lookup of one setting (policy and mode).
 
     A trial's word ``w`` falls in cell ``k`` when ``bounds[k] <= w <
-    bounds[k + 1]`` (``_exact_bounds``).  The guide table splits the words
+    bounds[k + 1]`` (``_setting_bounds``).  The guide table splits the words
     into buckets of their top 16 bits, 65 536 per trial parity
     (``alternating`` has a second set, for odd trials, at bucket ``65536 +
     (w >> 48)``), and ``code[bucket]`` is the trial's cell, its
@@ -294,12 +268,22 @@ def _guide(interior: list[int], first: int) -> np.ndarray:
 
 
 def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
-    """The cell bounds of a setting, one list per trial parity: two for
-    ``alternating``, which applies A_h0 on even trials, else one."""
+    """The cell bounds ``floor(2**64 * S_k / S)`` of a setting, exactly, one
+    list per trial parity: two for ``alternating``, which applies A_h0 on
+    even trials, else one.  ``S_k`` sums the first k cells' weights (see
+    ``_cells``), each times the policy's factor over one denominator: eps
+    for a mistake cell and 1 - eps for any other, or under ``alternating``
+    1 for a cell whose transform the trial's parity applies and 0
+    otherwise."""
+    cells = _cells(mode)
     eps = policy.mistake_probability if mode == "collapse" else 0.0
     if eps is None:
-        return [_exact_bounds(_partial_sums(mode, parity), 0.0, 1.0) for parity in (0, 1)]
-    return [_exact_bounds(_partial_sums(mode, None), 1.0 - eps, eps)]
+        factors = [[int(heads ^ mistake != parity) for heads, mistake, _ in cells] for parity in (0, 1)]
+    else:
+        (n0, d0), (n1, d1) = (1.0 - eps).as_integer_ratio(), eps.as_integer_ratio()
+        factors = [[n1 * d0 if mistake else n0 * d1 for _, mistake, _ in cells]]
+    sums = [list(accumulate((f * weight for f, (_, _, weight) in zip(factor, cells)), initial=0)) for factor in factors]
+    return [[(s_k << 64) // s[-1] for s_k in s] for s in sums]
 
 
 @lru_cache(maxsize=8)
@@ -326,15 +310,6 @@ def provenance() -> dict:
     return {"rng": "philox", "chunk_trials": _CHUNK, "words_per_trial": WORDS_PER_TRIAL, "contract": CONTRACT}
 
 
-class _Workspace:
-    """Block buffers that a run allocates once and reuses from block to
-    block and chunk to chunk; they are freed when the run ends."""
-
-    def __init__(self, size: int):
-        self.bucket = np.empty(size, dtype=np.uint64)
-        self.code = np.empty(size, dtype=np.uint8)
-
-
 def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, counts: np.ndarray) -> None:
     """Replace each ``_FALLBACK`` code of a block by the code of its word's
     cell, counted exactly by ``searchsorted`` over the cell bounds, and
@@ -348,7 +323,7 @@ def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, c
 
 
 def _run_chunk(
-    config: TrialConfig, chunk_index: int, tables: _CellTables, work: _Workspace, traced: bool = False
+    config: TrialConfig, chunk_index: int, tables: _CellTables, traced: bool = False
 ) -> tuple[np.ndarray, TraceChunk | None]:
     """Run the trials of one chunk, ``_BLOCK`` trials at a time.
 
@@ -366,15 +341,17 @@ def _run_chunk(
     by_parity = len(tables.interior) == 2
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     outcome = np.empty(m, dtype=np.uint8) if traced else None
+    block_bucket = np.empty(min(_BLOCK, m), dtype=np.uint64)
+    block_code = np.empty(min(_BLOCK, m), dtype=np.uint8)
 
     for lo in range(0, m, _BLOCK):
         b = min(_BLOCK, m - lo)
         words = draw_words(b)
-        bucket = np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=work.bucket[:b]).view(np.intp)
+        bucket = np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=block_bucket[:b]).view(np.intp)
         if by_parity:
             bucket += _ODD_BUCKETS[:b]
         # Every index is in range; mode="clip" writes into out, "raise" would copy it.
-        code = tables.code.take(bucket, out=outcome[lo : lo + b] if traced else work.code[:b], mode="clip")
+        code = tables.code.take(bucket, out=outcome[lo : lo + b] if traced else block_code[:b], mode="clip")
         counts = np.bincount(code, minlength=_FALLBACK + 1)
         if counts[_FALLBACK]:
             _look_up_exactly(tables, words, code, counts)
@@ -392,7 +369,7 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     Trial ``i`` reads word ``i % _CHUNK`` of the Philox stream keyed by
     (seed, ``i // _CHUNK``) and takes the cell of the joint outcome (heads,
     mistake, Charlie) that the word falls in, by inverse CDF over exact
-    integer bounds (``_exact_bounds``).  So results depend only on (seed,
+    integer bounds (``_setting_bounds``).  So results depend only on (seed,
     n_trials, policy, mode).
 
     The chunks run in order on the calling thread, which sums their
@@ -400,10 +377,9 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     """
     tables = _cell_tables(config.policy, config.mode)
     traced = collect_traces is not None
-    work = _Workspace(min(_BLOCK, config.n_trials))
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     for chunk_index in range(-(-config.n_trials // _CHUNK)):
-        chunk_tally, chunk = _run_chunk(config, chunk_index, tables, work, traced)
+        chunk_tally, chunk = _run_chunk(config, chunk_index, tables, traced)
         code_tally += chunk_tally
         if traced:
             collect_traces(chunk)

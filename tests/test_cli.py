@@ -853,6 +853,12 @@ class TestTable:
         assert [row["p_joint"] for row in wrong] == [aggregate["ABht"], aggregate["ABth"]]
         assert aggregate["AB"] == 1.0 - eps
 
+    def test_negative_zero_epsilon_prints_as_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--policy", "biased:-0.0", "--format", "csv")
+        assert code == 0
+        assert "-0.0" not in out
+        assert out == run_cli(capsys, "table", "--policy", "biased:0.0", "--format", "csv")[1]
+
     def test_pretty_matches_mechanism_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--policy", "uniform")
         assert code == 0

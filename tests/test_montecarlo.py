@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import contract
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wigner_lab import core, montecarlo, protocol
 from wigner_lab.montecarlo import (
@@ -62,6 +64,15 @@ class TestMistakePolicy:
         with pytest.raises(ValueError, match="epsilon"):
             MistakePolicy("uniform", 0.5)
 
+    def test_a_fraction_epsilon_samples_as_its_double(self):
+        runs = [run_trials(TrialConfig(10_000, 5, MistakePolicy("biased", eps))) for eps in (Fraction(1, 3), 1 / 3)]
+        assert runs[0].resultant_states.counts == runs[1].resultant_states.counts
+        assert runs[0].charlie.counts == runs[1].charlie.counts
+
+    def test_a_fraction_epsilon_has_a_spec_that_parses_back(self):
+        policy = MistakePolicy("biased", Fraction(1, 3))
+        assert MistakePolicy.parse(policy.spec()) == policy == MistakePolicy.biased(1 / 3)
+
 
 class TestTrialConfig:
     def test_rejects_negative_trials(self):
@@ -75,6 +86,15 @@ class TestTrialConfig:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             TrialConfig(1, 0, MistakePolicy("uniform"), mode="exact")
+
+    @pytest.mark.parametrize("n_trials, seed, name", [(2.5, 0, "n_trials"), (1000, 1.5, "seed"), (10, "7", "seed")])
+    def test_rejects_non_integers(self, n_trials, seed, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrialConfig(n_trials, seed, MistakePolicy("uniform"))
+
+    def test_stores_numpy_integers_as_python_ints(self):
+        config = TrialConfig(np.int64(10), np.uint64(1 << 63), MistakePolicy("uniform"))
+        assert (type(config.n_trials), type(config.seed)) == (int, int)
 
 
 class TestAnalyticTable:
@@ -342,6 +362,16 @@ class TestCells:
                 widths[state] += bounds[k + 1] - bounds[k]
             for label, width in widths.items():
                 assert abs(width / WORD_LIMIT - expected.probability(label)) <= 1e-15
+
+    @pytest.mark.parametrize("mode", montecarlo.MODES)
+    @settings(max_examples=50, deadline=None)
+    @given(eps=st.floats(0, 1))
+    @example(eps=0.0)
+    @example(eps=5e-324)  # the least subnormal
+    @example(eps=1.0 - 2.0**-53)  # the greatest double below 1
+    @example(eps=1.0)
+    def test_biased_bounds_follow_the_contract_for_any_epsilon(self, mode, eps):
+        assert montecarlo._setting_bounds(MistakePolicy.biased(eps), mode) == [contract.cells(eps, mode, 0)]
 
     def test_corrupted_cell_table_raises(self, monkeypatch):
         # tails with no mistake now claims ABth: the table build refuses it
