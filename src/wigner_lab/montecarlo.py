@@ -6,15 +6,15 @@ Hadamard-basis observable on the resulting register.
 
 Randomness is counter-based (Philox keyed by master seed and chunk index)
 so results depend only on (seed, trial index).  A run works through its
-chunks in order on the calling thread, sums their integer tallies and,
-when traced, calls the sink with each chunk in trial order.
+chunks in order on the calling thread, re-keying its one Philox for each,
+sums their integer tallies and, when traced, calls the sink with each
+chunk in trial order.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -29,9 +29,10 @@ CHARLIE_LABELS = tuple(core.LABEL_SEP.join((a, b)) for a in protocol.CHARLIE_LAB
 
 _CHUNK = 1 << 16
 # Trials per block inside a chunk: a block's words and work buffers
-# (about 0.14 MB) stay in a core's L2 cache.  Even, like _CHUNK, so every
+# (about 0.5 MB with bincount's intp copy of the codes and the odd-trial
+# offsets) stay in a core's 2 MB L2 cache.  Even, like _CHUNK, so every
 # block starts at an even trial index.
-_BLOCK = 1 << 13
+_BLOCK = 1 << 14
 
 # A word's guide bucket is its top 16 bits: 65 536 buckets per trial parity.
 _BUCKET_SHIFT = 48
@@ -85,7 +86,7 @@ class MistakePolicy:
 
     @classmethod
     def biased(cls, epsilon: float) -> MistakePolicy:
-        return cls("biased", float(epsilon))
+        return cls("biased", epsilon)
 
     @classmethod
     def parse(cls, text: str) -> MistakePolicy:
@@ -221,6 +222,10 @@ def _cells(mode: str) -> tuple[tuple[int, int, int], ...]:
     denominator is a power of two).  A cell's ``TraceChunk`` outcome code is
     its index, plus ``_ANALYTIC`` in analytic mode.  Checks, over every
     cell, that the resultant state is AB exactly when there is no mistake."""
+    # only the first table build of each mode needs it: a CLI process that
+    # builds none does not import fractions (and decimal with it)
+    from fractions import Fraction
+
     born = _charlie_born()
     if mode == "analytic":
         cells = [(0, 0, Fraction(p)) for p in born[0]]
@@ -295,11 +300,24 @@ def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
     return _CellTables(code, tuple(np.array(interior, dtype=np.uint64) for interior in interiors), first)
 
 
-def _chunk_uniforms(seed: int, chunk_index: int) -> np.random.Generator:
-    """The Philox stream of one chunk, keyed by (seed, chunk index); the
-    kernel reads it as raw words (``bit_generator.random_raw``), one per
-    trial, in trial order."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+def _chunk_words(philox: np.random.Philox, seed: int, chunk_index: int) -> Callable[[int], np.ndarray]:
+    """Re-key a run's Philox to chunk ``chunk_index`` of ``seed`` and return
+    its ``random_raw``, which the kernel calls for one raw word per trial,
+    in trial order.  The state set here is a fresh ``Philox(key=(seed,
+    chunk_index))``'s: key (seed, chunk index), counter 0 and an empty
+    buffer, so the chunk reads that stream's words from its first.  Setting
+    the documented ``state`` dict costs about 1 µs, where constructing a
+    Philox costs about 11 µs: it seeds a ``SeedSequence`` first, from OS
+    entropy when given a key that then overrides it."""
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, chunk_index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # all four buffered words used: the next call computes a block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return philox.random_raw
 
 
 def provenance() -> dict:
@@ -323,21 +341,22 @@ def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, c
 
 
 def _run_chunk(
-    config: TrialConfig, chunk_index: int, tables: _CellTables, traced: bool = False
+    config: TrialConfig, chunk_index: int, tables: _CellTables, philox: np.random.Philox, traced: bool = False
 ) -> tuple[np.ndarray, TraceChunk | None]:
-    """Run the trials of one chunk, ``_BLOCK`` trials at a time.
+    """Run the trials of one chunk on the run's ``philox``, re-keyed for the
+    chunk by ``_chunk_words``, ``_BLOCK`` trials at a time.
 
     Each block draws one raw Philox word per trial and looks its cell up in
     the guide table (see ``_CellTables``): a shift to the word's bucket and
     one ``take`` of its outcome code.  A block tallies its codes with one
-    ``bincount``; the words of a ``_FALLBACK`` bucket, under two a block,
+    ``bincount``; the words of a ``_FALLBACK`` bucket, under four a block,
     then go to ``_look_up_exactly``.  Returns the chunk's tally by outcome
     code, whose last bin, ``_FALLBACK``, counts the words looked up exactly,
     and, when ``traced``, its per-trial outcome codes.
     """
     start = chunk_index * _CHUNK
     m = min(_CHUNK, config.n_trials - start)
-    draw_words = _chunk_uniforms(config.seed, chunk_index).bit_generator.random_raw
+    draw_words = _chunk_words(philox, config.seed, chunk_index)
     by_parity = len(tables.interior) == 2
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     outcome = np.empty(m, dtype=np.uint8) if traced else None
@@ -373,13 +392,16 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     n_trials, policy, mode).
 
     The chunks run in order on the calling thread, which sums their
-    tallies and, on a traced run, calls the sink after each chunk.
+    tallies and, on a traced run, calls the sink after each chunk.  The
+    run constructs one Philox, its own, and re-keys it before each chunk
+    (``_chunk_words``); no other run shares it.
     """
     tables = _cell_tables(config.policy, config.mode)
     traced = collect_traces is not None
+    philox = np.random.Philox(0)  # its key is set before each chunk
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     for chunk_index in range(-(-config.n_trials // _CHUNK)):
-        chunk_tally, chunk = _run_chunk(config, chunk_index, tables, traced)
+        chunk_tally, chunk = _run_chunk(config, chunk_index, tables, philox, traced)
         code_tally += chunk_tally
         if traced:
             collect_traces(chunk)

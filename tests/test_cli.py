@@ -900,6 +900,12 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout
 
+    def test_importing_the_cli_leaves_out_fractions(self):
+        # only a table build imports fractions (and decimal with it)
+        code = "import sys, wigner_lab.cli; sys.exit(sorted({'fractions', 'decimal'} & set(sys.modules)) or None)"
+        proc = subprocess.run([sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_closed_stdout_exits_2(self):
         proc = run_module("verify", redirect=">&-")
         assert proc.returncode == 2

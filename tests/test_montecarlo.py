@@ -3,9 +3,9 @@ determinism, and agreement with the exact state machinery."""
 
 import dataclasses
 import inspect
+import sys
 import threading
 from fractions import Fraction
-from types import SimpleNamespace
 
 import contract
 import numpy as np
@@ -57,8 +57,9 @@ class TestMistakePolicy:
             MistakePolicy.parse(text)
 
     def test_epsilon_range(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            MistakePolicy.biased(-0.1)
+        for epsilon in (-0.1, None):
+            with pytest.raises(ValueError, match="epsilon"):
+                MistakePolicy.biased(epsilon)
 
     def test_named_policies_take_no_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -211,27 +212,27 @@ class TestSchedule:
 
     def test_counts_run_draws_chunks_in_order_on_calling_thread(self, monkeypatch):
         draws = []
-        original = montecarlo._chunk_uniforms
+        original = montecarlo._chunk_words
 
-        def recording(seed, chunk_index):
+        def recording(philox, seed, chunk_index):
             draws.append((threading.get_ident(), chunk_index))
-            return original(seed, chunk_index)
+            return original(philox, seed, chunk_index)
 
-        monkeypatch.setattr(montecarlo, "_chunk_uniforms", recording)
+        monkeypatch.setattr(montecarlo, "_chunk_words", recording)
         run_trials(TrialConfig(self.N_FIVE_CHUNKS, 3, MistakePolicy("uniform")))
         assert draws == [(threading.get_ident(), chunk_index) for chunk_index in range(5)]
 
     def test_chunk_error_reaches_caller_and_stops_the_run(self, monkeypatch):
         started = []
-        original = montecarlo._chunk_uniforms
+        original = montecarlo._chunk_words
 
-        def failing(seed, chunk_index):
+        def failing(philox, seed, chunk_index):
             started.append(chunk_index)
             if chunk_index == 2:
                 raise RuntimeError("chunk 2 failed")
-            return original(seed, chunk_index)
+            return original(philox, seed, chunk_index)
 
-        monkeypatch.setattr(montecarlo, "_chunk_uniforms", failing)
+        monkeypatch.setattr(montecarlo, "_chunk_words", failing)
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             run_trials(TrialConfig(self.N_FIVE_CHUNKS, 5, MistakePolicy("uniform")))
         assert started == [0, 1, 2]
@@ -245,6 +246,42 @@ class TestSchedule:
         )
         assert calls == [(threading.get_ident(), start) for start in range(0, n, _CHUNK)]
 
+    def test_a_run_constructs_one_philox(self, monkeypatch):
+        constructed = []
+        original = np.random.Philox
+
+        def counting(*args, **kwargs):
+            constructed.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        run_trials(TrialConfig(self.N_FIVE_CHUNKS, 6, MistakePolicy("uniform")))
+        assert len(constructed) == 1
+
+    def test_concurrent_runs_do_not_share_a_philox(self):
+        # two seeds at once in two threads give what each gives alone
+        configs = [TrialConfig(self.N_FIVE_CHUNKS, seed, MistakePolicy("uniform")) for seed in (11, 12)]
+        alone = [run_traced(config)[1]["charlie_idx"] for config in configs]
+        start, together = threading.Barrier(len(configs)), [None] * len(configs)
+
+        def run(i):
+            start.wait()
+            together[i] = run_traced(configs[i])[1]["charlie_idx"]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expected, got in zip(alone, together):
+            np.testing.assert_array_equal(got, expected)
+
 
 WORD_LIMIT = 1 << 64
 
@@ -255,19 +292,19 @@ SETTINGS = [(spec, "collapse") for spec in (*POLICIES, "biased:0.001", "biased:1
 
 
 def fake_stream(words):
-    """A stand-in for ``_chunk_uniforms`` whose chunk k reads ``words`` from
+    """A stand-in for ``_chunk_words`` whose chunk k reads ``words`` from
     offset ``k * _CHUNK``."""
 
-    def chunk_uniforms(seed, chunk_index):
+    def chunk_words(philox, seed, chunk_index):
         position = [chunk_index * _CHUNK]
 
         def random_raw(size):
             position[0] += size
             return words[position[0] - size : position[0]]
 
-        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+        return random_raw
 
-    return chunk_uniforms
+    return chunk_words
 
 
 class TestRawWords:
@@ -276,17 +313,17 @@ class TestRawWords:
     def test_a_chunk_reads_one_word_per_trial(self, monkeypatch):
         # a chunk of m trials reads exactly the stream's first m words
         streams = []
-        original = montecarlo._chunk_uniforms
+        original = montecarlo._chunk_words
 
-        def recording(seed, chunk_index):
-            streams.append(original(seed, chunk_index))
+        def recording(philox, seed, chunk_index):
+            streams.append(original(philox, seed, chunk_index))
             return streams[-1]
 
-        monkeypatch.setattr(montecarlo, "_chunk_uniforms", recording)
+        monkeypatch.setattr(montecarlo, "_chunk_words", recording)
         m = 2 * _BLOCK + 1_001
         run_trials(TrialConfig(m, 2024, MistakePolicy("uniform")))
-        expected = montecarlo._chunk_uniforms(2024, 0).bit_generator.random_raw(m + 1)[-1]
-        assert streams[0].bit_generator.random_raw() == expected
+        expected = contract.chunk_words(2024, 0, m + 1)[-1]
+        assert streams[0]() == expected
 
     @pytest.mark.parametrize("traced", [False, True], ids=["counts", "traced"])
     def test_epsilon_zero_and_one_are_exact(self, traced):
@@ -302,21 +339,26 @@ class TestRawWords:
             assert sum(result.resultant_states.counts.values()) == n
 
 
+def edge_words(eps, mode):
+    """Every word at a cell bound of the setting, one below and one above,
+    and each bucket's first and last word, each at an even and an odd
+    trial: several chunks of words."""
+    bounds = [b for parity in (0, 1) for b in contract.cells(eps, mode, parity)]
+    first = np.arange(montecarlo._BUCKETS, dtype=np.uint64) << np.uint64(montecarlo._BUCKET_SHIFT)
+    near = np.array([w + d for w in bounds for d in (-1, 0, 1) if 0 <= w + d < WORD_LIMIT], dtype=np.uint64)
+    return np.repeat(np.unique(np.concatenate([first, first | np.uint64(montecarlo._BUCKET_LOW), near])), 2)
+
+
 class TestCells:
     """The kernel's cell bounds and its guide-table lookup."""
 
     @pytest.mark.parametrize("spec, mode", SETTINGS)
     def test_guide_lookup_matches_searchsorted_at_every_bound_and_bucket_edge(self, monkeypatch, spec, mode):
-        # every word at a bound, one below and one above, and each bucket's
-        # first and last word, each at an even and an odd trial, over several
-        # chunks, through the kernel (traced and counts-only) and the spec
+        # the edge words, through the kernel (traced and counts-only) and the spec
         policy = MistakePolicy.parse(spec)
         eps = policy.mistake_probability
-        bounds = [b for parity in (0, 1) for b in contract.cells(eps, mode, parity)]
-        first = np.arange(montecarlo._BUCKETS, dtype=np.uint64) << np.uint64(montecarlo._BUCKET_SHIFT)
-        near = np.array([w + d for w in bounds for d in (-1, 0, 1) if 0 <= w + d < WORD_LIMIT], dtype=np.uint64)
-        words = np.repeat(np.unique(np.concatenate([first, first | np.uint64(montecarlo._BUCKET_LOW), near])), 2)
-        monkeypatch.setattr(montecarlo, "_chunk_uniforms", fake_stream(words))
+        words = edge_words(eps, mode)
+        monkeypatch.setattr(montecarlo, "_chunk_words", fake_stream(words))
         config = TrialConfig(len(words), 0, policy, mode)
         chunks = []
         traced = run_trials(config, collect_traces=chunks.append)
@@ -339,6 +381,29 @@ class TestCells:
             buckets = {b >> montecarlo._BUCKET_SHIFT for b in inside}
             assert set(np.flatnonzero(table == montecarlo._FALLBACK).tolist()) == buckets
             assert len(buckets) < len(inside) or spec != "biased:0.001"  # two distinct bounds share a bucket
+
+    @pytest.mark.parametrize("block", [1 << 13, 6_002], ids=["8192", "6002"])
+    @pytest.mark.parametrize("spec, mode", SETTINGS)
+    def test_block_size_does_not_change_codes_or_tallies(self, monkeypatch, spec, mode, block):
+        # a smaller block, a power of two or not, splits each chunk's edge
+        # words differently and gives the same codes and tallies
+        policy = MistakePolicy.parse(spec)
+        words = edge_words(policy.mistake_probability, mode)
+        monkeypatch.setattr(montecarlo, "_chunk_words", fake_stream(words))
+        config = TrialConfig(len(words), 0, policy, mode)
+
+        def run():
+            chunks = []
+            traced = run_trials(config, collect_traces=chunks.append)
+            counts = run_trials(config)
+            tallies = [(r.resultant_states.counts, r.charlie.counts) for r in (traced, counts)]
+            return np.concatenate([chunk.outcome for chunk in chunks]), tallies
+
+        default_codes, default_tallies = run()
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        codes, tallies = run()
+        np.testing.assert_array_equal(codes, default_codes)
+        assert tallies == default_tallies
 
     @pytest.mark.parametrize("spec, mode", SETTINGS)
     def test_cell_widths_are_exact_probabilities(self, spec, mode):
