@@ -28,10 +28,9 @@ STATE_LABELS = ("AB", *(label.value for label in protocol.WrongStateLabel))
 CHARLIE_LABELS = tuple(core.LABEL_SEP.join((a, b)) for a in protocol.CHARLIE_LABELS for b in protocol.CHARLIE_LABELS)
 
 _CHUNK = 1 << 16
-# Trials per block inside a chunk: a block's words and work buffers
-# (about 0.5 MB with bincount's intp copy of the codes and the odd-trial
-# offsets) stay in a core's 2 MB L2 cache.  Even, like _CHUNK, so every
-# block starts at an even trial index.
+# Trials per block inside a chunk: a block's words, buckets, codes and the
+# odd-trial offsets (about 0.4 MB) stay in a core's 2 MB L2 cache.  Even,
+# like _CHUNK, so every block starts at an even trial index.
 _BLOCK = 1 << 14
 
 # A word's guide bucket is its top 16 bits: 65 536 buckets per trial parity.
@@ -328,55 +327,60 @@ def provenance() -> dict:
     return {"rng": "philox", "chunk_trials": _CHUNK, "words_per_trial": WORDS_PER_TRIAL, "contract": CONTRACT}
 
 
-def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray, counts: np.ndarray) -> None:
+def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray) -> None:
     """Replace each ``_FALLBACK`` code of a block by the code of its word's
-    cell, counted exactly by ``searchsorted`` over the cell bounds, and
-    tally it in ``counts`` under that code too."""
+    cell, counted exactly by ``searchsorted`` over the cell bounds."""
     at = (code == _FALLBACK).nonzero()[0]
     by_parity = len(tables.interior) == 2
     for parity, interior in enumerate(tables.interior):
         here = at[at % 2 == parity] if by_parity else at  # blocks start at even trial indices
         code[here] = np.searchsorted(interior, words[here], side="right") + tables.first
-    counts += np.bincount(code[at], minlength=len(counts))
 
 
-def _run_chunk(
-    config: TrialConfig, chunk_index: int, tables: _CellTables, philox: np.random.Philox, traced: bool = False
-) -> tuple[np.ndarray, TraceChunk | None]:
-    """Run the trials of one chunk on the run's ``philox``, re-keyed for the
-    chunk by ``_chunk_words``, ``_BLOCK`` trials at a time.
+def _tally(code: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The tally of the uint8 ``code`` in ``_FALLBACK + 1`` bins, from one
+    ``bincount`` of two codes per key: each pair, read as one uint16 ``lo +
+    256 * hi`` and copied into the run's intp buffer ``keys`` (``bincount``
+    would cast into a fresh one), lands in a 21 x 256 grid whose rows count
+    the codes ``hi`` and whose first 21 columns the codes ``lo``, in either
+    byte order.  An odd last code is added alone."""
+    pairs = keys[: len(code) // 2]
+    pairs[...] = code[: 2 * len(pairs)].view(np.uint16)
+    grid = np.bincount(pairs, minlength=(_FALLBACK + 1) << 8).reshape(_FALLBACK + 1, -1)[:, : _FALLBACK + 1]
+    tally = (grid + grid.T).sum(axis=0)  # no code lies past _FALLBACK, so each row is whole
+    if len(code) % 2:
+        tally[code[-1]] += 1
+    return tally
 
-    Each block draws one raw Philox word per trial and looks its cell up in
-    the guide table (see ``_CellTables``): a shift to the word's bucket and
-    one ``take`` of its outcome code.  A block tallies its codes with one
-    ``bincount``; the words of a ``_FALLBACK`` bucket, under four a block,
-    then go to ``_look_up_exactly``.  Returns the chunk's tally by outcome
-    code, whose last bin, ``_FALLBACK``, counts the words looked up exactly,
-    and, when ``traced``, its per-trial outcome codes.
+
+def _run_chunk(draw_words: Callable, tables: _CellTables, code: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write into ``code`` the outcome codes of a chunk, whose words
+    ``draw_words`` returns (see ``_chunk_words``), and return their tally.
+    A block of ``_BLOCK`` trials draws one raw word per trial, shifts it to
+    its bucket in ``work``, the run's intp buffer, and takes its code from
+    the guide table (see ``_CellTables``); a ``_FALLBACK`` code, under four
+    a block, is rewritten by ``_look_up_exactly``.  The chunk then tallies
+    its codes once (``_tally``, with ``work`` as its keys).  Beyond the
+    words ``random_raw`` returns, no numpy temporary of 128 KiB or more
+    (glibc's mmap threshold) is made per block or chunk.  RuntimeError when
+    the tally does not sum to the chunk's trials.
     """
-    start = chunk_index * _CHUNK
-    m = min(_CHUNK, config.n_trials - start)
-    draw_words = _chunk_words(philox, config.seed, chunk_index)
     by_parity = len(tables.interior) == 2
-    code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
-    outcome = np.empty(m, dtype=np.uint8) if traced else None
-    block_bucket = np.empty(min(_BLOCK, m), dtype=np.uint64)
-    block_code = np.empty(min(_BLOCK, m), dtype=np.uint8)
-
-    for lo in range(0, m, _BLOCK):
-        b = min(_BLOCK, m - lo)
-        words = draw_words(b)
-        bucket = np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=block_bucket[:b]).view(np.intp)
+    for lo in range(0, len(code), _BLOCK):
+        words = draw_words(min(_BLOCK, len(code) - lo))
+        bucket = work[: len(words)]
+        np.right_shift(words, np.uint64(_BUCKET_SHIFT), out=bucket.view(np.uint64))
         if by_parity:
-            bucket += _ODD_BUCKETS[:b]
+            bucket += _ODD_BUCKETS[: len(words)]
         # Every index is in range; mode="clip" writes into out, "raise" would copy it.
-        code = tables.code.take(bucket, out=outcome[lo : lo + b] if traced else block_code[:b], mode="clip")
-        counts = np.bincount(code, minlength=_FALLBACK + 1)
-        if counts[_FALLBACK]:
-            _look_up_exactly(tables, words, code, counts)
-        code_tally += counts
-
-    return code_tally, TraceChunk(start, outcome) if traced else None
+        block = tables.code.take(bucket, out=code[lo : lo + len(words)], mode="clip")
+        if block.max() == _FALLBACK:
+            _look_up_exactly(tables, words, block)
+        del words  # freed before the next draw, whose 128 KiB then reuses its pages
+    tally = _tally(code, work)
+    if tally.sum() != len(code):
+        raise RuntimeError(f"a chunk tallied {tally.sum()} codes for its {len(code)} trials")
+    return tally
 
 
 def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None] | None = None) -> RunResult:
@@ -392,22 +396,27 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     n_trials, policy, mode).
 
     The chunks run in order on the calling thread, which sums their
-    tallies and, on a traced run, calls the sink after each chunk.  The
-    run constructs one Philox, its own, and re-keys it before each chunk
-    (``_chunk_words``); no other run shares it.
+    tallies and, on a traced run, calls the sink after each chunk.  The run
+    owns one Philox, re-keyed before each chunk (``_chunk_words``), and the
+    chunks' buffers: no other run shares them.  A traced chunk writes its
+    codes into its own ``TraceChunk.outcome``, else into the run's buffer.
     """
     tables = _cell_tables(config.policy, config.mode)
-    traced = collect_traces is not None
+    n, traced = config.n_trials, collect_traces is not None
     philox = np.random.Philox(0)  # its key is set before each chunk
+    codes = None if traced else np.empty(min(n, _CHUNK), dtype=np.uint8)
+    work = np.empty(min(n, _CHUNK // 2), dtype=np.intp)  # a block's buckets, then a chunk's pair keys
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
-    for chunk_index in range(-(-config.n_trials // _CHUNK)):
-        chunk_tally, chunk = _run_chunk(config, chunk_index, tables, philox, traced)
-        code_tally += chunk_tally
+    for start in range(0, n, _CHUNK):
+        code = np.empty(min(_CHUNK, n - start), dtype=np.uint8) if traced else codes[: n - start]
+        code_tally += _run_chunk(_chunk_words(philox, config.seed, start // _CHUNK), tables, code, work)
         if traced:
-            collect_traces(chunk)
+            collect_traces(TraceChunk(start, code))
 
     joint = code_tally[:_FALLBACK].reshape(len(_STATE_OF_BRANCH), len(CHARLIE_LABELS))  # branch by Charlie
-    states = [int(joint[_STATE_OF_BRANCH == state].sum()) for state in range(len(STATE_LABELS))]
+    states = [0] * len(STATE_LABELS)
+    for state, count in zip(_STATE_OF_BRANCH.tolist(), joint.sum(axis=1).tolist()):  # faster than a mask per state
+        states[state] += count
     return RunResult(
         resultant_states=OutcomeDistribution.from_counts(dict(zip(STATE_LABELS, states))),
         charlie=OutcomeDistribution.from_counts(dict(zip(CHARLIE_LABELS, joint.sum(axis=0).tolist()))),

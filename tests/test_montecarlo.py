@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import contract
@@ -443,6 +444,96 @@ class TestCells:
         monkeypatch.setattr(montecarlo, "_STATE_OF_BRANCH", montecarlo._STATE_OF_BRANCH[[1, 0, 2, 3]])
         with pytest.raises(AssertionError, match="AB exactly when the transform matches the record"):
             montecarlo._cells.__wrapped__("collapse")
+
+
+# sizes on each side of a block and a chunk boundary, odd and even
+TALLY_SIZES = [1, 2, 3, _BLOCK - 1, _BLOCK + 1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3]
+BINS = montecarlo._FALLBACK + 1
+
+
+def pairs_swapped(code):
+    """``code`` with the two codes of every pair swapped, so that its uint16
+    keys here are the keys a host of the other byte order reads from ``code``."""
+    even = len(code) - len(code) % 2
+    swapped = code.copy()
+    swapped[:even] = code[:even].reshape(-1, 2)[:, ::-1].ravel()
+    np.testing.assert_array_equal(swapped[:even].view(np.uint16), code[:even].view(np.uint16).byteswap())
+    return swapped
+
+
+class TestTally:
+    """Each chunk tallies its final codes once, two codes per ``bincount`` key."""
+
+    @pytest.mark.parametrize("kind", ["random", "all-fallback"])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 1_000, 1_001, _CHUNK - 1, _CHUNK])
+    def test_fold_matches_bincount_in_either_byte_order(self, length, kind):
+        rng = np.random.default_rng(length)
+        if kind == "random":
+            code = rng.integers(0, BINS, length, dtype=np.uint8)
+        else:  # every key the largest, _FALLBACK * 257
+            code = np.full(length, montecarlo._FALLBACK, dtype=np.uint8)
+        keys = np.empty(length // 2, dtype=np.intp)
+        expected = np.bincount(code, minlength=BINS)
+        for codes in (code, pairs_swapped(code)):
+            np.testing.assert_array_equal(montecarlo._tally(codes, keys), expected)
+
+    @pytest.mark.parametrize("n", TALLY_SIZES)
+    @pytest.mark.parametrize("spec, mode", SETTINGS)
+    def test_each_chunk_tallies_exactly_its_codes(self, monkeypatch, spec, mode, n):
+        # counts-only and traced, each chunk's tally is the bincount of its traced codes
+        tallies = []
+        original = montecarlo._run_chunk
+
+        def recording(*args):
+            tallies.append(original(*args))
+            return tallies[-1]
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+        config = TrialConfig(n, 99, MistakePolicy.parse(spec), mode)
+        chunks = []
+        traced = run_trials(config, collect_traces=chunks.append)
+        counts = run_trials(config)
+        expected = [np.bincount(chunk.outcome, minlength=BINS).tolist() for chunk in chunks]
+        assert [tally.tolist() for tally in tallies] == expected * 2
+        codes = TraceChunk(0, np.concatenate([chunk.outcome for chunk in chunks]))
+        states = np.bincount(codes.state_idx, minlength=len(STATE_LABELS)).tolist()
+        charlie = np.bincount(codes.charlie_idx, minlength=len(CHARLIE_LABELS)).tolist()
+        for result in (traced, counts):
+            assert list(result.resultant_states.counts.values()) == states
+            assert list(result.charlie.counts.values()) == charlie
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["counts", "traced"])
+    @pytest.mark.parametrize(
+        "wrong_fold",
+        [lambda fold, code, keys: fold(code[: len(code) & -2], keys), lambda fold, code, keys: 2 * fold(code, keys)],
+        ids=["drops-the-odd-code", "counts-twice"],
+    )
+    def test_a_wrong_fold_raises(self, monkeypatch, wrong_fold, traced):
+        original = montecarlo._tally
+        monkeypatch.setattr(montecarlo, "_tally", lambda code, keys: wrong_fold(original, code, keys))
+        sink = (lambda chunk: None) if traced else None
+        with pytest.raises(RuntimeError, match="a chunk tallied [0-9]+ codes for its 3 trials"):
+            run_trials(TrialConfig(3, 1, MistakePolicy("uniform")), collect_traces=sink)
+
+    @pytest.mark.parametrize(
+        "spec, mode", [("uniform", "collapse"), ("alternating", "collapse"), ("uniform", "analytic")]
+    )
+    def test_counts_only_memory_is_bounded(self, spec, mode):
+        # one chunk's buffers, whatever n is: 8x the chunks, about the same peak
+        policy = MistakePolicy.parse(spec)
+        run_trials(TrialConfig(1, 0, policy, mode))  # builds the setting's cached tables
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_trials(TrialConfig(n, 3, policy, mode))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * _CHUNK), peak(16 * _CHUNK)
+        assert max(small, large) <= 1 << 20
+        assert abs(large - small) <= 0.1 * small
 
 
 class TestTraces:
