@@ -288,13 +288,11 @@ def _dist_json(dist: OutcomeDistribution) -> dict:
 _ROWS = 1 << 13
 
 # Trace CSV row tails, indexed by the TraceChunk outcome code branch * 4 +
-# charlie_idx: per montecarlo branch, the outcome and transform of its record
-# in protocol.RECORDS (record -1, analytic mode, reads "-,-", the last entry)
-# and its resultant state.
-_RECORD_FIELDS = [f"{alice.value},{transform}" for alice, transform, _ in protocol.RECORDS] + ["-,-"]
+# charlie_idx: per branch, Alice's outcome, the transform applied and the
+# resultant state from protocol.BRANCHES, then analytic mode's "-,-,AB".
 _TRACE_TAILS = [
-    f",{_RECORD_FIELDS[record]},{montecarlo.STATE_LABELS[state]},{charlie.replace(core.LABEL_SEP, ',')}\n"
-    for record, state in zip(montecarlo._RECORD_OF_BRANCH.tolist(), montecarlo._STATE_OF_BRANCH.tolist())
+    f",{branch},{charlie.replace(core.LABEL_SEP, ',')}\n"
+    for branch in [f"{alice.value},{transform},{state}" for alice, transform, state in protocol.BRANCHES] + ["-,-,AB"]
     for charlie in montecarlo.CHARLIE_LABELS
 ]
 # The tails as ASCII bytes, NUL-padded to one width; no tail holds a NUL.

@@ -110,10 +110,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def save_state(path: str | Path, v: StateVector) -> None:
-    Path(path).write_text(dumps(state_to_dict(v)), encoding="utf-8")
-
-
 def _load(path: str | Path, from_dict):
     """``from_dict`` of the JSON document in a UTF-8 file.  A file that is not
     UTF-8 JSON, or JSON nested too deeply to read, is a ``ValueError`` that
@@ -134,11 +130,3 @@ def load_state(path: str | Path) -> StateVector:
 
 def load_vector(path: str | Path) -> np.ndarray:
     return _load(path, vector_from_dict)
-
-
-def save_matrix(path: str | Path, u: SquareUnitary) -> None:
-    Path(path).write_text(dumps(matrix_to_dict(u)), encoding="utf-8")
-
-
-def load_matrix(path: str | Path) -> SquareUnitary:
-    return _load(path, matrix_from_dict)

@@ -50,14 +50,15 @@ MODES = ("collapse", "analytic")
 SIGMA_BOUND = 4.0
 
 # A trial's outcome code is its cell (see ``_cells``), ``branch * 4 +
-# charlie_idx``, where branches 0 .. 3 are ``heads * 2 + mistake`` and 4 is
-# analytic mode's.  Per branch: its record ``heads * 2 + apply_h0``, the index
-# of its row in protocol.RECORDS (-1: none), and its resultant state.
-_RECORD_OF_BRANCH = np.array([heads * 2 + (heads ^ mistake) for heads in (0, 1) for mistake in (0, 1)] + [-1])
-_STATE_OF_BRANCH = np.array([STATE_LABELS.index(protocol.RECORDS[r][2]) for r in _RECORD_OF_BRANCH[:-1]] + [0], np.intp)
+# charlie_idx``, where branches 0 .. 3 index protocol.BRANCHES and 4 is
+# analytic mode's.  Per branch: whether Alice saw heads, whether A_h0 was
+# applied, and its resultant state (AB in analytic mode).
+_HEADS_OF_BRANCH = np.array([alice is protocol.AliceOutcome.HEADS for alice, _, _ in protocol.BRANCHES])
+_H0_OF_BRANCH = np.array([transform == "A_h0" for _, transform, _ in protocol.BRANCHES])
+_STATE_OF_BRANCH = np.array([STATE_LABELS.index(state) for _, _, state in protocol.BRANCHES] + [0], np.intp)
 _ANALYTIC = 16  # the first code of analytic mode
 # The guide-table code of a bucket with a cell bound strictly inside it.
-_FALLBACK = len(_RECORD_OF_BRANCH) * len(CHARLIE_LABELS)
+_FALLBACK = len(_STATE_OF_BRANCH) * len(CHARLIE_LABELS)
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,13 @@ class TraceChunk:
     """The trials ``start .. start + len(outcome) - 1``, one outcome code each.
 
     The code (uint8) is the trial's cell ``k`` of the contract (see
-    ``_cells``): ``(heads * 2 + mistake) * 4 + charlie_idx`` in collapse
-    mode, 0 .. 15, and ``16 + charlie_idx`` in analytic mode, where Charlie
-    measures the target state.  The properties decode the columns:
-    ``heads`` is Alice's record and ``apply_h0`` whether ``A_h0`` (else
-    ``A_t01``) was applied, both None in analytic mode; ``state_idx`` and
-    ``charlie_idx`` index ``STATE_LABELS`` and ``CHARLIE_LABELS``.
+    ``_cells``): ``branch * 4 + charlie_idx`` in collapse mode, 0 .. 15,
+    where the branch ``heads * 2 + mistake`` indexes ``protocol.BRANCHES``,
+    and ``16 + charlie_idx`` in analytic mode, where Charlie measures the
+    target state.  The properties decode the columns from the branch's
+    entry: ``heads`` is Alice's record and ``apply_h0`` whether ``A_h0``
+    (else ``A_t01``) was applied, both None in analytic mode; ``state_idx``
+    and ``charlie_idx`` index ``STATE_LABELS`` and ``CHARLIE_LABELS``.
     """
 
     start: int
@@ -151,11 +153,11 @@ class TraceChunk:
 
     @property
     def heads(self) -> np.ndarray | None:
-        return None if self._analytic else _RECORD_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)] >= 2
+        return None if self._analytic else _HEADS_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)]
 
     @property
     def apply_h0(self) -> np.ndarray | None:
-        return None if self._analytic else _RECORD_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)] % 2 == 1
+        return None if self._analytic else _H0_OF_BRANCH[self.outcome // len(CHARLIE_LABELS)]
 
     @property
     def state_idx(self) -> np.ndarray:
@@ -213,9 +215,10 @@ def _charlie_born() -> tuple[tuple[float, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _cells(mode: str) -> tuple[tuple[int, int, int], ...]:
-    """The cells of one trial in the contract's order, ``(heads * 2 +
-    mistake) * 4 + charlie_idx``, or ``charlie_idx`` alone in analytic mode,
-    where Charlie measures the target state: each cell's heads, mistake and
+    """The cells of one trial in the contract's order, ``branch * 4 +
+    charlie_idx`` over the branches ``heads * 2 + mistake`` of
+    ``protocol.BRANCHES``, or ``charlie_idx`` alone in analytic mode, where
+    Charlie measures the target state: each cell's heads, mistake and
     weight without the policy's factor, P(record) * P(Charlie's outcome)
     exactly, as an integer at one power-of-two scale (a double's
     denominator is a power of two).  A cell's ``TraceChunk`` outcome code is
@@ -230,13 +233,12 @@ def _cells(mode: str) -> tuple[tuple[int, int, int], ...]:
         cells = [(0, 0, Fraction(p)) for p in born[0]]
     else:
         cells = []
-        for heads in (0, 1):
+        for branch, (_, _, state) in enumerate(protocol.BRANCHES):
+            heads, mistake = divmod(branch, 2)
+            if (state == "AB") == mistake:
+                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
             p_heads = Fraction(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
-            for mistake in (0, 1):
-                state = int(_STATE_OF_BRANCH[heads * 2 + mistake])
-                if (state == 0) == mistake:
-                    raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-                cells += [(heads, mistake, p_heads * Fraction(p)) for p in born[state]]
+            cells += [(heads, mistake, p_heads * Fraction(p)) for p in born[STATE_LABELS.index(state)]]
     scale = max(weight.denominator for *_, weight in cells)
     return tuple((heads, mistake, int(weight * scale)) for heads, mistake, weight in cells)
 
@@ -424,14 +426,15 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
 
 
 def mechanism_rows(policy: MistakePolicy) -> tuple[MechanismRow, ...]:
-    """The four branches of ``protocol.RECORDS``, heads first: Alice's register
-    (heads with ``P_HEADS``), the transform applied (the one keyed to the other
-    record with probability eps), and the resultant state with its joint probability."""
+    """The four branches of ``protocol.BRANCHES``, heads first (branches 2, 3,
+    1, 0): Alice's register (heads with ``P_HEADS``), the transform applied
+    (the one keyed to the other record with probability eps), and the
+    resultant state with its joint probability."""
     eps = policy.mistake_probability
     if eps is None:
         raise ValueError("alternating policy has no per-trial closed form; sample it with run_trials")
     rows = []
-    for alice, transform, state in reversed(protocol.RECORDS):
+    for alice, transform, state in (protocol.BRANCHES[branch] for branch in (2, 3, 1, 0)):
         heads = alice is protocol.AliceOutcome.HEADS
         register, p_register = ("psi_h0", protocol.P_HEADS) if heads else ("psi_t01", 1.0 - protocol.P_HEADS)
         p_transform = 1.0 - eps if state == "AB" else eps

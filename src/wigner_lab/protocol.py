@@ -51,15 +51,15 @@ ALICE_LABELS = tuple(outcome.value for outcome in AliceOutcome)
 BOB_LABELS = ("0", "1")
 CHARLIE_LABELS = ("ok", "fail")
 
-# The branches of the protocol by record code heads * 2 + apply_h0: Alice's
+# The protocol's four branches by branch code heads * 2 + mistake: Alice's
 # outcome, the evolution applied to her register and the register state
 # that follows.  The evolution keyed to her outcome leaves AB; the other
 # one is a mistake.
-RECORDS = (
+BRANCHES = (
     (AliceOutcome.TAILS, "A_t01", "AB"),
     (AliceOutcome.TAILS, "A_h0", "ABth"),
-    (AliceOutcome.HEADS, "A_t01", "ABht"),
     (AliceOutcome.HEADS, "A_h0", "AB"),
+    (AliceOutcome.HEADS, "A_t01", "ABht"),
 )
 
 
@@ -166,7 +166,7 @@ def _evolve_record(alice: AliceOutcome, transform: str) -> StateVector:
 @lru_cache(maxsize=None)
 def wrong_state(label: WrongStateLabel) -> StateVector:
     """Register state after the evolution keyed to the opposite record."""
-    return next(_evolve_record(alice, transform) for alice, transform, state in RECORDS if state == label.value)
+    return next(_evolve_record(alice, transform) for alice, transform, state in BRANCHES if state == label.value)
 
 
 def alice_basis() -> MeasurementBasis:
@@ -279,7 +279,7 @@ def verification_checks() -> list[tuple[str, float]]:
     state, and the target's joint Charlie coefficients (1, -1, 1, 3)/sqrt(12)."""
     checks = [(f"unitary_{key}", core.is_unitary(mat).max_deviation) for key, mat in named_matrices().items()]
     target = target_state().amplitudes
-    for alice, transform, state in reversed(RECORDS):  # heads first
+    for alice, transform, state in reversed(BRANCHES):  # heads first
         if state == "AB":
             evolved = _evolve_record(alice, transform)
             checks.append((f"evolution_{alice.name.lower()}", float(np.linalg.norm(evolved.amplitudes - target))))

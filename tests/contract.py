@@ -3,7 +3,7 @@ from the README's paragraph on determinism alone.
 
 It evolves Alice's registers with the protocol's matrices to find each
 resultant state and takes Charlie's Born tables from
-``core.born_probabilities``; it reads neither ``protocol.RECORDS`` nor the
+``core.born_probabilities``; it reads neither ``protocol.BRANCHES`` nor the
 kernel's tables, and it computes the bounds with ``fractions``.
 """
 

@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -85,7 +87,7 @@ class TestStates:
 
     def test_loads_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"
-        jsonio.save_state(path, protocol.target_state())
+        path.write_text(jsonio.dumps(jsonio.state_to_dict(protocol.target_state())), encoding="utf-8")
         code, out, _ = run_cli(capsys, "states", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["labels"] == ["0_0", "0_1", "1_0", "1_1"]
@@ -190,7 +192,7 @@ class TestSynth:
         code, out, _ = run_cli(capsys, "synth", "psi_h0", "--to-e0", "--out", str(out_path))
         assert code == 0
         assert "residual" in out
-        u = jsonio.load_matrix(out_path)
+        u = jsonio.matrix_from_dict(json.loads(out_path.read_text(encoding="utf-8")))
         mapped = u.matrix @ protocol.initial_register(protocol.AliceOutcome.HEADS).amplitudes
         assert np.linalg.norm(mapped - np.array([1, 0, 0, 0])) <= 1e-10
 
@@ -198,7 +200,7 @@ class TestSynth:
         out_path = tmp_path / "u.json"
         code, _, _ = run_cli(capsys, "synth", "psi_AB", "--from-e0", "--out", str(out_path))
         assert code == 0
-        u = jsonio.load_matrix(out_path)
+        u = jsonio.matrix_from_dict(json.loads(out_path.read_text(encoding="utf-8")))
         mapped = u.matrix @ np.array([1, 0, 0, 0])
         assert np.linalg.norm(mapped - protocol.target_state().amplitudes) <= 1e-10
 
@@ -464,6 +466,56 @@ class TestArgvFuzz:
                 assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
             if code == 2:
                 assert not os.listdir(tmp), "a failed call left a file behind"
+
+
+# argv -> sha256 of what the parser prints at 80 columns before it exits:
+# stdout of a --help (exit 0), stderr of a usage error (exit 2)
+PARSER_GOLDEN = {
+    ("--help",): "866d4052ac18f4dadae03f2f2c8f36d7fde2e9e345de54b73e1345be7ea7a3a8",
+    ("states", "--help"): "c07efdcfac0c3a745c51eade51c04a93a3ff6e35c4e013e1e13ce26b0c073a16",
+    ("verify", "--help"): "d9edbde3aaa154e1100092f421558f0130a0a82ca9c79451c751854f98c9bff9",
+    ("audit", "--help"): "052cce415e08dad39dfea8aee7fa037c8e106e34b3433f7a0b0e550805970043",
+    ("synth", "--help"): "192763553fed942ac723a7587bd66889c7541f646a0953128f052aa7139686f6",
+    ("simulate", "--help"): "56bcb1639122867a8d164c00051b0be10f4aef5b98983c2325e55b10cbad075c",
+    ("table", "--help"): "02a980bed2cb0f902160f915c6b31aded6620fe602f1e66a9d979351fa76c289",
+    ("states",): "df55cba4a8e928b4cdad646789e134dd751f7567cab8195deb7b6801ac9991e0",
+    ("verify", "--tol", "nan"): "a1e400c865fa6c5e842064d5da4029ae4ba2058050c5bcbf3ae54869a9f135ab",
+    ("audit",): "16763f9681868f3dc7ee7cd96b3588bc268cc7410c85d19756eb32a4a8c8ba30",
+    ("synth", "psi_AB"): "c1c79981a004a1e964bfc1cc949ac6354ce8025d156ab561a0248f8026485090",
+    ("simulate", "--seed", "x"): "b6172d73783fc5b0053ca0ce969d9afbb055b4d7ba589b261c3da92262607bf4",
+    ("table", "--policy", "sometimes"): "36fd7bb4a86f08353a6dba10677c60c7389382072484f18b2869016f15c34c86",
+}
+
+
+def one_spelling(text):
+    """Parser output in one spelling on Python 3.10-3.13: an option with a
+    short and a long form as "-n TRIALS, --trials TRIALS", which Python 3.13
+    prints "-n, --trials TRIALS".  Nothing else of this parser's output differs."""
+    return re.sub(r"^  (-\w), (--[\w-]+) (\S+)$", r"  \1 \3, \2 \3", text, flags=re.M)
+
+
+class TestParserDigests:
+    """The help and the usage errors, byte for byte, so that a change to how
+    the parser is built shows in them."""
+
+    def test_every_subcommand_is_pinned(self):
+        subcommands = _build_parser()._subparsers._group_actions[0].choices
+        assert {(command, "--help") for command in subcommands} <= set(PARSER_GOLDEN)
+        assert {argv[0] for argv in PARSER_GOLDEN if "--help" not in argv} == set(subcommands)
+
+    @pytest.mark.parametrize("argv", list(PARSER_GOLDEN), ids=" ".join)
+    def test_parser_output_digest(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        code, text, silent = (0, captured.out, captured.err) if "--help" in argv else (2, captured.err, captured.out)
+        assert (exc.value.code, silent) == (code, "")
+        assert hashlib.sha256(one_spelling(text).encode("utf-8")).hexdigest() == PARSER_GOLDEN[argv]
+
+    def test_one_spelling_reads_python_3_13_help(self):
+        assert one_spelling("options:\n  -n, --trials TRIALS\n") == "options:\n  -n TRIALS, --trials TRIALS\n"
+        assert one_spelling("  -h, --help            show this help\n") == "  -h, --help            show this help\n"
 
 
 class TestSimulate:

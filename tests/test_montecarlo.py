@@ -1,12 +1,14 @@
 """Tests for the mistake-mechanism sampler: policies, closed forms,
 determinism, and agreement with the exact state machinery."""
 
+import ast
 import dataclasses
 import inspect
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import contract
 import numpy as np
@@ -30,9 +32,15 @@ from wigner_lab.montecarlo import (
     mechanism_rows,
     run_trials,
 )
-from wigner_lab.protocol import P_HEADS, RECORDS, AliceOutcome, WrongStateLabel
+from wigner_lab.protocol import BRANCHES, P_HEADS, AliceOutcome, WrongStateLabel
 
 COLUMNS = ("heads", "apply_h0", "state_idx", "charlie_idx")
+# The library's branch tables: the reference in contract.py is written to
+# check them, so it names none of them.
+BRANCH_TABLES = {
+    "BRANCHES", "RECORDS", "_STATE_OF_BRANCH", "_HEADS_OF_BRANCH", "_H0_OF_BRANCH", "_cells", "mechanism_rows",
+    "_TRACE_TAILS",
+}
 
 
 def run_traced(config):
@@ -441,7 +449,7 @@ class TestCells:
 
     def test_corrupted_cell_table_raises(self, monkeypatch):
         # tails with no mistake now claims ABth: the table build refuses it
-        monkeypatch.setattr(montecarlo, "_STATE_OF_BRANCH", montecarlo._STATE_OF_BRANCH[[1, 0, 2, 3]])
+        monkeypatch.setattr(protocol, "BRANCHES", (BRANCHES[1], BRANCHES[0], *BRANCHES[2:]))
         with pytest.raises(AssertionError, match="AB exactly when the transform matches the record"):
             montecarlo._cells.__wrapped__("collapse")
 
@@ -631,36 +639,66 @@ class TestCompareDistributions:
             compare_distributions(empirical, analytic_mistake_table(MistakePolicy("uniform")), 4.0)
 
 
-class TestRecords:
-    """``RECORDS`` is the one spelling of the mechanism's branches."""
+class TestBranches:
+    """``BRANCHES`` is the one spelling of the mechanism's branches, indexed
+    by the kernel's branch code ``heads * 2 + mistake``."""
 
-    def test_each_record_evolves_to_its_resultant_state(self):
+    def test_each_branch_evolves_to_its_resultant_state(self):
         states, matrices = protocol.named_states(), protocol.named_matrices()
-        for code, (alice, transform, state) in enumerate(RECORDS):  # code = heads * 2 + apply_h0
-            assert (alice.value, transform) == ("th"[code >> 1], ("A_t01", "A_h0")[code & 1])
+        for branch, (alice, transform, state) in enumerate(BRANCHES):
+            heads, mistake = divmod(branch, 2)
+            assert (alice.value, transform) == ("th"[heads], ("A_t01", "A_h0")[heads ^ mistake])
             register = states["psi_h0" if alice is AliceOutcome.HEADS else "psi_t01"]
             evolved = core.apply(protocol.entangle_matrix(), core.apply(matrices[transform], register))
             np.testing.assert_allclose(evolved.amplitudes, states[f"psi_{state}"].amplitudes, atol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.17, 0.5, 1.0])
-    def test_records_agree_with_mechanism_rows(self, eps):
+    def test_branches_agree_with_mechanism_rows(self, eps):
         rows = mechanism_rows(MistakePolicy.biased(eps))
         alice = {"psi_h0": AliceOutcome.HEADS, "psi_t01": AliceOutcome.TAILS}
         branches = [(alice[row.initial_state], row.transform, row.resultant_state) for row in rows]
-        assert branches == list(reversed(RECORDS))  # heads first
+        # heads first, the evolution keyed to the record before the other
+        assert branches == [BRANCHES[2], BRANCHES[3], BRANCHES[1], BRANCHES[0]]
         for row in rows:
             assert row.p_initial == (P_HEADS if row.initial_state == "psi_h0" else 1.0 - P_HEADS)
             assert row.p_transform == (1.0 - eps if row.resultant_state == "AB" else eps)
             assert row.p_joint == row.p_initial * row.p_transform
 
-    def test_records_agree_with_the_kernel(self):
-        # per branch heads * 2 + mistake, then analytic mode's
+    def test_branches_agree_with_the_kernel(self):
+        # per branch, then analytic mode's
         assert [STATE_LABELS[i] for i in montecarlo._STATE_OF_BRANCH] == ["AB", "ABth", "AB", "ABht", "AB"]
-        _, columns, _ = run_traced(TrialConfig(3_000, 41, MistakePolicy.biased(0.4)))
-        record = columns["heads"] * 2 + columns["apply_h0"]
-        assert sorted(set(record.tolist())) == [0, 1, 2, 3]
+        _, columns, chunks = run_traced(TrialConfig(3_000, 41, MistakePolicy.biased(0.4)))
+        branch = np.concatenate([chunk.outcome for chunk in chunks]) // len(CHARLIE_LABELS)
+        assert sorted(set(branch.tolist())) == [0, 1, 2, 3]
+        alice = [AliceOutcome.HEADS if heads else AliceOutcome.TAILS for heads in columns["heads"].tolist()]
+        transform = ["A_h0" if h0 else "A_t01" for h0 in columns["apply_h0"].tolist()]
         states = [STATE_LABELS[i] for i in columns["state_idx"].tolist()]
-        assert states == [RECORDS[code][2] for code in record.tolist()]
+        assert list(zip(alice, transform, states)) == [BRANCHES[b] for b in branch.tolist()]
+
+
+def names_in(source):
+    """Every name, attribute and imported name in ``source``, and every
+    string constant (a ``getattr`` argument, say)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+class TestReferenceIndependence:
+    def test_the_reference_names_no_branch_table(self):
+        assert not names_in(Path(contract.__file__).read_text(encoding="utf-8")) & BRANCH_TABLES
+
+    def test_each_way_of_naming_a_table_is_seen(self):
+        source = "from wigner_lab.cli import _TRACE_TAILS\nprotocol.BRANCHES\n_cells()\ngetattr(m, 'mechanism_rows')\n"
+        assert names_in(source) & BRANCH_TABLES == {"_TRACE_TAILS", "BRANCHES", "_cells", "mechanism_rows"}
 
 
 class TestExpectedResultantStates:
