@@ -6,10 +6,9 @@ trial, their order) or the sampling rule changes a digest.  The traced
 sizes sit on both sides of the 65 536-trial chunk boundary and past the
 second one; the counts-only sizes span 3 chunks (the last one partial) and
 16 chunks, so they pin the multi-chunk counts path.  The remaining digests
-pin the output of the commands that print the protocol's constants, its
-basis and frame views, and the help of ``simulate``; the call digests pin
-exit code, stdout and stderr together, in every format and for failing
-calls.
+pin the output of the commands that print the protocol's constants and its
+basis and frame views; the call digests pin exit code, stdout and stderr
+together, in every format and for failing calls.
 """
 
 import hashlib
@@ -195,21 +194,6 @@ def test_command_digests(capsys, argv):
     assert main(list(argv)) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == COMMAND_GOLDEN[argv]
-
-
-# sha256 of ``simulate --help`` at 80 columns; Python 3.10 heads the options
-# "optional arguments:", later versions "options:", so the heading is read
-# in the later spelling
-SIMULATE_HELP_GOLDEN = "56bcb1639122867a8d164c00051b0be10f4aef5b98983c2325e55b10cbad075c"
-
-
-def test_simulate_help_digest(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--help"])
-    assert exc.value.code == 0
-    stdout = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
-    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == SIMULATE_HELP_GOLDEN
 
 
 def call_digest(argv, capsys, monkeypatch, tmp_path):
