@@ -89,7 +89,7 @@ def _tol_type(text: str) -> float:
         raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
-    return value
+    return value + 0.0  # -0.0 prints as "-0"; + 0.0 turns it into 0.0
 
 
 def _policy_type(text: str) -> MistakePolicy:
@@ -284,9 +284,6 @@ def _dist_json(dist: OutcomeDistribution) -> dict:
     return {label: {"count": dist.counts[label], "freq": dist.frequencies[label]} for label in dist.labels}
 
 
-# Trace rows encoded per write; the encoder holds one such block of rows.
-_ROWS = 1 << 13
-
 # Trace CSV row tails, indexed by the TraceChunk outcome code branch * 4 +
 # charlie_idx: per branch, Alice's outcome, the transform applied and the
 # resultant state from protocol.BRANCHES, then analytic mode's "-,-,AB".
@@ -299,39 +296,36 @@ _TRACE_TAILS = [
 _TAIL_BYTES = np.array([tail.encode("ascii") for tail in _TRACE_TAILS]).view(np.uint8).reshape(len(_TRACE_TAILS), -1)
 # "0000" .. "9999" in ASCII, the four bytes of each read as one uint32.
 _DIGIT_GROUPS = (np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1) + ord("0")).view(np.uint32).ravel()
+# "0" .. "9999": the same groups without leading zeros, NUL-padded in front.
+_FIRST_GROUPS = _DIGIT_GROUPS.view(np.uint8).reshape(-1, 4).copy()
+_FIRST_GROUPS[:1000, 0] = _FIRST_GROUPS[:100, 1] = _FIRST_GROUPS[:10, 2] = 0
+_FIRST_GROUPS = _FIRST_GROUPS.view(np.uint32).ravel()
 
 
 def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
-    """Write one chunk of trace rows as ASCII bytes, one write per ``_ROWS`` rows.
+    """Write one chunk of trace rows as ASCII bytes, one write per group of
+    10 000 trials that share every digit but the last four.
 
     Each row is laid out in a fixed-width byte array: the trial index
     right-aligned in ``digits`` bytes, then the tail of its outcome code
-    from ``_TAIL_BYTES``.  Leading zeros and tail padding are NUL bytes,
-    dropped on writing.
+    from ``_TAIL_BYTES``.  The table of tails carries the group's higher
+    digits, so one take lays out whole rows; one uint32 store per row adds
+    the last four.  Leading zeros and tail padding are NUL bytes, dropped
+    on writing.
     """
-    m = len(chunk.outcome)
-    digits = -(-len(str(chunk.start + m - 1)) // 4) * 4
+    start, end, group = chunk.start, chunk.start + len(chunk.outcome), len(_DIGIT_GROUPS)
+    digits = -(-len(str(end - 1)) // 4) * 4
     table = np.zeros((len(_TAIL_BYTES), digits + _TAIL_BYTES.shape[1]), dtype=np.uint8)
     table[:, digits:] = _TAIL_BYTES
-    size = min(m, _ROWS)
-    rows = np.empty((size, table.shape[1]), dtype=np.uint8)
+    rows = np.empty((min(end - start, group), table.shape[1]), dtype=np.uint8)
     words = rows.view(np.uint32)  # the width is a multiple of 4
     keep = np.empty(rows.shape, dtype=bool)
-    for lo in range(0, m, _ROWS):
-        b = min(_ROWS, m - lo)
-        row, word, kept, code = rows[:b], words[:b], keep[:b], chunk.outcome[lo : lo + b]
-        # Runs of trials that share every digit but the last four: the table
-        # carries a run's higher digits, so one take lays out its whole rows.
-        pos, trial = 0, chunk.start + lo
-        while pos < b:
-            text = str(trial)
-            end = min(b, pos + 10_000 - trial % 10_000, pos + 10 ** len(text) - trial)
-            table[:, : digits - 4] = list(text.rjust(digits, "\0")[:-4].encode("ascii"))
-            table.take(code[pos:end], axis=0, out=row[pos:end], mode="clip")
-            word[pos:end, digits // 4 - 1] = _DIGIT_GROUPS[trial % 10_000 : trial % 10_000 + end - pos]
-            if len(text) < 4:
-                row[pos:end, digits - 4 : digits - len(text)] = 0
-            pos, trial = end, trial + end - pos
+    for base in range(start - start % group, end, group):
+        lo, hi = max(start, base), min(end, base + group)
+        row, kept = rows[: hi - lo], keep[: hi - lo]
+        table[:, : digits - 4] = list(str(base)[:-4].rjust(digits - 4, "\0").encode("ascii"))
+        table.take(chunk.outcome[lo - start : hi - start], axis=0, out=row, mode="clip")
+        words[: hi - lo, digits // 4 - 1] = (_DIGIT_GROUPS if base else _FIRST_GROUPS)[lo - base : hi - base]
         handle.write(row[np.not_equal(row, 0, out=kept)])
 
 

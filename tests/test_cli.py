@@ -24,8 +24,11 @@ from hypothesis import strategies as st
 
 import wigner_lab
 from wigner_lab import jsonio, montecarlo, protocol
-from wigner_lab.cli import _ROWS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
+from wigner_lab.cli import _DIGIT_GROUPS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
+
+# The trials the trace encoder writes at once: all share every digit but the last four.
+GROUP = len(_DIGIT_GROUPS)
 
 # The last two: JSON true/false are not numbers (read as 1 and 0, each was
 # the unit vector e0), neither as amplitudes nor as the qubit count.
@@ -130,6 +133,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--tol", "0", "--format", "json")
         assert code in (0, 1)
         assert json.loads(out)["tol"] == 0.0
+
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "psi_AB"]])
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_negative_zero_tolerance_prints_as_zero(self, capsys, command, fmt):
+        # a -0.0 tolerance would print as "(tol -0)" and as "tol": -0.0
+        zero = run_cli(capsys, *command, "--tol", "0", "--format", fmt)
+        assert run_cli(capsys, *command, "--tol", "-0", "--format", fmt) == zero
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
@@ -828,7 +838,18 @@ class TestTraceEncoding:
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
     @pytest.mark.parametrize(
         "start, length",
-        [(0, 1), (0, 9), (0, 10), (0, 11), (0, _ROWS + 1), (99_990, 20), (983_040, _CHUNK)],
+        [
+            (0, 1),
+            (0, 9),
+            (0, 10),
+            (0, 11),
+            (0, GROUP + 1),
+            (9_990, 20),
+            (99_990, 20),
+            (99_995, _CHUNK),  # 5 digits, then 6
+            (983_040, _CHUNK),
+            (10**15 - 5, 10),
+        ],
     )
     def test_matches_per_row_reference(self, start, length, analytic):
         chunk = random_chunk(start + length, start, length, analytic)
@@ -837,9 +858,9 @@ class TestTraceEncoding:
     @given(
         start=st.one_of(
             st.integers(0, 10**15),
-            st.builds(lambda k, back: max(0, 10**k - back), st.integers(1, 15), st.integers(0, 2 * _ROWS)),
+            st.builds(lambda k, back: max(0, 10**k - back), st.integers(1, 15), st.integers(0, 2 * GROUP)),
         ),
-        length=st.integers(1, 2 * _ROWS + 2),
+        length=st.integers(1, 2 * GROUP + 2),
         analytic=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -849,12 +870,14 @@ class TestTraceEncoding:
         assert encoded_rows(chunk) == reference_rows(chunk)
 
     def test_writes_once_per_block(self):
-        handle = ByteCounter()
-        _write_trace_rows(handle, random_chunk(0, 0, _CHUNK, False))
-        assert handle.writes == _CHUNK // _ROWS
+        # one write per group of 10 000 trials that the chunk touches
+        for start, writes in [(0, 7), (10**15 - 5, 8)]:
+            handle = ByteCounter()
+            _write_trace_rows(handle, random_chunk(0, start, _CHUNK, False))
+            assert handle.writes == writes
 
     def test_memory_is_one_block(self):
-        # a full chunk's rows are about 1.7 MB; the encoder holds one block of them
+        # a full chunk's rows are about 1.7 MB; the encoder holds one group of them
         chunk = random_chunk(1, 0, _CHUNK, False)
         handle = ByteCounter()
         tracemalloc.start()
@@ -923,6 +946,24 @@ def module_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def calls_in_one_process(*argvs):
+    """The exit code and stdout of each ``main(argv)``, called in turn in one fresh interpreter."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from wigner_lab.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        results.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(results))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=module_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def run_module(*args, redirect=""):
     """``python -m wigner_lab ARGS`` in a fresh interpreter, as a user runs it;
     through ``/bin/sh`` with ``redirect`` (such as ``>&-``) when one is given."""
@@ -953,10 +994,34 @@ class TestEntryPoint:
         assert "all checks passed" in proc.stdout
 
     def test_importing_the_cli_leaves_out_fractions(self):
-        # only a table build imports fractions (and decimal with it)
-        code = "import sys, wigner_lab.cli; sys.exit(sorted({'fractions', 'decimal'} & set(sys.modules)) or None)"
+        # only a table build imports fractions (and decimal with it), and only
+        # sampling needs numpy.random, which numpy >= 2 imports on first use
+        code = (
+            "import contextlib, io, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import wigner_lab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert wigner_lab.cli.main(['verify']) == 0\n"
+            "numpy_random = {name for name in set(sys.modules) - before if name.startswith('numpy.random')}\n"
+            "sys.exit(sorted(numpy_random | {'fractions', 'decimal'} & set(sys.modules)) or None)"
+        )
         proc = subprocess.run([sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                ["simulate", "-n", "1000", "--seed", "1", "--policy", "biased:0.1", "--format", "json"],
+                ["simulate", "-n", "1000", "--format", "csv"],
+            ),
+            (["verify", "--tol", "0"], ["verify"]),
+        ],
+        ids=["simulate", "verify"],
+    )
+    def test_a_call_prints_what_it_prints_alone(self, first, second):
+        # nothing of one call's arguments may leak into the next call in the process
+        assert calls_in_one_process(first, second) == calls_in_one_process(first) + calls_in_one_process(second)
 
     def test_closed_stdout_exits_2(self):
         proc = run_module("verify", redirect=">&-")
