@@ -294,39 +294,77 @@ _TRACE_TAILS = [
 ]
 # The tails as ASCII bytes, NUL-padded to one width; no tail holds a NUL.
 _TAIL_BYTES = np.array([tail.encode("ascii") for tail in _TRACE_TAILS]).view(np.uint8).reshape(len(_TRACE_TAILS), -1)
+# Each tail's length, and its last 8 bytes as one record; no tail is shorter.
+_TAIL_LEN = np.array([len(tail) for tail in _TRACE_TAILS], dtype=np.intp)
+_TAIL_END = np.frombuffer("".join(tail[-8:] for tail in _TRACE_TAILS).encode("ascii"), "V8")
 # "0000" .. "9999" in ASCII, the four bytes of each read as one uint32.
 _DIGIT_GROUPS = (np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1) + ord("0")).view(np.uint32).ravel()
-# "0" .. "9999": the same groups without leading zeros, NUL-padded in front.
+# "0" .. "9999": the same groups without leading zeros, NUL-padded in front,
+# and the number of digits of each: four, less one per NUL.
 _FIRST_GROUPS = _DIGIT_GROUPS.view(np.uint8).reshape(-1, 4).copy()
 _FIRST_GROUPS[:1000, 0] = _FIRST_GROUPS[:100, 1] = _FIRST_GROUPS[:10, 2] = 0
 _FIRST_GROUPS = _FIRST_GROUPS.view(np.uint32).ravel()
+_FIRST_WIDTH = np.full(len(_FIRST_GROUPS), 4, dtype=np.uint8)
+_FIRST_WIDTH[:1000], _FIRST_WIDTH[:100], _FIRST_WIDTH[:10] = 3, 2, 1
+
+
+def _records(buffer: np.ndarray, width: int, offset: int, count: int, stride: int) -> np.ndarray:
+    """``count`` records of ``width`` bytes in ``buffer``, the first at byte
+    ``offset`` and one every ``stride`` bytes, as one void array."""
+    return np.ndarray((count,), f"V{width}", buffer, offset, (stride,))
 
 
 def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
     """Write one chunk of trace rows as ASCII bytes, one write per group of
     10 000 trials that share every digit but the last four.
 
-    Each row is laid out in a fixed-width byte array: the trial index
+    Each row is first laid out in a fixed-width byte array: the trial index
     right-aligned in ``digits`` bytes, then the tail of its outcome code
     from ``_TAIL_BYTES``.  The table of tails carries the group's higher
     digits, so one take lays out whole rows; one uint32 store per row adds
-    the last four.  Leading zeros and tail padding are NUL bytes, dropped
-    on writing.
+    the last four.
+
+    One cumsum of the row lengths gives each row's end in the output
+    buffer, and two scatters of fixed-width records place the rows there.
+    Pass 1 copies each row's head from the array: the number's slot and as
+    many bytes of its tail as the group's shortest tail has.  Pass 2 writes
+    the last 8 bytes of each tail (``_TAIL_END``) to end at the row's end.
+    As every tail is at least 8 bytes long and a mode's tails span at most
+    8, the two passes cover every row of a chunk, which is of one mode, and
+    neither writes outside it, in whatever order numpy applies the records
+    of a pass.  The slot is the number itself, but for trials 0 .. 9 999 it
+    is four bytes, NUL-padded in front: there pass 1 spills up to 3 NULs
+    into the last bytes of the row before, which pass 2 then writes, or
+    into a margin of one slot in front of the rows.
     """
     start, end, group = chunk.start, chunk.start + len(chunk.outcome), len(_DIGIT_GROUPS)
     digits = -(-len(str(end - 1)) // 4) * 4
     table = np.zeros((len(_TAIL_BYTES), digits + _TAIL_BYTES.shape[1]), dtype=np.uint8)
     table[:, digits:] = _TAIL_BYTES
-    rows = np.empty((min(end - start, group), table.shape[1]), dtype=np.uint8)
+    size = min(end - start, group)
+    rows = np.empty((size, table.shape[1]), dtype=np.uint8)
     words = rows.view(np.uint32)  # the width is a multiple of 4
-    keep = np.empty(rows.shape, dtype=bool)
+    out = np.empty(digits + rows.size, dtype=np.uint8)
+    tails, ends = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    tail_ends = np.empty(size, dtype=_TAIL_END.dtype)
     for base in range(start - start % group, end, group):
         lo, hi = max(start, base), min(end, base + group)
-        row, kept = rows[: hi - lo], keep[: hi - lo]
+        codes, n = chunk.outcome[lo - start : hi - start], hi - lo
+        row, tail, stop = rows[:n], tails[:n], ends[:n]
         table[:, : digits - 4] = list(str(base)[:-4].rjust(digits - 4, "\0").encode("ascii"))
-        table.take(chunk.outcome[lo - start : hi - start], axis=0, out=row, mode="clip")
-        words[: hi - lo, digits // 4 - 1] = (_DIGIT_GROUPS if base else _FIRST_GROUPS)[lo - base : hi - base]
-        handle.write(row[np.not_equal(row, 0, out=kept)])
+        table.take(codes, axis=0, out=row, mode="clip")
+        words[:n, digits // 4 - 1] = (_DIGIT_GROUPS if base else _FIRST_GROUPS)[lo - base : hi - base]
+        slot, width = (len(str(base)),) * 2 if base else (4, _FIRST_WIDTH[lo:hi])
+        _TAIL_LEN.take(codes, out=tail, mode="clip")
+        head = slot + int(tail.min())
+        np.add(tail, width, out=stop)
+        np.cumsum(stop, out=stop)  # each row's end, counted from the margin's end
+        np.subtract(stop, tail, out=tail)  # each tail's start: in the buffer, its head's start
+        _records(out, head, 0, out.size - head + 1, 1)[tail] = _records(rows, head, digits - slot, n, rows.shape[1])
+        np.add(stop, slot - 8, out=stop)  # in the buffer, the start of each tail's last 8 bytes
+        _TAIL_END.take(codes, out=tail_ends[:n], mode="clip")
+        _records(out, 8, 0, out.size - 7, 1)[stop] = tail_ends[:n]
+        handle.write(out[slot : stop[-1] + 8])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -23,12 +23,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wigner_lab
-from wigner_lab import jsonio, montecarlo, protocol
+from wigner_lab import cli, jsonio, montecarlo, protocol
 from wigner_lab.cli import _DIGIT_GROUPS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
 
 # The trials the trace encoder writes at once: all share every digit but the last four.
 GROUP = len(_DIGIT_GROUPS)
+# The codes of the shortest and the longest tail, in collapse mode (0..15), then analytic mode (16..19).
+EXTREME_TAILS = [
+    pick(codes, key=lambda code: len(_TRACE_TAILS[code])) for codes in (range(16), range(16, 20)) for pick in (min, max)
+]
 
 # The last two: JSON true/false are not numbers (read as 1 and 0, each was
 # the unit vector e0), neither as amplitudes nor as the qubit count.
@@ -810,6 +814,25 @@ def encoded_rows(chunk):
     return handle.getvalue()
 
 
+def encoding_peak(chunk):
+    """The bytes the encoder writes for ``chunk`` and its peak traced memory."""
+    handle = ByteCounter()
+    tracemalloc.start()
+    try:
+        _write_trace_rows(handle, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return handle.bytes, peak
+
+
+class LastFirst(np.ndarray):
+    """An array whose fancy assignments apply their elements last first."""
+
+    def __setitem__(self, index, value):
+        super().__setitem__(index[::-1], value[::-1])
+
+
 class ByteCounter:
     """A binary handle that keeps nothing but the number of bytes and writes."""
 
@@ -834,6 +857,33 @@ class TestTraceEncoding:
                 state, charlie = STATE_LABELS[chunk.state_idx[i]], CHARLIE_LABELS[chunk.charlie_idx[i]]
                 assert _TRACE_TAILS[code] == f",{alice},{transform},{state},{charlie.replace('_', ',')}\n"
         assert len(_TRACE_TAILS) == 20
+
+    def test_two_passes_cover_every_row(self):
+        # pass 1 writes a row's number and as much of its tail as the group's
+        # shortest tail has, pass 2 the last 8 bytes of the tail
+        for tails in (_TRACE_TAILS[:16], _TRACE_TAILS[16:]):
+            lengths = [len(tail) for tail in tails]
+            assert min(lengths) >= 8
+            assert max(lengths) - min(lengths) <= 8
+
+    @pytest.mark.parametrize(
+        "code", EXTREME_TAILS, ids=["collapse-shortest", "collapse-longest", "analytic-shortest", "analytic-longest"]
+    )
+    @pytest.mark.parametrize("start, length", [(0, 1_010), (9_990, 20)])
+    def test_matches_per_row_reference_with_one_tail(self, start, length, code):
+        # trials 0 .. 999 spill NULs from their four-byte slots into the row before
+        chunk = TraceChunk(start, np.full(length, code, dtype=np.uint8))
+        assert encoded_rows(chunk) == reference_rows(chunk)
+
+    @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
+    def test_rows_do_not_depend_on_the_order_within_a_pass(self, monkeypatch, analytic):
+        # numpy leaves undefined the order in which a fancy assignment applies
+        # its elements; applied last first, a record that reaches past its
+        # row's end overwrites the head of the row after it
+        records = cli._records
+        monkeypatch.setattr(cli, "_records", lambda *args: records(*args).view(LastFirst))
+        chunk = random_chunk(2, 0, 1_010, analytic)
+        assert encoded_rows(chunk) == reference_rows(chunk)
 
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
     @pytest.mark.parametrize(
@@ -878,16 +928,15 @@ class TestTraceEncoding:
 
     def test_memory_is_one_block(self):
         # a full chunk's rows are about 1.7 MB; the encoder holds one group of them
-        chunk = random_chunk(1, 0, _CHUNK, False)
-        handle = ByteCounter()
-        tracemalloc.start()
-        try:
-            _write_trace_rows(handle, chunk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert handle.bytes > 1_600_000
+        written, peak = encoding_peak(random_chunk(1, 0, _CHUNK, False))
+        assert written > 1_600_000
         assert peak <= 1 << 20
+
+    def test_memory_of_a_late_chunk_is_one_block(self):
+        # sixteen digits in place of eight widen each row of the group by 8 bytes
+        written, peak = encoding_peak(random_chunk(1, 10**12, _CHUNK, False))
+        assert written > 2_100_000
+        assert peak <= 1.25 * (1 << 20)
 
 
 class TestTable:
