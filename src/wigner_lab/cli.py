@@ -292,19 +292,15 @@ _TRACE_TAILS = [
     for branch in [f"{alice.value},{transform},{state}" for alice, transform, state in protocol.BRANCHES] + ["-,-,AB"]
     for charlie in montecarlo.CHARLIE_LABELS
 ]
-# The tails as ASCII bytes, NUL-padded to one width; no tail holds a NUL.
+# The tails as ASCII bytes, NUL-padded to one width.
 _TAIL_BYTES = np.array([tail.encode("ascii") for tail in _TRACE_TAILS]).view(np.uint8).reshape(len(_TRACE_TAILS), -1)
 # Each tail's length, and its last 8 bytes as one record; no tail is shorter.
 _TAIL_LEN = np.array([len(tail) for tail in _TRACE_TAILS], dtype=np.intp)
 _TAIL_END = np.frombuffer("".join(tail[-8:] for tail in _TRACE_TAILS).encode("ascii"), "V8")
 # "0000" .. "9999" in ASCII, the four bytes of each read as one uint32.
 _DIGIT_GROUPS = (np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1) + ord("0")).view(np.uint32).ravel()
-# "0" .. "9999": the same groups without leading zeros, NUL-padded in front,
-# and the number of digits of each: four, less one per NUL.
-_FIRST_GROUPS = _DIGIT_GROUPS.view(np.uint8).reshape(-1, 4).copy()
-_FIRST_GROUPS[:1000, 0] = _FIRST_GROUPS[:100, 1] = _FIRST_GROUPS[:10, 2] = 0
-_FIRST_GROUPS = _FIRST_GROUPS.view(np.uint32).ravel()
-_FIRST_WIDTH = np.full(len(_FIRST_GROUPS), 4, dtype=np.uint8)
+# The number of digits of 0 .. 9 999, the trials of the first group.
+_FIRST_WIDTH = np.full(len(_DIGIT_GROUPS), 4, dtype=np.uint8)
 _FIRST_WIDTH[:1000], _FIRST_WIDTH[:100], _FIRST_WIDTH[:10] = 3, 2, 1
 
 
@@ -326,16 +322,19 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
 
     One cumsum of the row lengths gives each row's end in the output
     buffer, and two scatters of fixed-width records place the rows there.
-    Pass 1 copies each row's head from the array: the number's slot and as
-    many bytes of its tail as the group's shortest tail has.  Pass 2 writes
-    the last 8 bytes of each tail (``_TAIL_END``) to end at the row's end.
-    As every tail is at least 8 bytes long and a mode's tails span at most
-    8, the two passes cover every row of a chunk, which is of one mode, and
-    neither writes outside it, in whatever order numpy applies the records
-    of a pass.  The slot is the number itself, but for trials 0 .. 9 999 it
-    is four bytes, NUL-padded in front: there pass 1 spills up to 3 NULs
-    into the last bytes of the row before, which pass 2 then writes, or
-    into a margin of one slot in front of the rows.
+    Pass 1 copies each row's head from the array: its whole slot, the
+    number ending where the tail starts, and as many bytes of the tail as
+    the group's shortest tail has.  Pass 2 writes the last 8 bytes of each
+    tail (``_TAIL_END``) to end at the row's end.  As every tail is at least
+    8 bytes long and a mode's tails span at most 8, the two passes cover
+    every row of a chunk, which is of one mode.  In front of a shorter
+    number the slot holds filler, at most 7 bytes in a chunk of at most
+    65 536 trials: from a start below 65 536 the slot is 8 bytes, and from
+    a later one the last number has at most one digit more than the first,
+    which leaves at most 4.  The filler lands in the last 8 bytes of the
+    row before, which pass 2 then writes, or in a margin of one slot that
+    is never written out, so no byte written depends on the order in which
+    numpy applies the records of a pass.
     """
     start, end, group = chunk.start, chunk.start + len(chunk.outcome), len(_DIGIT_GROUPS)
     digits = -(-len(str(end - 1)) // 4) * 4
@@ -353,18 +352,18 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
         row, tail, stop = rows[:n], tails[:n], ends[:n]
         table[:, : digits - 4] = list(str(base)[:-4].rjust(digits - 4, "\0").encode("ascii"))
         table.take(codes, axis=0, out=row, mode="clip")
-        words[:n, digits // 4 - 1] = (_DIGIT_GROUPS if base else _FIRST_GROUPS)[lo - base : hi - base]
-        slot, width = (len(str(base)),) * 2 if base else (4, _FIRST_WIDTH[lo:hi])
+        words[:n, digits // 4 - 1] = _DIGIT_GROUPS[lo - base : hi - base]
+        width = len(str(base)) if base else _FIRST_WIDTH[lo:hi]
         _TAIL_LEN.take(codes, out=tail, mode="clip")
-        head = slot + int(tail.min())
+        head = digits + int(tail.min())
         np.add(tail, width, out=stop)
         np.cumsum(stop, out=stop)  # each row's end, counted from the margin's end
-        np.subtract(stop, tail, out=tail)  # each tail's start: in the buffer, its head's start
-        _records(out, head, 0, out.size - head + 1, 1)[tail] = _records(rows, head, digits - slot, n, rows.shape[1])
-        np.add(stop, slot - 8, out=stop)  # in the buffer, the start of each tail's last 8 bytes
+        np.subtract(stop, tail, out=tail)  # each tail's start: in the buffer, its slot's start
+        _records(out, head, 0, out.size - head + 1, 1)[tail] = _records(rows, head, 0, n, rows.shape[1])
+        np.add(stop, digits - 8, out=stop)  # in the buffer, the start of each tail's last 8 bytes
         _TAIL_END.take(codes, out=tail_ends[:n], mode="clip")
         _records(out, 8, 0, out.size - 7, 1)[stop] = tail_ends[:n]
-        handle.write(out[slot : stop[-1] + 8])
+        handle.write(out[digits : stop[-1] + 8])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -865,24 +865,30 @@ class TestTraceEncoding:
             lengths = [len(tail) for tail in tails]
             assert min(lengths) >= 8
             assert max(lengths) - min(lengths) <= 8
+        # pass 1 also writes the filler in front of a shorter number into the
+        # last bytes of the row before, which pass 2 rewrites: it is widest,
+        # digits - 1 bytes, for trials 0 .. 9 of a chunk from 0
+        digits = -(-len(str(_CHUNK - 1)) // 4) * 4
+        assert digits - 1 <= 8
 
     @pytest.mark.parametrize(
         "code", EXTREME_TAILS, ids=["collapse-shortest", "collapse-longest", "analytic-shortest", "analytic-longest"]
     )
     @pytest.mark.parametrize("start, length", [(0, 1_010), (9_990, 20)])
     def test_matches_per_row_reference_with_one_tail(self, start, length, code):
-        # trials 0 .. 999 spill NULs from their four-byte slots into the row before
+        # in front of a shorter number, pass 1 writes its slot's filler into the row before
         chunk = TraceChunk(start, np.full(length, code, dtype=np.uint8))
         assert encoded_rows(chunk) == reference_rows(chunk)
 
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
     def test_rows_do_not_depend_on_the_order_within_a_pass(self, monkeypatch, analytic):
         # numpy leaves undefined the order in which a fancy assignment applies
-        # its elements; applied last first, a record that reaches past its
-        # row's end overwrites the head of the row after it
+        # its elements; applied last first, a row's pass-1 record is written
+        # after the filler that the next row's record put into its last bytes.
+        # From trial 0 the filler is widest: 7 bytes in front of trials 0 .. 9.
         records = cli._records
         monkeypatch.setattr(cli, "_records", lambda *args: records(*args).view(LastFirst))
-        chunk = random_chunk(2, 0, 1_010, analytic)
+        chunk = random_chunk(2, 0, _CHUNK, analytic)
         assert encoded_rows(chunk) == reference_rows(chunk)
 
     @pytest.mark.parametrize("analytic", [False, True], ids=["collapse", "analytic"])
