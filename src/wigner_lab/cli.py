@@ -334,8 +334,11 @@ def _write_trace_rows(handle: BinaryIO, chunk: montecarlo.TraceChunk) -> None:
     which leaves at most 4.  The filler lands in the last 8 bytes of the
     row before, which pass 2 then writes, or in a margin of one slot that
     is never written out, so no byte written depends on the order in which
-    numpy applies the records of a pass.
+    numpy applies the records of a pass.  ValueError for a chunk of more
+    than ``montecarlo._CHUNK`` trials, whose filler could be longer.
     """
+    if len(chunk.outcome) > montecarlo._CHUNK:
+        raise ValueError(f"a trace chunk holds at most {montecarlo._CHUNK} trials, got {len(chunk.outcome)}")
     start, end, group = chunk.start, chunk.start + len(chunk.outcome), len(_DIGIT_GROUPS)
     digits = -(-len(str(end - 1)) // 4) * 4
     table = np.zeros((len(_TAIL_BYTES), digits + _TAIL_BYTES.shape[1]), dtype=np.uint8)

@@ -63,13 +63,6 @@ def _from_pair(item) -> complex:
         raise ValueError(f"a complex number's parts must fit a double, got {_SHORT.repr(item)}") from None
 
 
-def state_to_dict(v: StateVector) -> dict:
-    return {
-        "num_qubits": v.num_qubits,
-        "amplitudes": [_pair(a) for a in v.amplitudes],
-    }
-
-
 def state_from_dict(data: dict) -> StateVector:
     return StateVector(vector_from_dict(data))
 
@@ -93,17 +86,6 @@ def matrix_to_dict(u: SquareUnitary) -> dict:
         "dim": u.dim,
         "entries": [[_pair(z) for z in row] for row in u.matrix],
     }
-
-
-def matrix_from_dict(data: dict) -> SquareUnitary:
-    rows = data.get("entries") if isinstance(data, dict) else None
-    if not (isinstance(rows, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in rows)):
-        raise ValueError('a matrix must be a JSON object with an "entries" list of rows')
-    u = SquareUnitary([[_from_pair(z) for z in row] for row in rows])
-    dim = data.get("dim")
-    if dim is not None and (isinstance(dim, bool) or dim != u.dim):
-        raise ValueError(f"dim {_SHORT.repr(dim)} does not match a {u.dim}x{u.dim} entry grid")
-    return u
 
 
 def dumps(obj) -> str:

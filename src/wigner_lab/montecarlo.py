@@ -49,8 +49,8 @@ MODES = ("collapse", "analytic")
 # ``simulate --check`` passes a label within this many binomial standard deviations.
 SIGMA_BOUND = 4.0
 
-# A trial's outcome code is its cell (see ``_cells``), ``branch * 4 +
-# charlie_idx``, where branches 0 .. 3 index protocol.BRANCHES and 4 is
+# A trial's outcome code is its cell (see ``_cell_weights``), ``branch *
+# 4 + charlie_idx``, where branches 0 .. 3 index protocol.BRANCHES and 4 is
 # analytic mode's.  Per branch: whether Alice saw heads, whether A_h0 was
 # applied, and its resultant state (AB in analytic mode).
 _HEADS_OF_BRANCH = np.array([alice is protocol.AliceOutcome.HEADS for alice, _, _ in protocol.BRANCHES])
@@ -135,7 +135,7 @@ class TraceChunk:
     """The trials ``start .. start + len(outcome) - 1``, one outcome code each.
 
     The code (uint8) is the trial's cell ``k`` of the contract (see
-    ``_cells``): ``branch * 4 + charlie_idx`` in collapse mode, 0 .. 15,
+    ``_cell_weights``): ``branch * 4 + charlie_idx`` in collapse mode, 0 .. 15,
     where the branch ``heads * 2 + mistake`` indexes ``protocol.BRANCHES``,
     and ``16 + charlie_idx`` in analytic mode, where Charlie measures the
     target state.  The properties decode the columns from the branch's
@@ -213,34 +213,43 @@ def _charlie_born() -> tuple[tuple[float, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _cells(mode: str) -> tuple[tuple[int, int, int], ...]:
-    """The cells of one trial in the contract's order, ``branch * 4 +
-    charlie_idx`` over the branches ``heads * 2 + mistake`` of
-    ``protocol.BRANCHES``, or ``charlie_idx`` alone in analytic mode, where
-    Charlie measures the target state: each cell's heads, mistake and
-    weight without the policy's factor, P(record) * P(Charlie's outcome)
-    exactly, as an integer at one power-of-two scale (a double's
-    denominator is a power of two).  A cell's ``TraceChunk`` outcome code is
-    its index, plus ``_ANALYTIC`` in analytic mode.  Checks, over every
-    cell, that the resultant state is AB exactly when there is no mistake."""
-    # only the first table build of each mode needs it: a CLI process that
-    # builds none does not import fractions (and decimal with it)
-    from fractions import Fraction
+def _branches(policy: MistakePolicy, parity: int = 0) -> tuple[tuple[float, float, str], ...]:
+    """The mistake mechanism, the one place it is derived: per branch of
+    ``protocol.BRANCHES``, in branch order ``heads * 2 + mistake``,
+    P(Alice's record), P(the applied transform | record) and the resultant
+    state.  The transform's probability is eps for a mistake and 1 - eps
+    otherwise, or under ``alternating`` 1 for the transform the trial's
+    parity applies (A_h0 on even trials) and 0 for the other.  Checks that
+    the resultant state is AB exactly when there is no mistake."""
+    eps = policy.mistake_probability
+    branches = []
+    for branch, (_, transform, state) in enumerate(protocol.BRANCHES):
+        heads, mistake = divmod(branch, 2)
+        if (state == "AB") == mistake:
+            raise AssertionError("resultant state must be AB exactly when the transform matches the record")
+        p_transform = float((transform == "A_h0") != parity) if eps is None else eps if mistake else 1.0 - eps
+        branches.append((protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS, p_transform, state))
+    return tuple(branches)
 
-    born = _charlie_born()
+
+def _cell_weights(policy: MistakePolicy, mode: str, parity: int = 0) -> list[int]:
+    """Each cell's weight in the contract's order, ``branch * 4 +
+    charlie_idx`` (see ``_branches``): P(record) * P(transform | record) *
+    P(Charlie's outcome), or in analytic mode, where Charlie measures the
+    target state, the Born row of AB alone.  Exact, as integers at one
+    power-of-two scale (a double's denominator is a power of two).  A
+    cell's ``TraceChunk`` outcome code is its index, plus ``_ANALYTIC`` in
+    analytic mode."""
+    born = [[p.as_integer_ratio() for p in row] for row in _charlie_born()]
     if mode == "analytic":
-        cells = [(0, 0, Fraction(p)) for p in born[0]]
+        cells = born[0]
     else:
         cells = []
-        for branch, (_, _, state) in enumerate(protocol.BRANCHES):
-            heads, mistake = divmod(branch, 2)
-            if (state == "AB") == mistake:
-                raise AssertionError("resultant state must be AB exactly when the transform matches the record")
-            p_heads = Fraction(protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS)
-            cells += [(heads, mistake, p_heads * Fraction(p)) for p in born[STATE_LABELS.index(state)]]
-    scale = max(weight.denominator for *_, weight in cells)
-    return tuple((heads, mistake, int(weight * scale)) for heads, mistake, weight in cells)
+        for p_record, p_transform, state in _branches(policy, parity):
+            (n0, d0), (n1, d1) = p_record.as_integer_ratio(), p_transform.as_integer_ratio()
+            cells += [(n0 * n1 * n, d0 * d1 * d) for n, d in born[STATE_LABELS.index(state)]]
+    scale = max(d for _, d in cells)
+    return [n * (scale // d) for n, d in cells]
 
 
 class _CellTables(NamedTuple):
@@ -275,20 +284,10 @@ def _guide(interior: list[int], first: int) -> np.ndarray:
 
 def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
     """The cell bounds ``floor(2**64 * S_k / S)`` of a setting, exactly, one
-    list per trial parity: two for ``alternating``, which applies A_h0 on
-    even trials, else one.  ``S_k`` sums the first k cells' weights (see
-    ``_cells``), each times the policy's factor over one denominator: eps
-    for a mistake cell and 1 - eps for any other, or under ``alternating``
-    1 for a cell whose transform the trial's parity applies and 0
-    otherwise."""
-    cells = _cells(mode)
-    eps = policy.mistake_probability if mode == "collapse" else 0.0
-    if eps is None:
-        factors = [[int(heads ^ mistake != parity) for heads, mistake, _ in cells] for parity in (0, 1)]
-    else:
-        (n0, d0), (n1, d1) = (1.0 - eps).as_integer_ratio(), eps.as_integer_ratio()
-        factors = [[n1 * d0 if mistake else n0 * d1 for _, mistake, _ in cells]]
-    sums = [list(accumulate((f * weight for f, (_, _, weight) in zip(factor, cells)), initial=0)) for factor in factors]
+    list per trial parity: two for ``alternating`` in collapse mode, else
+    one.  ``S_k`` sums the first k cells' weights (``_cell_weights``)."""
+    parities = (0, 1) if policy.mistake_probability is None and mode == "collapse" else (0,)
+    sums = [list(accumulate(_cell_weights(policy, mode, parity), initial=0)) for parity in parities]
     return [[(s_k << 64) // s[-1] for s_k in s] for s in sums]
 
 
@@ -426,19 +425,18 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
 
 
 def mechanism_rows(policy: MistakePolicy) -> tuple[MechanismRow, ...]:
-    """The four branches of ``protocol.BRANCHES``, heads first (branches 2, 3,
-    1, 0): Alice's register (heads with ``P_HEADS``), the transform applied
-    (the one keyed to the other record with probability eps), and the
-    resultant state with its joint probability."""
-    eps = policy.mistake_probability
-    if eps is None:
+    """The four branches of ``protocol.BRANCHES`` (see ``_branches``), heads
+    first (branches 2, 3, 1, 0): Alice's register, the transform applied
+    and the resultant state, with their probabilities and the joint one."""
+    if policy.mistake_probability is None:
         raise ValueError("alternating policy has no per-trial closed form; sample it with run_trials")
+    branches = _branches(policy)
     rows = []
-    for alice, transform, state in (protocol.BRANCHES[branch] for branch in (2, 3, 1, 0)):
-        heads = alice is protocol.AliceOutcome.HEADS
-        register, p_register = ("psi_h0", protocol.P_HEADS) if heads else ("psi_t01", 1.0 - protocol.P_HEADS)
-        p_transform = 1.0 - eps if state == "AB" else eps
-        rows.append(MechanismRow(register, p_register, transform, p_transform, state, p_register * p_transform))
+    for branch in (2, 3, 1, 0):
+        alice, transform, _ = protocol.BRANCHES[branch]
+        p_record, p_transform, state = branches[branch]
+        register = "psi_h0" if alice is protocol.AliceOutcome.HEADS else "psi_t01"
+        rows.append(MechanismRow(register, p_record, transform, p_transform, state, p_record * p_transform))
     return tuple(rows)
 
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wigner_lab
-from wigner_lab import cli, jsonio, montecarlo, protocol
+from wigner_lab import cli, core, montecarlo, protocol
 from wigner_lab.cli import _DIGIT_GROUPS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
 
@@ -43,6 +43,17 @@ MALFORMED_DOCUMENTS = [
     '{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}',
 ]
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
+
+
+def state_document(state):
+    """A state's JSON document, written as the file format spells it."""
+    return {"num_qubits": state.num_qubits, "amplitudes": [[z.real, z.imag] for z in state.amplitudes.tolist()]}
+
+
+def read_matrix(path):
+    """The complex matrix of a ``synth --out`` file, read with json and numpy."""
+    entries = np.array(json.loads(path.read_text(encoding="utf-8"))["entries"])
+    return entries[..., 0] + 1j * entries[..., 1]
 
 
 def run_cli(capsys, *args):
@@ -94,7 +105,7 @@ class TestStates:
 
     def test_loads_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text(jsonio.dumps(jsonio.state_to_dict(protocol.target_state())), encoding="utf-8")
+        path.write_text(json.dumps(state_document(protocol.target_state())), encoding="utf-8")
         code, out, _ = run_cli(capsys, "states", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["labels"] == ["0_0", "0_1", "1_0", "1_1"]
@@ -206,16 +217,17 @@ class TestSynth:
         code, out, _ = run_cli(capsys, "synth", "psi_h0", "--to-e0", "--out", str(out_path))
         assert code == 0
         assert "residual" in out
-        u = jsonio.matrix_from_dict(json.loads(out_path.read_text(encoding="utf-8")))
-        mapped = u.matrix @ protocol.initial_register(protocol.AliceOutcome.HEADS).amplitudes
+        u = read_matrix(out_path)
+        assert core.is_unitary(u).ok
+        mapped = u @ protocol.initial_register(protocol.AliceOutcome.HEADS).amplitudes
         assert np.linalg.norm(mapped - np.array([1, 0, 0, 0])) <= 1e-10
 
     def test_from_e0_reaches_target(self, capsys, tmp_path):
         out_path = tmp_path / "u.json"
         code, _, _ = run_cli(capsys, "synth", "psi_AB", "--from-e0", "--out", str(out_path))
         assert code == 0
-        u = jsonio.matrix_from_dict(json.loads(out_path.read_text(encoding="utf-8")))
-        mapped = u.matrix @ np.array([1, 0, 0, 0])
+        u = read_matrix(out_path)
+        mapped = u @ np.array([1, 0, 0, 0])
         assert np.linalg.norm(mapped - protocol.target_state().amplitudes) <= 1e-10
 
     def test_stdout_json_with_residual_on_stderr(self, capsys):
@@ -355,7 +367,7 @@ FUZZ_DOCUMENTS = st.one_of(
     ),
     UNIT_DOCUMENTS,
     st.builds(lambda doc, n: {**doc, "num_qubits": n}, UNIT_DOCUMENTS, st.integers(0, 3) | st.booleans() | FUZZ_JSON),
-    st.sampled_from([jsonio.state_to_dict(state) for state in protocol.named_states().values()]),
+    st.sampled_from([state_document(state) for state in protocol.named_states().values()]),
 )
 FUZZ_COMMANDS = [("audit",), ("states",), ("synth", "--to-e0"), ("synth", "--to-e0", "--out")]
 
@@ -932,6 +944,12 @@ class TestTraceEncoding:
             _write_trace_rows(handle, random_chunk(0, start, _CHUNK, False))
             assert handle.writes == writes
 
+    def test_a_chunk_longer_than_the_kernel_makes_is_refused(self):
+        # the slot rule is exact only for chunks of at most _CHUNK trials
+        with pytest.raises(ValueError, match="at most"):
+            _write_trace_rows(ByteCounter(), TraceChunk(0, np.zeros(_CHUNK + 1, dtype=np.uint8)))
+        assert encoded_rows(TraceChunk(0, np.zeros(_CHUNK, dtype=np.uint8))).startswith(b"0,t,A_t01,AB,ok,ok\n")
+
     def test_memory_is_one_block(self):
         # a full chunk's rows are about 1.7 MB; the encoder holds one group of them
         written, peak = encoding_peak(random_chunk(1, 0, _CHUNK, False))
@@ -1049,15 +1067,17 @@ class TestEntryPoint:
         assert "all checks passed" in proc.stdout
 
     def test_importing_the_cli_leaves_out_fractions(self):
-        # only a table build imports fractions (and decimal with it), and only
-        # sampling needs numpy.random, which numpy >= 2 imports on first use
+        # only sampling needs numpy.random, which numpy >= 2 imports on first
+        # use; the cell bounds are built in integers, so not even a biased
+        # run's table build imports fractions (and decimal with it)
         code = (
             "import contextlib, io, sys, numpy\n"
             "before = set(sys.modules)\n"
             "import wigner_lab.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert wigner_lab.cli.main(['verify']) == 0\n"
-            "numpy_random = {name for name in set(sys.modules) - before if name.startswith('numpy.random')}\n"
+            "    numpy_random = {name for name in set(sys.modules) - before if name.startswith('numpy.random')}\n"
+            "    assert wigner_lab.cli.main(['simulate', '-n', '1000', '--policy', 'biased:0.1']) == 0\n"
             "sys.exit(sorted(numpy_random | {'fractions', 'decimal'} & set(sys.modules)) or None)"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=60)

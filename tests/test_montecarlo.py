@@ -4,6 +4,7 @@ determinism, and agreement with the exact state machinery."""
 import ast
 import dataclasses
 import inspect
+import math
 import sys
 import threading
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wigner_lab import core, montecarlo, protocol
+from wigner_lab import cli, core, montecarlo, protocol
 from wigner_lab.montecarlo import (
     _BLOCK,
     _CHUNK,
@@ -38,8 +39,8 @@ COLUMNS = ("heads", "apply_h0", "state_idx", "charlie_idx")
 # The library's branch tables: the reference in contract.py is written to
 # check them, so it names none of them.
 BRANCH_TABLES = {
-    "BRANCHES", "RECORDS", "_STATE_OF_BRANCH", "_HEADS_OF_BRANCH", "_H0_OF_BRANCH", "_cells", "mechanism_rows",
-    "_TRACE_TAILS",
+    "BRANCHES", "RECORDS", "_STATE_OF_BRANCH", "_HEADS_OF_BRANCH", "_H0_OF_BRANCH", "_branches", "_cell_weights",
+    "mechanism_rows", "_TRACE_TAILS",
 }
 
 
@@ -448,10 +449,18 @@ class TestCells:
         assert montecarlo._setting_bounds(MistakePolicy.biased(eps), mode) == [contract.cells(eps, mode, 0)]
 
     def test_corrupted_cell_table_raises(self, monkeypatch):
-        # tails with no mistake now claims ABth: the table build refuses it
+        # tails with no mistake now claims ABth: the cell weights and the
+        # closed form read one derivation of the branches, and both refuse it
         monkeypatch.setattr(protocol, "BRANCHES", (BRANCHES[1], BRANCHES[0], *BRANCHES[2:]))
-        with pytest.raises(AssertionError, match="AB exactly when the transform matches the record"):
-            montecarlo._cells.__wrapped__("collapse")
+        policy = MistakePolicy("uniform")
+        for refused in (
+            lambda: montecarlo._branches(policy),
+            lambda: montecarlo._cell_weights(policy, "collapse"),
+            lambda: mechanism_rows(policy),
+            lambda: cli.main(["table"]),
+        ):
+            with pytest.raises(AssertionError, match="AB exactly when the transform matches the record"):
+                refused()
 
 
 # sizes on each side of a block and a chunk boundary, odd and even
@@ -639,6 +648,16 @@ class TestCompareDistributions:
             compare_distributions(empirical, analytic_mistake_table(MistakePolicy("uniform")), 4.0)
 
 
+def assert_branch_laws_match_rows(policy):
+    """Each branch's four cell weights over the total are within 2 ulp of
+    that branch's ``mechanism_rows`` joint probability (the coin's two
+    doubles and each Born row sum to 1 only within an ulp or so)."""
+    weights = montecarlo._cell_weights(policy, "collapse")
+    for branch, row in zip((2, 3, 1, 0), mechanism_rows(policy)):
+        law = Fraction(sum(weights[4 * branch : 4 * branch + 4]), sum(weights))
+        assert abs(law - Fraction(row.p_joint)) <= 2 * Fraction(math.ulp(row.p_joint)), (branch, float(law), row)
+
+
 class TestBranches:
     """``BRANCHES`` is the one spelling of the mechanism's branches, indexed
     by the kernel's branch code ``heads * 2 + mistake``."""
@@ -663,6 +682,17 @@ class TestBranches:
             assert row.p_initial == (P_HEADS if row.initial_state == "psi_h0" else 1.0 - P_HEADS)
             assert row.p_transform == (1.0 - eps if row.resultant_state == "AB" else eps)
             assert row.p_joint == row.p_initial * row.p_transform
+
+    @pytest.mark.parametrize("spec", [spec for spec, mode in SETTINGS if mode == "collapse" and spec != "alternating"])
+    def test_cell_weights_agree_with_mechanism_rows(self, spec):
+        assert_branch_laws_match_rows(MistakePolicy.parse(spec))
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=st.floats(0, 1))
+    @example(eps=5e-324)  # the least subnormal
+    @example(eps=1.0 - 2.0**-53)  # the greatest double below 1
+    def test_cell_weights_agree_with_mechanism_rows_for_any_epsilon(self, eps):
+        assert_branch_laws_match_rows(MistakePolicy.biased(eps))
 
     def test_branches_agree_with_the_kernel(self):
         # per branch, then analytic mode's
@@ -697,8 +727,12 @@ class TestReferenceIndependence:
         assert not names_in(Path(contract.__file__).read_text(encoding="utf-8")) & BRANCH_TABLES
 
     def test_each_way_of_naming_a_table_is_seen(self):
-        source = "from wigner_lab.cli import _TRACE_TAILS\nprotocol.BRANCHES\n_cells()\ngetattr(m, 'mechanism_rows')\n"
-        assert names_in(source) & BRANCH_TABLES == {"_TRACE_TAILS", "BRANCHES", "_cells", "mechanism_rows"}
+        source = (
+            "from wigner_lab.cli import _TRACE_TAILS\nprotocol.BRANCHES\n_branches()\nm._cell_weights\n"
+            "getattr(m, 'mechanism_rows')\n"
+        )
+        names = {"_TRACE_TAILS", "BRANCHES", "_branches", "_cell_weights", "mechanism_rows"}
+        assert names_in(source) & BRANCH_TABLES == names
 
 
 class TestExpectedResultantStates:
