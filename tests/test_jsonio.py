@@ -96,6 +96,25 @@ class TestStateJson:
 
 
 class TestMatrixJson:
+    def test_dict_shape(self):
+        data = jsonio.matrix_to_dict(protocol.named_matrices()["A_h0"])
+        assert data["dim"] == 4
+        assert [len(row) for row in data["entries"]] == [4] * 4
+        assert data["entries"][0][1] == [0.0, 0.0]
+
+    def test_json_text_is_plain_numbers(self):
+        # every entry part is a JSON float, spelled as the shortest decimal
+        # that recovers the double: no NaN, Infinity or integer forms
+        matrix = protocol.entangle_matrix()
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the matrix text")
+
+        parsed = json.loads(jsonio.dumps(jsonio.matrix_to_dict(matrix)), parse_constant=refuse)
+        parts = [x for row in parsed["entries"] for pair in row for x in pair]
+        assert all(type(x) is float for x in parts)
+        assert parts == [x for z in matrix.matrix.ravel().tolist() for x in (z.real, z.imag)]
+
     @pytest.mark.parametrize("key", protocol.MATRIX_KEYS)
     def test_round_trip_is_lossless(self, key):
         matrix = protocol.named_matrices()[key]

@@ -694,6 +694,23 @@ class TestBranches:
     def test_cell_weights_agree_with_mechanism_rows_for_any_epsilon(self, eps):
         assert_branch_laws_match_rows(MistakePolicy.biased(eps))
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_alternating_applies_the_transform_of_the_trials_parity(self, parity):
+        # A_h0 on even trials and A_t01 on odd ones, whatever the record
+        branches = montecarlo._branches(MistakePolicy("alternating"), parity)
+        for (alice, transform, state), (p_record, p_transform, branch_state) in zip(BRANCHES, branches):
+            assert p_record == (P_HEADS if alice is AliceOutcome.HEADS else 1.0 - P_HEADS)
+            assert p_transform == (1.0 if transform == ("A_h0", "A_t01")[parity] else 0.0)
+            assert branch_state == state
+
+    @pytest.mark.parametrize("spec", ["correct", "uniform", "alternating", "biased:0.3"])
+    def test_analytic_cell_weights_are_the_born_row_of_ab(self, spec):
+        # analytic mode measures the target state, whatever the policy
+        born = montecarlo._charlie_born()[STATE_LABELS.index("AB")]
+        weights = montecarlo._cell_weights(MistakePolicy.parse(spec), "analytic")
+        exact = [Fraction(p) for p in born]
+        assert [Fraction(w, sum(weights)) for w in weights] == [p / sum(exact) for p in exact]
+
     def test_branches_agree_with_the_kernel(self):
         # per branch, then analytic mode's
         assert [STATE_LABELS[i] for i in montecarlo._STATE_OF_BRANCH] == ["AB", "ABth", "AB", "ABht", "AB"]
