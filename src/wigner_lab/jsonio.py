@@ -63,13 +63,9 @@ def _from_pair(item) -> complex:
         raise ValueError(f"a complex number's parts must fit a double, got {_SHORT.repr(item)}") from None
 
 
-def state_from_dict(data: dict) -> StateVector:
-    return StateVector(vector_from_dict(data))
-
-
 def vector_from_dict(data: dict) -> np.ndarray:
     """Raw complex vector, no normalization check (synthesis inputs; the
-    shape checks behind ``state_from_dict``).  A ``num_qubits``, when given,
+    shape checks behind ``load_state``).  A ``num_qubits``, when given,
     must be the vector's qubit count; without one any length passes."""
     if not (isinstance(data, dict) and isinstance(data.get("amplitudes"), (list, tuple))):
         raise ValueError('a state must be a JSON object with an "amplitudes" list')
@@ -92,12 +88,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load(path: str | Path, from_dict):
-    """``from_dict`` of the JSON document in a UTF-8 file.  A file that is not
-    UTF-8 JSON, or JSON nested too deeply to read, is a ``ValueError`` that
-    names the file."""
+def load_vector(path: str | Path) -> np.ndarray:
+    """``vector_from_dict`` of the JSON document in a UTF-8 file.  A file that
+    is not UTF-8 JSON, or JSON nested too deeply to read, is a ``ValueError``
+    that names the file."""
     try:
-        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return vector_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
@@ -107,8 +103,4 @@ def _load(path: str | Path, from_dict):
 
 
 def load_state(path: str | Path) -> StateVector:
-    return _load(path, state_from_dict)
-
-
-def load_vector(path: str | Path) -> np.ndarray:
-    return _load(path, vector_from_dict)
+    return StateVector(load_vector(path))

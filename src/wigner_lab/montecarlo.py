@@ -202,34 +202,35 @@ class ComparisonReport:
 
 
 @lru_cache(maxsize=None)
-def _charlie_born() -> tuple[tuple[float, ...], ...]:
+def _charlie_born() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per resultant state, the Born probabilities of Charlie's outcomes, in
-    ``CHARLIE_LABELS`` order: the only Born table the sampler reads."""
+    ``CHARLIE_LABELS`` order, each double as its exact ``as_integer_ratio()``
+    pair: the only Born table the sampler reads."""
     bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
     states = protocol.named_states()
-    return tuple(
-        tuple(core.born_probabilities(states[f"psi_{label}"], bases).probability(k) for k in CHARLIE_LABELS)
-        for label in STATE_LABELS
-    )
+    rows = (core.born_probabilities(states[f"psi_{label}"], bases) for label in STATE_LABELS)
+    return tuple(tuple(row.probability(k).as_integer_ratio() for k in CHARLIE_LABELS) for row in rows)
 
 
-def _branches(policy: MistakePolicy, parity: int = 0) -> tuple[tuple[float, float, str], ...]:
-    """The mistake mechanism, the one place it is derived: per branch of
-    ``protocol.BRANCHES``, in branch order ``heads * 2 + mistake``,
-    P(Alice's record), P(the applied transform | record) and the resultant
-    state.  The transform's probability is eps for a mistake and 1 - eps
-    otherwise, or under ``alternating`` 1 for the transform the trial's
-    parity applies (A_h0 on even trials) and 0 for the other.  Checks that
-    the resultant state is AB exactly when there is no mistake."""
+def _branches(policy: MistakePolicy, parity: int = 0) -> tuple[MechanismRow, ...]:
+    """The mistake mechanism, the one place it is derived: the
+    ``MechanismRow`` of each branch of ``protocol.BRANCHES``, in branch
+    order ``heads * 2 + mistake``.  The transform's probability is eps for
+    a mistake and 1 - eps otherwise, or under ``alternating`` 1 for the
+    transform the trial's parity applies (A_h0 on even trials) and 0 for
+    the other.  Checks that the resultant state is AB exactly when there is
+    no mistake."""
     eps = policy.mistake_probability
-    branches = []
-    for branch, (_, transform, state) in enumerate(protocol.BRANCHES):
+    rows = []
+    for branch, (alice, transform, state) in enumerate(protocol.BRANCHES):
         heads, mistake = divmod(branch, 2)
         if (state == "AB") == mistake:
             raise AssertionError("resultant state must be AB exactly when the transform matches the record")
+        register = "psi_h0" if alice is protocol.AliceOutcome.HEADS else "psi_t01"
+        p_record = protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS
         p_transform = float((transform == "A_h0") != parity) if eps is None else eps if mistake else 1.0 - eps
-        branches.append((protocol.P_HEADS if heads else 1.0 - protocol.P_HEADS, p_transform, state))
-    return tuple(branches)
+        rows.append(MechanismRow(register, p_record, transform, p_transform, state, p_record * p_transform))
+    return tuple(rows)
 
 
 def _cell_weights(policy: MistakePolicy, mode: str, parity: int = 0) -> list[int]:
@@ -240,14 +241,14 @@ def _cell_weights(policy: MistakePolicy, mode: str, parity: int = 0) -> list[int
     power-of-two scale (a double's denominator is a power of two).  A
     cell's ``TraceChunk`` outcome code is its index, plus ``_ANALYTIC`` in
     analytic mode."""
-    born = [[p.as_integer_ratio() for p in row] for row in _charlie_born()]
+    born = _charlie_born()
     if mode == "analytic":
         cells = born[0]
     else:
         cells = []
-        for p_record, p_transform, state in _branches(policy, parity):
-            (n0, d0), (n1, d1) = p_record.as_integer_ratio(), p_transform.as_integer_ratio()
-            cells += [(n0 * n1 * n, d0 * d1 * d) for n, d in born[STATE_LABELS.index(state)]]
+        for row in _branches(policy, parity):
+            (n0, d0), (n1, d1) = row.p_initial.as_integer_ratio(), row.p_transform.as_integer_ratio()
+            cells += [(n0 * n1 * n, d0 * d1 * d) for n, d in born[STATE_LABELS.index(row.resultant_state)]]
     scale = max(d for _, d in cells)
     return [n * (scale // d) for n, d in cells]
 
@@ -399,19 +400,19 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     The chunks run in order on the calling thread, which sums their
     tallies and, on a traced run, calls the sink after each chunk.  The run
     owns one Philox, re-keyed before each chunk (``_chunk_words``), and the
-    chunks' buffers: no other run shares them.  A traced chunk writes its
-    codes into its own ``TraceChunk.outcome``, else into the run's buffer.
+    chunks' buffers: no other run shares them.  Each chunk writes its codes
+    into an array of its own, a traced run's ``TraceChunk.outcome``; at 64
+    KiB, below glibc's mmap threshold, malloc reuses its memory.
     """
     tables = _cell_tables(config.policy, config.mode)
-    n, traced = config.n_trials, collect_traces is not None
+    n = config.n_trials
     philox = np.random.Philox(0)  # its key is set before each chunk
-    codes = None if traced else np.empty(min(n, _CHUNK), dtype=np.uint8)
     work = np.empty(min(n, _CHUNK // 2), dtype=np.intp)  # a block's buckets, then a chunk's pair keys
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     for start in range(0, n, _CHUNK):
-        code = np.empty(min(_CHUNK, n - start), dtype=np.uint8) if traced else codes[: n - start]
+        code = np.empty(min(_CHUNK, n - start), dtype=np.uint8)
         code_tally += _run_chunk(_chunk_words(philox, config.seed, start // _CHUNK), tables, code, work)
-        if traced:
+        if collect_traces is not None:
             collect_traces(TraceChunk(start, code))
 
     joint = code_tally[:_FALLBACK].reshape(len(_STATE_OF_BRANCH), len(CHARLIE_LABELS))  # branch by Charlie
@@ -430,14 +431,8 @@ def mechanism_rows(policy: MistakePolicy) -> tuple[MechanismRow, ...]:
     and the resultant state, with their probabilities and the joint one."""
     if policy.mistake_probability is None:
         raise ValueError("alternating policy has no per-trial closed form; sample it with run_trials")
-    branches = _branches(policy)
-    rows = []
-    for branch in (2, 3, 1, 0):
-        alice, transform, _ = protocol.BRANCHES[branch]
-        p_record, p_transform, state = branches[branch]
-        register = "psi_h0" if alice is protocol.AliceOutcome.HEADS else "psi_t01"
-        rows.append(MechanismRow(register, p_record, transform, p_transform, state, p_record * p_transform))
-    return tuple(rows)
+    rows = _branches(policy)
+    return tuple(rows[branch] for branch in (2, 3, 1, 0))
 
 
 def analytic_mistake_table(policy: MistakePolicy) -> OutcomeDistribution:

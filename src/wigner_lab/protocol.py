@@ -236,10 +236,6 @@ def frame_view(state: StateVector, view: str) -> ExpansionCoefficients:
 # ---------------------------------------------------------------------------
 # Named registry exposed to the CLI.
 
-STATE_KEYS = ("psi_A", "psi_AB", "psi_h0", "psi_t01", *(f"psi_{label.value}" for label in WrongStateLabel))
-MATRIX_KEYS = ("A_h0", "A_t01", "R")
-
-
 def named_states() -> dict[str, StateVector]:
     return {
         "psi_A": alice_first_qubit(),
@@ -266,7 +262,7 @@ def lookup(key: str) -> StateVector | SquareUnitary:
     matrices = named_matrices()
     if key in matrices:
         return matrices[key]
-    raise KeyError(f"unknown registry key {key!r}; states: {', '.join(STATE_KEYS)}; matrices: {', '.join(MATRIX_KEYS)}")
+    raise KeyError(f"unknown registry key {key!r}; states: {', '.join(states)}; matrices: {', '.join(matrices)}")
 
 
 # ---------------------------------------------------------------------------

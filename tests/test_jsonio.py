@@ -9,6 +9,11 @@ from wigner_lab import jsonio, protocol
 from wigner_lab.core import StateVector
 
 
+def read_state(data):
+    """The state of a JSON document, as ``jsonio.load_state`` reads it."""
+    return StateVector(jsonio.vector_from_dict(data))
+
+
 def state_document(state):
     """A state's JSON document, written as the file format spells it."""
     return {"num_qubits": state.num_qubits, "amplitudes": [[z.real, z.imag] for z in state.amplitudes.tolist()]}
@@ -21,10 +26,10 @@ def matrix_from_document(data):
 
 
 class TestStateJson:
-    @pytest.mark.parametrize("key", protocol.STATE_KEYS)
+    @pytest.mark.parametrize("key", list(protocol.named_states()))
     def test_round_trip_is_lossless(self, key):
         state = protocol.named_states()[key]
-        again = jsonio.state_from_dict(state_document(state))
+        again = read_state(state_document(state))
         np.testing.assert_array_equal(again.amplitudes, state.amplitudes)
 
     def test_file_round_trip(self, tmp_path):
@@ -35,14 +40,14 @@ class TestStateJson:
 
     def test_complex_amplitudes_survive(self):
         state = StateVector([0.6, 0.8j])
-        again = jsonio.state_from_dict(state_document(state))
+        again = read_state(state_document(state))
         np.testing.assert_array_equal(again.amplitudes, state.amplitudes)
 
     def test_num_qubits_mismatch_rejected(self):
         data = state_document(protocol.target_state())
         data["num_qubits"] = 3
         with pytest.raises(ValueError, match="num_qubits"):
-            jsonio.state_from_dict(data)
+            read_state(data)
 
     @pytest.mark.parametrize(
         "data",
@@ -59,7 +64,7 @@ class TestStateJson:
     )
     def test_malformed_shapes_rejected(self, data):
         with pytest.raises(ValueError):
-            jsonio.state_from_dict(data)
+            read_state(data)
 
     def test_errors_show_a_short_value(self):
         deep = [[0.0, 0.0]]
@@ -69,7 +74,7 @@ class TestStateJson:
         items = (deep, ["x" * 1_000] * 1_000, {str(k): k for k in range(1_000)})
         calls = [
             *((jsonio.vector_from_dict, {"amplitudes": [item]}) for item in items),
-            (jsonio.state_from_dict, {"num_qubits": deep, "amplitudes": unit}),
+            (read_state, {"num_qubits": deep, "amplitudes": unit}),
         ]
         for from_dict, data in calls:
             with pytest.raises(ValueError) as info:
@@ -92,7 +97,7 @@ class TestStateJson:
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
-            jsonio.state_from_dict({"num_qubits": 1, "amplitudes": [[0.5, 0.0], [0.0, 0.0]]})
+            read_state({"num_qubits": 1, "amplitudes": [[0.5, 0.0], [0.0, 0.0]]})
 
 
 class TestMatrixJson:
@@ -115,7 +120,7 @@ class TestMatrixJson:
         assert all(type(x) is float for x in parts)
         assert parts == [x for z in matrix.matrix.ravel().tolist() for x in (z.real, z.imag)]
 
-    @pytest.mark.parametrize("key", protocol.MATRIX_KEYS)
+    @pytest.mark.parametrize("key", list(protocol.named_matrices()))
     def test_round_trip_is_lossless(self, key):
         matrix = protocol.named_matrices()[key]
         again = matrix_from_document(jsonio.matrix_to_dict(matrix))
@@ -138,7 +143,7 @@ class TestVectorJson:
         assert vec.shape == (3,)
 
     def test_checks_a_given_qubit_count(self):
-        # the check state_from_dict shares; a length without a qubit count has none
+        # the check load_state shares; a length without a qubit count has none
         assert jsonio.vector_from_dict({"num_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}).shape == (2,)
         for n, size in ((True, 2), (0, 2), (2, 2), (1.5, 2), ("1", 2), (1, 3)):
             with pytest.raises(ValueError, match="num_qubits"):

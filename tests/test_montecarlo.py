@@ -213,7 +213,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("mode", montecarlo.MODES)
     @pytest.mark.parametrize("spec", POLICIES)
-    def test_counts_independent_of_worker_count(self, spec, mode):
+    def test_counts_only_and_traced_runs_agree(self, spec, mode):
         config = TrialConfig(self.N_FIVE_CHUNKS, 77, MistakePolicy.parse(spec), mode)
         counts = run_trials(config)
         traced = run_trials(config, collect_traces=lambda chunk: None)
@@ -697,19 +697,33 @@ class TestBranches:
     @pytest.mark.parametrize("parity", [0, 1])
     def test_alternating_applies_the_transform_of_the_trials_parity(self, parity):
         # A_h0 on even trials and A_t01 on odd ones, whatever the record
-        branches = montecarlo._branches(MistakePolicy("alternating"), parity)
-        for (alice, transform, state), (p_record, p_transform, branch_state) in zip(BRANCHES, branches):
-            assert p_record == (P_HEADS if alice is AliceOutcome.HEADS else 1.0 - P_HEADS)
-            assert p_transform == (1.0 if transform == ("A_h0", "A_t01")[parity] else 0.0)
-            assert branch_state == state
+        rows = montecarlo._branches(MistakePolicy("alternating"), parity)
+        for (alice, transform, state), row in zip(BRANCHES, rows):
+            assert row.p_initial == (P_HEADS if alice is AliceOutcome.HEADS else 1.0 - P_HEADS)
+            assert row.p_transform == (1.0 if transform == ("A_h0", "A_t01")[parity] else 0.0)
+            assert row.resultant_state == state
 
     @pytest.mark.parametrize("spec", ["correct", "uniform", "alternating", "biased:0.3"])
     def test_analytic_cell_weights_are_the_born_row_of_ab(self, spec):
         # analytic mode measures the target state, whatever the policy
         born = montecarlo._charlie_born()[STATE_LABELS.index("AB")]
         weights = montecarlo._cell_weights(MistakePolicy.parse(spec), "analytic")
-        exact = [Fraction(p) for p in born]
+        exact = [Fraction(*p) for p in born]
         assert [Fraction(w, sum(weights)) for w in weights] == [p / sum(exact) for p in exact]
+
+    def test_born_table_holds_each_double_exactly(self):
+        # each pair is the exact ratio of the double core.born_probabilities gives
+        bases = [protocol.charlie_basis("A"), protocol.charlie_basis("B")]
+        for label, row in zip(STATE_LABELS, montecarlo._charlie_born(), strict=True):
+            born = core.born_probabilities(protocol.named_states()[f"psi_{label}"], bases)
+            for k, (n, d) in zip(CHARLIE_LABELS, row, strict=True):
+                assert (n / d).hex() == born.probability(k).hex()
+
+    @pytest.mark.parametrize("spec", [spec for spec, mode in SETTINGS if mode == "collapse" and spec != "alternating"])
+    def test_mechanism_rows_are_the_branches_heads_first(self, spec):
+        policy = MistakePolicy.parse(spec)
+        rows = montecarlo._branches(policy)
+        assert mechanism_rows(policy) == tuple(rows[branch] for branch in (2, 3, 1, 0))
 
     def test_branches_agree_with_the_kernel(self):
         # per branch, then analytic mode's

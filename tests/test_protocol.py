@@ -257,12 +257,12 @@ class TestFrameViews:
 class TestRegistry:
     def test_state_keys(self):
         states = protocol.named_states()
-        assert set(states) == set(protocol.STATE_KEYS)
+        assert list(states) == ["psi_A", "psi_AB", "psi_h0", "psi_t01", "psi_ABht", "psi_ABth"]
         for state in states.values():
             assert abs(state.norm() - 1.0) <= 1e-10
 
     def test_matrix_keys(self):
-        assert set(protocol.named_matrices()) == set(protocol.MATRIX_KEYS)
+        assert list(protocol.named_matrices()) == ["A_h0", "A_t01", "R"]
 
     def test_lookup(self):
         assert isinstance(protocol.lookup("psi_AB"), StateVector)
@@ -276,8 +276,8 @@ class TestRegistry:
 class TestVerificationChecks:
     def test_against_plain_numpy(self):
         checks = dict(protocol.verification_checks())
-        expected_names = [f"unitary_{key}" for key in protocol.MATRIX_KEYS]
-        assert list(checks) == expected_names + ["evolution_heads", "evolution_tails", "charlie_coefficients"]
+        unitary = ["unitary_A_h0", "unitary_A_t01", "unitary_R"]
+        assert list(checks) == unitary + ["evolution_heads", "evolution_tails", "charlie_coefficients"]
         for key, mat in protocol.named_matrices().items():
             m = mat.matrix
             assert checks[f"unitary_{key}"] == np.abs(m.conj().T @ m - np.eye(4)).max()
