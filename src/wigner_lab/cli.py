@@ -451,60 +451,75 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    fmt_parent = argparse.ArgumentParser(add_help=False)
-    fmt_parent.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-
-    parser = argparse.ArgumentParser(
-        prog="wigner-lab",
-        description="Statevector simulation and numerical audit of the extended Wigner's friend protocol.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_states = sub.add_parser("states", parents=[fmt_parent], help="print a named state in a basis or frame view")
-    p_states.add_argument("name", help="registry key or state JSON path")
-    group = p_states.add_mutually_exclusive_group()
+def _states_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name", help="registry key or state JSON path")
+    group = p.add_mutually_exclusive_group()
     group.add_argument("--basis", choices=("computational", "charlie"), default="computational")
     group.add_argument("--frame", choices=("bs", "as"))
-    p_states.set_defaults(func=_cmd_states)
 
-    p_verify = sub.add_parser("verify", parents=[fmt_parent], help="verify protocol constants and evolution")
-    p_verify.add_argument("--tol", type=_tol_type, default=1e-12)
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_audit = sub.add_parser("audit", parents=[fmt_parent], help="four-condition paradox audit of a 2-qubit state")
-    p_audit.add_argument("name", help="registry key or state JSON path")
-    p_audit.add_argument("--tol", type=_tol_type, default=protocol.AUDIT_TOL)
-    p_audit.set_defaults(func=_cmd_audit)
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=_tol_type, default=1e-12)
 
-    p_synth = sub.add_parser("synth", help="synthesize a unitary moving a unit vector to/from e0")
-    p_synth.add_argument("input", help="registry key or vector JSON path")
-    direction = p_synth.add_mutually_exclusive_group(required=True)
+
+def _audit_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name", help="registry key or state JSON path")
+    p.add_argument("--tol", type=_tol_type, default=protocol.AUDIT_TOL)
+
+
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="registry key or vector JSON path")
+    direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-e0", dest="from_e0", action="store_false")
     direction.add_argument("--from-e0", dest="from_e0", action="store_true")
-    p_synth.add_argument("--out", help="write the matrix JSON here instead of stdout")
-    p_synth.set_defaults(func=_cmd_synth)
+    p.add_argument("--out", help="write the matrix JSON here instead of stdout")
 
-    p_sim = sub.add_parser("simulate", parents=[fmt_parent], help="sample the protocol under a mistake policy")
-    p_sim.add_argument("-n", "--trials", type=int, default=10000)
-    p_sim.add_argument("--seed", type=_seed_type, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0")
-    p_sim.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
-    p_sim.add_argument("--mode", choices=montecarlo.MODES, default="collapse")
-    p_sim.add_argument("--check", action="store_true", help=f"compare against the closed form at {SIGMA_BOUND:g} sigma")
-    p_sim.add_argument("--trace", help="write a per-trial CSV trace to this path")
-    p_sim.add_argument("--out", help="write results here instead of stdout")
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_table = sub.add_parser("table", parents=[fmt_parent], help="closed-form mistake table for a policy")
-    p_table.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
-    p_table.set_defaults(func=_cmd_table)
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", "--trials", type=int, default=10000)
+    p.add_argument("--seed", type=_seed_type, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0")
+    p.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
+    p.add_argument("--mode", choices=montecarlo.MODES, default="collapse")
+    p.add_argument("--check", action="store_true", help=f"compare against the closed form at {SIGMA_BOUND:g} sigma")
+    p.add_argument("--trace", help="write a per-trial CSV trace to this path")
+    p.add_argument("--out", help="write results here instead of stdout")
 
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
+
+
+# Per subcommand, in help order: its help, whether it takes --format, what adds its arguments, its handler.
+_COMMANDS = {
+    "states": ("print a named state in a basis or frame view", True, _states_arguments, _cmd_states),
+    "verify": ("verify protocol constants and evolution", True, _verify_arguments, _cmd_verify),
+    "audit": ("four-condition paradox audit of a 2-qubit state", True, _audit_arguments, _cmd_audit),
+    "synth": ("synthesize a unitary moving a unit vector to/from e0", False, _synth_arguments, _cmd_synth),
+    "simulate": ("sample the protocol under a mistake policy", True, _simulate_arguments, _cmd_simulate),
+    "table": ("closed-form mistake table for a policy", True, _table_arguments, _cmd_table),
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """Every subcommand's name and help, but arguments only for argv's first
+    command name: no top-level option takes a value, so argparse selects it."""
+    description = "Statevector simulation and numerical audit of the extended Wigner's friend protocol."
+    parser = argparse.ArgumentParser(prog="wigner-lab", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    command = next((word for word in argv if word in _COMMANDS), None)
+    for name, (help_text, formats, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            if formats:
+                p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         if sys.stdout is not None:
@@ -523,7 +538,7 @@ def run() -> None:
     """The console entry point: ``main`` on the process's arguments, where
     an interrupt (Ctrl-C) exits 130 without a traceback."""
     try:
-        code = main(sys.argv[1:])
+        code = main()
     except KeyboardInterrupt:
         code = 130
     if code == 141 and sys.stdout is not None:

@@ -435,22 +435,27 @@ FUZZ_SUBCOMMANDS = {
 @st.composite
 def fuzz_argv(draw):
     """Mostly a subcommand's own flags, repeated or missing as they fall; now
-    and then any other flag, a flag without its value, a stray word, a
-    missing positional, an unknown subcommand or none; or one path for both
-    --out and --trace."""
+    and then any other flag, a flag without its value, a stray word, a later
+    command name, a missing positional, an unknown subcommand or none, or
+    -h, -- or an unknown word in front of the subcommand; or one path for
+    both --out and --trace."""
     command = draw(st.sampled_from([*FUZZ_SUBCOMMANDS] * 3 + ["bogus", None]))
     names, flags = FUZZ_SUBCOMMANDS.get(command, ([], []))
-    argv = [] if command is None else [command]
+    prefix = draw(st.sampled_from([[]] * 12 + [["-h"], ["--"], ["bogus"]]))
+    argv = prefix if command is None else [*prefix, command]
     if names and draw(st.integers(0, 9)):
         argv.append(draw(st.sampled_from(names)))
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["own"] * 15 + ["any", "bare", "word", "same"]))
+        kind = draw(st.sampled_from(["own"] * 15 + ["any", "bare", "word", "command", "same"]))
         if kind == "same":
             path = draw(st.sampled_from(FUZZ_FLAGS["--out"]))
             argv += ["--out", path, "--trace", path]
             continue
         if kind == "word":
             argv.append(draw(st.sampled_from(["psi_AB", "2000", "-1"])))
+            continue
+        if kind == "command":
+            argv.append(draw(st.sampled_from(list(FUZZ_SUBCOMMANDS))))
             continue
         flag = draw(st.sampled_from(flags if flags and kind != "any" else list(FUZZ_FLAGS)))
         argv.append(flag)
@@ -467,6 +472,9 @@ class TestArgvFuzz:
     @example(argv=["simulate", "-n", "5", "--format", "json", "--out", "same.csv", "--trace", "same.csv"])
     @example(argv=["simulate", "--policy", "alternating", "--check", "--trace", "t.csv", "--out", "r.out"])
     @example(argv=["synth", "psi_h0", "--to-e0", "--out", "missing/x"])
+    @example(argv=["--", "verify"])  # selects verify on Python 3.13, a usage error before
+    @example(argv=["--", "audit", "psi_AB", "verify"])
+    @example(argv=["-h", "simulate", "-n", "5"])
     @settings(max_examples=400, deadline=None)
     def test_any_argv_exits_0_1_or_2(self, argv):
         # in process, warnings as errors, in a fresh directory that a failed call leaves empty
@@ -485,7 +493,7 @@ class TestArgvFuzz:
                 os.chdir(cwd)
             assert code in ((0, 2) if usage_error else (0, 1, 2))
             if not usage_error:
-                args = _build_parser().parse_args(argv)
+                args = _build_parser(argv).parse_args(argv)
                 if getattr(args, "trace", None) is not None and args.trace == args.out:
                     assert code == 2, "one file for --out and --trace"
             if code == 2 and not usage_error:
@@ -542,6 +550,29 @@ class TestParserDigests:
     def test_one_spelling_reads_python_3_13_help(self):
         assert one_spelling("options:\n  -n, --trials TRIALS\n") == "options:\n  -n TRIALS, --trials TRIALS\n"
         assert one_spelling("  -h, --help            show this help\n") == "  -h, --help            show this help\n"
+
+
+class TestCommandParser:
+    """A call builds the arguments of the subcommand it names and no other's."""
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["verify"], "verify"),
+            (["simulate", "-n", "5", "--trace", "table"], "simulate"),
+            (["-h", "simulate"], "simulate"),
+            (["--", "verify", "--format", "json"], "verify"),
+            (["bogus", "audit", "psi_AB", "verify"], "audit"),
+            (["bogus", "-h"], None),
+            ([], None),
+        ],
+    )
+    def test_only_the_first_command_name_gets_arguments(self, argv, command):
+        subparsers = _build_parser(argv)._subparsers._group_actions[0].choices
+        assert list(subparsers) == list(cli._COMMANDS)
+        for name, subparser in subparsers.items():
+            built = [action.dest for action in subparser._actions] != ["help"]
+            assert built == (subparser.get_default("func") is not None) == (name == command), name
 
 
 class TestSimulate:
@@ -1091,12 +1122,20 @@ class TestEntryPoint:
                 ["simulate", "-n", "1000", "--format", "csv"],
             ),
             (["verify", "--tol", "0"], ["verify"]),
+            (["table", "--policy", "biased:0.2", "--format", "json"], ["simulate", "-n", "100", "--format", "csv"]),
         ],
-        ids=["simulate", "verify"],
+        ids=["simulate", "verify", "table-simulate"],
     )
     def test_a_call_prints_what_it_prints_alone(self, first, second):
-        # nothing of one call's arguments may leak into the next call in the process
+        # nothing of one call's arguments or parser may leak into the next call in the process
         assert calls_in_one_process(first, second) == calls_in_one_process(first) + calls_in_one_process(second)
+
+    def test_main_without_argv_reads_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wigner-lab", "verify", "--format", "json"])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == run_cli(capsys, "verify", "--format", "json")
+        assert json.loads(captured.out)["passed"]
 
     def test_closed_stdout_exits_2(self):
         proc = run_module("verify", redirect=">&-")
