@@ -4,11 +4,11 @@ Each trial samples Alice's record, selects the evolution keyed to it (or,
 on a mistake, to the opposite record), and lets Charlie measure the joint
 Hadamard-basis observable on the resulting register.
 
-Randomness is counter-based (Philox keyed by master seed and chunk index)
-so results depend only on (seed, trial index).  A run works through its
-chunks in order on the calling thread, re-keying its one Philox for each,
-sums their integer tallies and, when traced, calls the sink with each
-chunk in trial order.
+Trial ``i`` reads word ``i`` of the seed's PCG64DXSM stream, which
+``advance`` reaches from the trial index alone, so results depend only on
+(seed, trial index).  A run reads its one stream through its chunks in
+order on the calling thread, sums their integer tallies and, when traced,
+calls the sink with each chunk in trial order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _BUCKET_LOW = (1 << _BUCKET_SHIFT) - 1
 _ODD_BUCKETS = np.arange(_BLOCK) % 2 * _BUCKETS
 
 # The seed -> output contract: bumped whenever a seed's output changes.
-CONTRACT = 2
+CONTRACT = 3
 WORDS_PER_TRIAL = 1
 
 POLICY_KINDS = ("correct", "uniform", "alternating", "biased")
@@ -301,32 +301,13 @@ def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
     return _CellTables(code, tuple(np.array(interior, dtype=np.uint64) for interior in interiors), first)
 
 
-def _chunk_words(philox: np.random.Philox, seed: int, chunk_index: int) -> Callable[[int], np.ndarray]:
-    """Re-key a run's Philox to chunk ``chunk_index`` of ``seed`` and return
-    its ``random_raw``, which the kernel calls for one raw word per trial,
-    in trial order.  The state set here is a fresh ``Philox(key=(seed,
-    chunk_index))``'s: key (seed, chunk index), counter 0 and an empty
-    buffer, so the chunk reads that stream's words from its first.  Setting
-    the documented ``state`` dict costs about 1 µs, where constructing a
-    Philox costs about 11 µs: it seeds a ``SeedSequence`` first, from OS
-    entropy when given a key that then overrides it."""
-    philox.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, chunk_index)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # all four buffered words used: the next call computes a block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return philox.random_raw
-
-
 def provenance() -> dict:
     """What decides a run's output besides its ``TrialConfig``: the random
-    stream (Philox keyed by seed and chunk), the trials per chunk, the raw
-    words each trial reads and the contract's number.  Neither the numpy nor
-    the package version is in it: the output does not depend on them."""
-    return {"rng": "philox", "chunk_trials": _CHUNK, "words_per_trial": WORDS_PER_TRIAL, "contract": CONTRACT}
+    stream (numpy's PCG64DXSM seeded with the seed), the raw words each
+    trial reads and the contract's number.  Neither the chunk size, nor the
+    numpy or the package version is in it: the output does not depend on
+    them."""
+    return {"rng": "pcg64dxsm", "words_per_trial": WORDS_PER_TRIAL, "contract": CONTRACT}
 
 
 def _look_up_exactly(tables: _CellTables, words: np.ndarray, code: np.ndarray) -> None:
@@ -357,7 +338,8 @@ def _tally(code: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def _run_chunk(draw_words: Callable, tables: _CellTables, code: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write into ``code`` the outcome codes of a chunk, whose words
-    ``draw_words`` returns (see ``_chunk_words``), and return their tally.
+    ``draw_words``, the run's ``random_raw``, returns in trial order, and
+    return their tally.
     A block of ``_BLOCK`` trials draws one raw word per trial, shifts it to
     its bucket in ``work``, the run's intp buffer, and takes its code from
     the guide table (see ``_CellTables``); a ``_FALLBACK`` code, under four
@@ -391,27 +373,27 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     ``TraceChunk`` of per-trial outcome codes in trial order, and nothing
     per trial is kept.
 
-    Trial ``i`` reads word ``i % _CHUNK`` of the Philox stream keyed by
-    (seed, ``i // _CHUNK``) and takes the cell of the joint outcome (heads,
-    mistake, Charlie) that the word falls in, by inverse CDF over exact
-    integer bounds (``_setting_bounds``).  So results depend only on (seed,
-    n_trials, policy, mode).
+    Trial ``i`` reads word ``i`` of ``PCG64DXSM(seed)``'s stream and takes
+    the cell of the joint outcome (heads, mistake, Charlie) that the word
+    falls in, by inverse CDF over exact integer bounds
+    (``_setting_bounds``).  So results depend only on (seed, n_trials,
+    policy, mode), and not on the chunk size.
 
     The chunks run in order on the calling thread, which sums their
     tallies and, on a traced run, calls the sink after each chunk.  The run
-    owns one Philox, re-keyed before each chunk (``_chunk_words``), and the
-    chunks' buffers: no other run shares them.  Each chunk writes its codes
+    owns its PCG64DXSM and the chunks' buffers: no other run shares them.
+    Each chunk writes its codes
     into an array of its own, a traced run's ``TraceChunk.outcome``; at 64
     KiB, below glibc's mmap threshold, malloc reuses its memory.
     """
     tables = _cell_tables(config.policy, config.mode)
     n = config.n_trials
-    philox = np.random.Philox(0)  # its key is set before each chunk
+    draw_words = np.random.PCG64DXSM(config.seed).random_raw
     work = np.empty(min(n, _CHUNK // 2), dtype=np.intp)  # a block's buckets, then a chunk's pair keys
     code_tally = np.zeros(_FALLBACK + 1, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         code = np.empty(min(_CHUNK, n - start), dtype=np.uint8)
-        code_tally += _run_chunk(_chunk_words(philox, config.seed, start // _CHUNK), tables, code, work)
+        code_tally += _run_chunk(draw_words, tables, code, work)
         if collect_traces is not None:
             collect_traces(TraceChunk(start, code))
 

@@ -1,7 +1,9 @@
-"""A reference sampler of the seed -> output contract (contract 2), written
+"""A reference sampler of the seed -> output contract (contract 3), written
 from the README's paragraph on determinism alone.
 
-It evolves Alice's registers with the protocol's matrices to find each
+It looks up each chunk's words by trial index, advancing a fresh
+``PCG64DXSM(seed)`` to the chunk's first trial, where the kernel reads one
+stream in order.  It evolves Alice's registers with the protocol's matrices to find each
 resultant state and takes Charlie's Born tables from
 ``core.born_probabilities``; it reads neither ``protocol.BRANCHES`` nor the
 kernel's tables, and it computes the bounds with ``fractions``.
@@ -21,8 +23,11 @@ HEADS, TAILS = protocol.AliceOutcome.HEADS, protocol.AliceOutcome.TAILS
 
 
 def chunk_words(seed: int, chunk: int, m: int) -> np.ndarray:
-    """The raw words of one chunk, one per trial."""
-    return np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)).random_raw(m)
+    """The raw words of trials ``chunk * CHUNK`` .. ``chunk * CHUNK + m - 1``,
+    one per trial."""
+    stream = np.random.PCG64DXSM(seed)
+    stream.advance(chunk * CHUNK)
+    return stream.random_raw(m)
 
 
 def charlie(state: str) -> list[float]:

@@ -1,6 +1,8 @@
-"""The seed -> output contract, checked against its reference sampler
-(``tests/contract.py``): the counts of a run and its traced outcome
-codes equal the spec's exactly, whatever the seed, size and setting."""
+"""The seed -> output contract (contract 3), checked against its reference
+sampler (``tests/contract.py``): the counts of a run and its traced
+outcome codes equal the spec's exactly, whatever the seed, size and
+setting.  The kernel reads the seed's one stream in order, and the
+reference looks up each chunk's words by trial index."""
 
 import json
 
@@ -79,7 +81,7 @@ def test_replay_from_provenance_and_config(capsys):
     # the spec replays a simulate run from its JSON alone
     assert main(["simulate", "-n", "70001", "--seed", "99", "--policy", "biased:0.001", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["provenance"] == {"rng": "philox", "chunk_trials": contract.CHUNK, "words_per_trial": 1, "contract": 2}
+    assert data["provenance"] == {"rng": "pcg64dxsm", "words_per_trial": 1, "contract": 3}
     config = data["config"]
     policy = MistakePolicy.parse(config["policy"])
     codes = contract.outcome_codes(config["seed"], config["n_trials"], policy.mistake_probability, config["mode"])

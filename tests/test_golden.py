@@ -1,8 +1,8 @@
 """Golden digests of ``simulate`` output: the seed -> output contract.
 
 Every other determinism test compares the code with itself; these pin the
-bytes.  A change that shifts the random stream (chunk size, uniforms per
-trial, their order) or the sampling rule changes a digest.  The traced
+bytes.  A change that shifts the random stream (the bit generator, words
+per trial, their order) or the sampling rule changes a digest.  The traced
 sizes sit on both sides of the 65 536-trial chunk boundary and past the
 second one; the counts-only sizes span 3 chunks (the last one partial) and
 16 chunks, so they pin the multi-chunk counts path.  The remaining digests
@@ -27,52 +27,52 @@ SETTINGS = {
 # (setting, n) -> (sha256 of the --trace CSV, sha256 of the --format json stdout)
 GOLDEN = {
     ("alternating", 65_535): (
-        "852b0f87d29ed354b27464763f70605fd30b532ea773166067f5dec30e8c1a29",
-        "06e8a6ff90371fa3b90dec6df9aaf1ec8d2c0de0f3a4d643e281b0668be81462",
+        "628a4f3233465e7ab7d035572d8a20e530d562abc4a4a6b9524e34ddab64e6d8",
+        "cdeb4468fb4e9d2fa8e8f6d82cb4499e7bf45647cb7afa50d0a907a2f331d879",
     ),
     ("alternating", 65_536): (
-        "d23a2e2194e812bb3557eaf3800468662204dfb81b65bb786c4915bac9bc5fd2",
-        "99ab1d0183dc99bf2d150c62d6ff32dba46a3f8ef723639c9fb72980d586f8c6",
+        "7568f0499bb10255bc089c7f5dbeebbd844d30a06db91ddaa0de532ee48dcc24",
+        "69f10499304c7f043655a059175038fc6c90508c8b10eb300f47aff9b30fe308",
     ),
     ("alternating", 65_537): (
-        "cd1107151f91efa5ffb7b7ad38dd583504fb8b6b753db6b5edbe34543520d3cd",
-        "6f19c56a3ca895691f9635d27f8ddd15dc1a0f4491895aef5db038ff3b73d126",
+        "05ec18615d702313aa0d984d7814fbd1f875d37e2e12a4155b566255f9d40c8f",
+        "8ebbe3360e1ac8c78701331b1ff6adffff3d97fc568b037f4566539982c3274c",
     ),
     ("alternating", 141_000): (
-        "04bed5ba9982c58a0c578511208916053795c58fc20607afba46f693c940410c",
-        "4d6a10cca07006c489f4e819df0c3b62d015c1db2f00ae0f7b7c0e1051b13112",
+        "b8aa77d88e8428a67806201245f390c119f7b96b14ac8d4d2938bc0fbfe1faf8",
+        "a2b079755c54d4cdd5db791030fa549d91641a56f5527700ff1fad382aaabb19",
     ),
     ("biased:0.17", 65_535): (
-        "d8969ae27b801fccfb4d3e661a01cb081d757eeff1b08067ca2993cbc946f260",
-        "38b2b1937e518e80d850ed2f9fec02ddbbbde1da5bd54704abf00cd155df21f6",
+        "2707ab4911e808e799f65e898beabd9572e6768f0b3343af430ef2eedaa56e81",
+        "2e8fccc8129d78a2d5fe93455c8d51eaa254ee9cc84e62a76765bd4da41735bc",
     ),
     ("biased:0.17", 65_536): (
-        "0f9d956614558b72dbcb62092693e91b1f17967145a9b49ce8a5095511d99ad5",
-        "060b37d08e755cd42598e48befd2262a2bae845e87d3683dcba8d15a187c96c9",
+        "8f6cc6f25eb5ac7abe2120436c03940a09e48e27177b262f1a8b5253ea647719",
+        "8c3f09259c8fe873d8a303672a291a1ce56ba47fc3ba676851cac68f83bf378f",
     ),
     ("biased:0.17", 65_537): (
-        "685f6b70df139530ccf41f1bd209436ddceb07e2f0897b7e93d1f84e858d1d72",
-        "cd25c3f4d22ee62ce11afe3f6f0032fb1417a482adea8c663463237e73d5568f",
+        "f62fd06d7569369058a6b37b51daa05b33a101ecfc6436690dbffd51d1fcb773",
+        "3606bc9b42a96e81902a35df76d9ca1ab025de407cbb1dd8b45fccded06e4630",
     ),
     ("biased:0.17", 141_000): (
-        "82bca0ed2e25ea3cc856cf23afeb79bc011d1ce15fdd2fb1c4b956633d403e08",
-        "6e28667ca2967d51f8919c7b7c0229f39101cc59d9cfcc54c1a4585d2d48f161",
+        "d464827dba65039c70b1b08baeb8be7fa1afe7371ae20f7a7d60450535968e45",
+        "98bc573f8c52867edaa36dec92f529d997e20847284a4cfcf1f671ba38431497",
     ),
     ("analytic", 65_535): (
-        "3a9423cd2fa34dc80299d5976648239458e93c40e18e26c01027a655100dd59b",
-        "c09e554b5a8b1e782f20a8215d4e62e08766536c9fbf7d724f1f94accd4e4bb3",
+        "29417a16bb570376c33e2717ccd2b15985d145102df29f4c1b9edfeb7eab42c2",
+        "9d58d6dd1b75a27cd11ecce45e986c72598a997e9c8b9e5e40316966977ee03b",
     ),
     ("analytic", 65_536): (
-        "29e885fbe5cafbd5a1436cad79d62e29ed517a196401641b208f1d569f7435e9",
-        "12278b47fa1c548e490053f3724f2d4ae6dd86b9149180537c142ed3543a78bb",
+        "c3e2d01bcbcb750d8f2239e90440b97a579be43c19f86ac2699953d94a2f862a",
+        "cd73e62b73dcf048e381c02e8dcc8fcceb0f560e1ab52153c58c7a29cad7026c",
     ),
     ("analytic", 65_537): (
-        "01297c7e26ec7c0d4cc4c42bdbf4f078a9221c5e0356ac0c171b3a013f5e5a0a",
-        "e072ce5188efe3c509b88b46fb509c13943640ee6dc990d31449f497f6d5ad4f",
+        "62db963ba299496ddbcef13500ed32ea4673fe61e4b69c0f8fbe9bad45fefe8f",
+        "0d580de5e2ada7593db3087de12ac0c2f114ca755e38b03d2a9603fd56b33ff4",
     ),
     ("analytic", 141_000): (
-        "8234678bc319cd9fc16b84819ba0c830a16bb01901c848d78150455159555e59",
-        "8cd6a65b8ab8f8f176b5e135899a8ebcc3bcb110c5d687fdf3fe87b3c74d1395",
+        "513ea7228811b5cdbb6030d3fe47f4ac652ecdb7b511c3374738d6373f8dadb0",
+        "7379c959451fd584f658fe2062063bb06ac67c28f398b1d302d409b79056b072",
     ),
 }
 
@@ -98,16 +98,16 @@ COUNTS_SETTINGS = {
 
 # (setting, n) -> sha256 of the --format json stdout, without --trace
 COUNTS_GOLDEN = {
-    ("correct", 196_609): "97755d0bafb57955cf6c4a564b6ed258dbf84e5f1fdd2b56cff09d46bcec8514",
-    ("correct", 1_000_003): "7c7d65c51451d6434b90d6f467857cffd7b924ec3dd26986fe5f5025a1270450",
-    ("uniform", 196_609): "bbb0e8bfac5738059caa5e97faae969dbb767b4d1ec2eb3a6c53e7c4aacc2c54",
-    ("uniform", 1_000_003): "3b71f7b528da6aa66a9464acfb8d19744f69b3c8782c9d97e043510bdd800e6d",
-    ("biased:0.17", 196_609): "945f27eca9d209a08d22eef49605a1e90b72808f89cae04221dfb29ceedcc7a1",
-    ("biased:0.17", 1_000_003): "192dfb34e755d8f61c4359e0dfa5ecc6ddbc30baccb53a13c9791c67f221606d",
-    ("alternating", 196_609): "1437c0d2f67664a0f833df2bb3c46e4102d681a1d6a8d7b24dce740484424628",
-    ("alternating", 1_000_003): "8d1c5e31552e4362b933462b0ca4afb74f3d58a40a87dd6d1cabadafaf971bc4",
-    ("analytic", 196_609): "187be27af9b2d36cb96ebed8aad69e667aeed8aed285a2fb6a5182d8794180c6",
-    ("analytic", 1_000_003): "cf81ecfe82a367cffe5f6fcf50e8df30cee8e913ccced1c6e30680a301777aef",
+    ("correct", 196_609): "986026e154f3c97b3173512bd5d8a9311942e5cdff88be3fe893df68322d4514",
+    ("correct", 1_000_003): "a821e933a3e20888e3f8e0137927b96fe99b9ac3646cce06b45dce65dd491440",
+    ("uniform", 196_609): "af39c5abe49ea7b8b0bf5474f4cbcabff2cb90b5fe82606550fdd6550d6f916c",
+    ("uniform", 1_000_003): "0374d132993a95347b4e3c59cf28474ff0d1019a827e65074a187f45126f9013",
+    ("biased:0.17", 196_609): "90a61e297bec1d6018dde4ddab5ad86b5e477eece3608ccc54f671e3a757d7b4",
+    ("biased:0.17", 1_000_003): "eda24a0bc1ea51cdde707bb6de7596b05af574fddaf1544e88d73a0e3af3373d",
+    ("alternating", 196_609): "a6a6763faec59c7355e03558fd7fc6018422390380af05fbb46bdb8493fea7c5",
+    ("alternating", 1_000_003): "7d2ead1c867ee8f87ea32620698f6c1844b0a60ee09df4b9c2221f84f1766664",
+    ("analytic", 196_609): "87ea509c407bd9c67c5e3d11fdc6d1df2bf444201a216f28bd8cb4c9534ff07b",
+    ("analytic", 1_000_003): "52c8a24122c187fae6faddaca2aeab4e182f509674476aa5388d18c992ea3a2e",
 }
 
 
@@ -218,9 +218,9 @@ CALL_GOLDEN = {
     ("audit", "psi_AB"): "303a4615f7d754dbefbb7ee76797bbf5fcedceb18340148df48b8f2dd3b65b0c",
     ("audit", "psi_ABht"): "7925decd33b1467eb8e90c98b29d1dd443c515628c4b7ce9f48e8a87f1195776",
     ("audit", "psi_ABth"): "db106948efd2cf6654aa8eb373783992dcfa185217807469f4c7b966f9690987",
-    ("simulate", "-n", "1000", "--seed", "2018"): "8fba499385f0bea097e1e68feca36d3b2588a20a0388216c82404066bbfedce5",
+    ("simulate", "-n", "1000", "--seed", "2018"): "702bffb774e85c097d818df21c8b916eb4b52600c0bf2eeb6cf726c12325113a",
     ("simulate", "-n", "1000", "--seed", "2018", "--check"): (
-        "28dd068e416dba1f6da996e659e51077d47a08131dda8df0487eb32458cc5ff9"
+        "29a2bd427007232c7b3e69b8d64b94fd90230af19fb325fb08141644960554da"
     ),
     ("states", "psi_A", "--format", "csv"): "22243819f5b47b69ccab9b8ea3ba3578eb6d56d23c3f5e38db19acc012857b24",
     ("states", "psi_AB", "--format", "csv"): "57030677d02053903e8314a42a172df821942edc6932ad9f8093bd7763fa8dbf",
@@ -237,10 +237,10 @@ CALL_GOLDEN = {
     ("audit", "psi_ABht", "--format", "csv"): "9e6623283d3cc42e568f01f14391d6ef7043ef04530a6260d02fedc517c77d3f",
     ("audit", "psi_ABth", "--format", "csv"): "d09784a84b4869213b682c56e542b516b373aae98ad3b4c4c91eafc7ac85c42d",
     ("simulate", "-n", "1000", "--seed", "2018", "--format", "csv"): (
-        "1e1b5858a07124400142ab1a3aae19edc8ced5e04642d1d57e680a303712f9f0"
+        "783b36f31373dfc9a2a4229a352e946f5aa3ad091507e7d266bb82ba2b7b0ca3"
     ),
     ("simulate", "-n", "1000", "--seed", "2018", "--check", "--format", "csv"): (
-        "1e1b5858a07124400142ab1a3aae19edc8ced5e04642d1d57e680a303712f9f0"
+        "783b36f31373dfc9a2a4229a352e946f5aa3ad091507e7d266bb82ba2b7b0ca3"
     ),
     ("simulate", "-n", "0", "--check"): "733c2c45e58fc1e3b0f9e8e09877f540061711bc3b980e322ae2f5bbe40a19b8",
     # at tol 0 all checks but evolution_heads fail: exit 1

@@ -221,31 +221,34 @@ class TestSchedule:
         assert traced.charlie.counts == counts.charlie.counts
 
     def test_counts_run_draws_chunks_in_order_on_calling_thread(self, monkeypatch):
+        # one draw per block, each from the trial where the last one ended
         draws = []
-        original = montecarlo._chunk_words
+        n = self.N_FIVE_CHUNKS
 
-        def recording(philox, seed, chunk_index):
-            draws.append((threading.get_ident(), chunk_index))
-            return original(philox, seed, chunk_index)
+        def on_draw(position, size):
+            draws.append((threading.get_ident(), position, size))
 
-        monkeypatch.setattr(montecarlo, "_chunk_words", recording)
-        run_trials(TrialConfig(self.N_FIVE_CHUNKS, 3, MistakePolicy("uniform")))
-        assert draws == [(threading.get_ident(), chunk_index) for chunk_index in range(5)]
+        monkeypatch.setattr(np.random, "PCG64DXSM", fake_stream(contract.chunk_words(3, 0, n), on_draw))
+        run_trials(TrialConfig(n, 3, MistakePolicy("uniform")))
+        assert draws == [
+            (threading.get_ident(), start + lo, min(_BLOCK, _CHUNK, n - start - lo))
+            for start in range(0, n, _CHUNK)
+            for lo in range(0, min(_CHUNK, n - start), _BLOCK)
+        ]
 
     def test_chunk_error_reaches_caller_and_stops_the_run(self, monkeypatch):
         started = []
-        original = montecarlo._chunk_words
 
-        def failing(philox, seed, chunk_index):
-            started.append(chunk_index)
-            if chunk_index == 2:
+        def failing(position, size):
+            started.append(position)
+            if position == 2 * _CHUNK:
                 raise RuntimeError("chunk 2 failed")
-            return original(philox, seed, chunk_index)
 
-        monkeypatch.setattr(montecarlo, "_chunk_words", failing)
+        words = contract.chunk_words(5, 0, self.N_FIVE_CHUNKS)
+        monkeypatch.setattr(np.random, "PCG64DXSM", fake_stream(words, failing))
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             run_trials(TrialConfig(self.N_FIVE_CHUNKS, 5, MistakePolicy("uniform")))
-        assert started == [0, 1, 2]
+        assert started == list(range(0, 2 * _CHUNK + 1, _BLOCK))
 
     def test_traced_run_calls_sink_in_order_on_calling_thread(self):
         calls = []
@@ -256,19 +259,19 @@ class TestSchedule:
         )
         assert calls == [(threading.get_ident(), start) for start in range(0, n, _CHUNK)]
 
-    def test_a_run_constructs_one_philox(self, monkeypatch):
+    def test_a_run_constructs_one_pcg64dxsm_from_the_seed(self, monkeypatch):
         constructed = []
-        original = np.random.Philox
+        original = np.random.PCG64DXSM
 
         def counting(*args, **kwargs):
-            constructed.append(args)
+            constructed.append((args, kwargs))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(np.random, "PCG64DXSM", counting)
         run_trials(TrialConfig(self.N_FIVE_CHUNKS, 6, MistakePolicy("uniform")))
-        assert len(constructed) == 1
+        assert constructed == [((6,), {})]
 
-    def test_concurrent_runs_do_not_share_a_philox(self):
+    def test_concurrent_runs_do_not_share_a_stream(self):
         # two seeds at once in two threads give what each gives alone
         configs = [TrialConfig(self.N_FIVE_CHUNKS, seed, MistakePolicy("uniform")) for seed in (11, 12)]
         alone = [run_traced(config)[1]["charlie_idx"] for config in configs]
@@ -301,39 +304,40 @@ SETTINGS = [(spec, "collapse") for spec in (*POLICIES, "biased:0.001", "biased:1
 ]
 
 
-def fake_stream(words):
-    """A stand-in for ``_chunk_words`` whose chunk k reads ``words`` from
-    offset ``k * _CHUNK``."""
+def fake_stream(words, on_draw=lambda position, size: None):
+    """A stand-in for ``np.random.PCG64DXSM`` whose ``random_raw`` serves
+    ``words`` in order, whatever the seed, after calling ``on_draw`` with
+    the index of the draw's first word and the draw's size."""
 
-    def chunk_words(philox, seed, chunk_index):
-        position = [chunk_index * _CHUNK]
+    class Stream:
+        def __init__(self, seed):
+            self.position = 0
 
-        def random_raw(size):
-            position[0] += size
-            return words[position[0] - size : position[0]]
+        def random_raw(self, size):
+            on_draw(self.position, size)
+            self.position += size
+            return words[self.position - size : self.position]
 
-        return random_raw
-
-    return chunk_words
+    return Stream
 
 
 class TestRawWords:
-    """The kernel reads one raw Philox word per trial."""
+    """The kernel reads one raw word of the seed's stream per trial."""
 
-    def test_a_chunk_reads_one_word_per_trial(self, monkeypatch):
-        # a chunk of m trials reads exactly the stream's first m words
+    def test_a_run_reads_one_word_per_trial(self, monkeypatch):
+        # a run of m trials, over two chunks, reads exactly the stream's first m words
         streams = []
-        original = montecarlo._chunk_words
+        original = np.random.PCG64DXSM
 
-        def recording(philox, seed, chunk_index):
-            streams.append(original(philox, seed, chunk_index))
+        def recording(seed):
+            streams.append(original(seed))
             return streams[-1]
 
-        monkeypatch.setattr(montecarlo, "_chunk_words", recording)
-        m = 2 * _BLOCK + 1_001
+        monkeypatch.setattr(np.random, "PCG64DXSM", recording)
+        m = _CHUNK + 2 * _BLOCK + 1_001
         run_trials(TrialConfig(m, 2024, MistakePolicy("uniform")))
         expected = contract.chunk_words(2024, 0, m + 1)[-1]
-        assert streams[0]() == expected
+        assert streams[0].random_raw() == expected
 
     @pytest.mark.parametrize("traced", [False, True], ids=["counts", "traced"])
     def test_epsilon_zero_and_one_are_exact(self, traced):
@@ -359,6 +363,16 @@ def edge_words(eps, mode):
     return np.repeat(np.unique(np.concatenate([first, first | np.uint64(montecarlo._BUCKET_LOW), near])), 2)
 
 
+def codes_and_tallies(config):
+    """A traced run's outcome codes, and the counts of it and of a
+    counts-only run."""
+    chunks = []
+    traced = run_trials(config, collect_traces=chunks.append)
+    counts = run_trials(config)
+    tallies = [(r.resultant_states.counts, r.charlie.counts) for r in (traced, counts)]
+    return np.concatenate([chunk.outcome for chunk in chunks]), tallies
+
+
 class TestCells:
     """The kernel's cell bounds and its guide-table lookup."""
 
@@ -368,7 +382,7 @@ class TestCells:
         policy = MistakePolicy.parse(spec)
         eps = policy.mistake_probability
         words = edge_words(eps, mode)
-        monkeypatch.setattr(montecarlo, "_chunk_words", fake_stream(words))
+        monkeypatch.setattr(np.random, "PCG64DXSM", fake_stream(words))
         config = TrialConfig(len(words), 0, policy, mode)
         chunks = []
         traced = run_trials(config, collect_traces=chunks.append)
@@ -398,20 +412,30 @@ class TestCells:
         # a smaller block, a power of two or not, splits each chunk's edge
         # words differently and gives the same codes and tallies
         policy = MistakePolicy.parse(spec)
-        words = edge_words(policy.mistake_probability, mode)
-        monkeypatch.setattr(montecarlo, "_chunk_words", fake_stream(words))
+        eps = policy.mistake_probability
+        words = edge_words(eps, mode)
+        monkeypatch.setattr(np.random, "PCG64DXSM", fake_stream(words))
         config = TrialConfig(len(words), 0, policy, mode)
-
-        def run():
-            chunks = []
-            traced = run_trials(config, collect_traces=chunks.append)
-            counts = run_trials(config)
-            tallies = [(r.resultant_states.counts, r.charlie.counts) for r in (traced, counts)]
-            return np.concatenate([chunk.outcome for chunk in chunks]), tallies
-
-        default_codes, default_tallies = run()
+        default_codes, default_tallies = codes_and_tallies(config)
+        # the runs read the edge words, not the seed's stream
+        expected = contract.outcome_codes(
+            0, len(words), eps, mode, words=lambda seed, chunk, m: words[chunk * _CHUNK : chunk * _CHUNK + m]
+        )
+        np.testing.assert_array_equal(default_codes, expected)
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        codes, tallies = run()
+        codes, tallies = codes_and_tallies(config)
+        np.testing.assert_array_equal(codes, default_codes)
+        assert tallies == default_tallies
+
+    @pytest.mark.parametrize("spec, mode", SETTINGS)
+    def test_chunk_size_is_not_part_of_the_contract(self, monkeypatch, spec, mode):
+        # smaller chunks and blocks read the seed's one stream in the same
+        # order, so they give the same codes and tallies
+        config = TrialConfig(_CHUNK + 1_001, 29, MistakePolicy.parse(spec), mode)
+        default_codes, default_tallies = codes_and_tallies(config)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1 << 10)
+        codes, tallies = codes_and_tallies(config)
         np.testing.assert_array_equal(codes, default_codes)
         assert tallies == default_tallies
 
