@@ -382,9 +382,9 @@ def run_trials(config: TrialConfig, collect_traces: Callable[[TraceChunk], None]
     The chunks run in order on the calling thread, which sums their
     tallies and, on a traced run, calls the sink after each chunk.  The run
     owns its PCG64DXSM and the chunks' buffers: no other run shares them.
-    Each chunk writes its codes
-    into an array of its own, a traced run's ``TraceChunk.outcome``; at 64
-    KiB, below glibc's mmap threshold, malloc reuses its memory.
+    Each chunk writes its codes into an array of its own, a traced run's
+    ``TraceChunk.outcome``; at 64 KiB, below glibc's mmap threshold, malloc
+    reuses its memory.
     """
     tables = _cell_tables(config.policy, config.mode)
     n = config.n_trials

@@ -3,8 +3,8 @@ from the README's paragraph on determinism alone.
 
 It looks up each chunk's words by trial index, advancing a fresh
 ``PCG64DXSM(seed)`` to the chunk's first trial, where the kernel reads one
-stream in order.  It evolves Alice's registers with the protocol's matrices to find each
-resultant state and takes Charlie's Born tables from
+stream in order.  It evolves Alice's registers with the protocol's
+matrices to find each resultant state and takes Charlie's Born tables from
 ``core.born_probabilities``; it reads neither ``protocol.BRANCHES`` nor the
 kernel's tables, and it computes the bounds with ``fractions``.
 """

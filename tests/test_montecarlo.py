@@ -231,7 +231,7 @@ class TestSchedule:
         monkeypatch.setattr(np.random, "PCG64DXSM", fake_stream(contract.chunk_words(3, 0, n), on_draw))
         run_trials(TrialConfig(n, 3, MistakePolicy("uniform")))
         assert draws == [
-            (threading.get_ident(), start + lo, min(_BLOCK, _CHUNK, n - start - lo))
+            (threading.get_ident(), start + lo, min(_BLOCK, n - start - lo))
             for start in range(0, n, _CHUNK)
             for lo in range(0, min(_CHUNK, n - start), _BLOCK)
         ]
@@ -363,6 +363,13 @@ def edge_words(eps, mode):
     return np.repeat(np.unique(np.concatenate([first, first | np.uint64(montecarlo._BUCKET_LOW), near])), 2)
 
 
+def reference_codes(words, eps, mode):
+    """The reference sampler's outcome codes of trials that read ``words``."""
+    return contract.outcome_codes(
+        0, len(words), eps, mode, words=lambda seed, chunk, m: words[chunk * _CHUNK : chunk * _CHUNK + m]
+    )
+
+
 def codes_and_tallies(config):
     """A traced run's outcome codes, and the counts of it and of a
     counts-only run."""
@@ -386,9 +393,7 @@ class TestCells:
         config = TrialConfig(len(words), 0, policy, mode)
         chunks = []
         traced = run_trials(config, collect_traces=chunks.append)
-        expected = contract.outcome_codes(
-            0, len(words), eps, mode, words=lambda seed, chunk, m: words[chunk * _CHUNK : chunk * _CHUNK + m]
-        )
+        expected = reference_codes(words, eps, mode)
         assert len(chunks) > 1
         np.testing.assert_array_equal(np.concatenate([chunk.outcome for chunk in chunks]), expected)
         # the counts-only run moves each fallback word's tally to its cell too
@@ -418,10 +423,7 @@ class TestCells:
         config = TrialConfig(len(words), 0, policy, mode)
         default_codes, default_tallies = codes_and_tallies(config)
         # the runs read the edge words, not the seed's stream
-        expected = contract.outcome_codes(
-            0, len(words), eps, mode, words=lambda seed, chunk, m: words[chunk * _CHUNK : chunk * _CHUNK + m]
-        )
-        np.testing.assert_array_equal(default_codes, expected)
+        np.testing.assert_array_equal(default_codes, reference_codes(words, eps, mode))
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         codes, tallies = codes_and_tallies(config)
         np.testing.assert_array_equal(codes, default_codes)
