@@ -41,6 +41,8 @@ from .montecarlo import (
 
 SEED_ENV_VAR = "WIGNER_LAB_SEED"
 SYNTH_NORM_TOL = 1e-8
+# The one-qubit basis {0, 1} that `states --basis computational` puts on every qubit.
+_QUBIT_BASIS = core.computational_basis()
 
 
 def _fmt(x: float) -> str:
@@ -183,7 +185,7 @@ def _cmd_states(args: argparse.Namespace) -> int:
             if args.basis == "charlie":
                 bases = [protocol.charlie_basis("A" if q == 0 else "B") for q in range(state.num_qubits)]
             else:
-                bases = [core.computational_basis() for _ in range(state.num_qubits)]
+                bases = [_QUBIT_BASIS] * state.num_qubits
             expansion = core.change_basis(state, bases)
             view = f"basis:{args.basis}"
 
@@ -501,14 +503,16 @@ _COMMANDS = {
 
 
 def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but arguments only for argv's first
-    command name: no top-level option takes a value, so argparse selects it."""
+    """Every subcommand's name and help, but ``-h`` and arguments only for
+    argv's first command name: no top-level option takes a value, so
+    argparse selects it, and it reads no more of the others."""
     description = "Statevector simulation and numerical audit of the extended Wigner's friend protocol."
     parser = argparse.ArgumentParser(prog="wigner-lab", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # given prog, argparse formats no usage line to find the subcommands' prefix
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     command = next((word for word in argv if word in _COMMANDS), None)
     for name, (help_text, formats, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
             if formats:
                 p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")

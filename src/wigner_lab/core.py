@@ -156,8 +156,10 @@ def _product(factors: Sequence[Frame]) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def tensor_frame(a: Frame, b: Frame) -> Frame:
-    """Kronecker product frame; labels join with ``_`` in (a, b) major order."""
-    return Frame(*_product([a, b]))
+    """Kronecker product frame; labels join with ``_`` in (a, b) major order.
+    The product of two orthonormal bases is a ``MeasurementBasis``."""
+    bases = isinstance(a, MeasurementBasis) and isinstance(b, MeasurementBasis)
+    return (MeasurementBasis if bases else Frame)(*_product([a, b]))
 
 
 @dataclass(frozen=True, eq=False)

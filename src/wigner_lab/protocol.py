@@ -169,12 +169,26 @@ def wrong_state(label: WrongStateLabel) -> StateVector:
     return next(_evolve_record(alice, transform) for alice, transform, state in BRANCHES if state == label.value)
 
 
+@lru_cache(maxsize=None)
 def alice_basis() -> MeasurementBasis:
     return computational_basis(ALICE_LABELS)
 
 
+@lru_cache(maxsize=None)
 def bob_basis() -> MeasurementBasis:
     return computational_basis(BOB_LABELS)
+
+
+@lru_cache(maxsize=None)
+def _audit_bases() -> tuple[MeasurementBasis, MeasurementBasis, MeasurementBasis]:
+    """The audit's three two-qubit bases, built once: Charlie's on A with
+    Bob's, Alice's with Charlie's on B, and Charlie's on both."""
+    charlie_a, charlie_b = charlie_basis("A"), charlie_basis("B")
+    return (
+        tensor_frame(charlie_a, bob_basis()),
+        tensor_frame(alice_basis(), charlie_b),
+        tensor_frame(charlie_a, charlie_b),
+    )
 
 
 def paradox_audit(state: StateVector, tol: float = AUDIT_TOL) -> ParadoxReport:
@@ -190,11 +204,10 @@ def paradox_audit(state: StateVector, tol: float = AUDIT_TOL) -> ParadoxReport:
     if state.num_qubits != 2:
         raise ValueError(f"audit requires a 2-qubit state, got {state.num_qubits} qubits")
     amp_h1 = complex(state.amplitudes[1])
-    view_a = core.change_basis(state, [charlie_basis("A"), bob_basis()])
-    amp_0okA = view_a.coefficient("ok_0")
-    view_b = core.change_basis(state, [alice_basis(), charlie_basis("B")])
-    amp_tokB = view_b.coefficient("t_ok")
-    joint = core.change_basis(state, [charlie_basis("A"), charlie_basis("B")])
+    basis_a, basis_b, basis_ab = _audit_bases()
+    amp_0okA = core.change_basis(state, [basis_a]).coefficient("ok_0")
+    amp_tokB = core.change_basis(state, [basis_b]).coefficient("t_ok")
+    joint = core.change_basis(state, [basis_ab])
     p_okok = abs(joint.coefficient("ok_ok")) ** 2
     flag = (
         abs(amp_h1) <= tol

@@ -520,12 +520,24 @@ PARSER_GOLDEN = {
     ("table", "--policy", "sometimes"): "36fd7bb4a86f08353a6dba10677c60c7389382072484f18b2869016f15c34c86",
 }
 
+# argv -> sha256 of the usage error the top-level parser prints at 80 columns:
+# an invalid command, a missing one, and an unknown option after a command
+TOP_LEVEL_ERRORS = {
+    ("bogus",): "730e008e0e7ab3279e772907629c4713ff3e021b9d19e6c94fbfc4e92566115d",
+    (): "178cc4149f6b36092ac6995d3cd08541e3e6eb7a1f0157a4686b8be5ad738d05",
+    ("verify", "--bogus"): "a3fcc37632eb2f9a8ccd02f80abee1d86c2fb39c50e413e8980cb07c61580c22",
+}
+
 
 def one_spelling(text):
     """Parser output in one spelling on Python 3.10-3.13: an option with a
     short and a long form as "-n TRIALS, --trials TRIALS", which Python 3.13
-    prints "-n, --trials TRIALS".  Nothing else of this parser's output differs."""
-    return re.sub(r"^  (-\w), (--[\w-]+) (\S+)$", r"  \1 \3, \2 \3", text, flags=re.M)
+    prints "-n, --trials TRIALS", and the choices of an invalid choice quoted,
+    as "(choose from 'a', 'b')", which later releases such as 3.13.13 print
+    unquoted.  Nothing else of this parser's output differs."""
+    text = re.sub(r"^  (-\w), (--[\w-]+) (\S+)$", r"  \1 \3, \2 \3", text, flags=re.M)
+    unquoted = r"\(choose from ([^')][^)]*)\)"
+    return re.sub(unquoted, lambda m: f"(choose from {', '.join(map(repr, m[1].split(', ')))})", text)
 
 
 class TestParserDigests:
@@ -550,10 +562,22 @@ class TestParserDigests:
     def test_one_spelling_reads_python_3_13_help(self):
         assert one_spelling("options:\n  -n, --trials TRIALS\n") == "options:\n  -n TRIALS, --trials TRIALS\n"
         assert one_spelling("  -h, --help            show this help\n") == "  -h, --help            show this help\n"
+        quoted = "invalid choice: 'x' (choose from 'states', 'verify')\n"
+        assert one_spelling("invalid choice: 'x' (choose from states, verify)\n") == one_spelling(quoted) == quoted
+
+    @pytest.mark.parametrize("argv", list(TOP_LEVEL_ERRORS), ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_top_level_usage_error_digest(self, capsys, monkeypatch, argv):
+        # only the top level prints the subcommand list and the prog prefix
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert hashlib.sha256(one_spelling(captured.err).encode("utf-8")).hexdigest() == TOP_LEVEL_ERRORS[argv]
 
 
 class TestCommandParser:
-    """A call builds the arguments of the subcommand it names and no other's."""
+    """A call builds the -h and the arguments of the subcommand it names and no other's."""
 
     @pytest.mark.parametrize(
         "argv, command",
@@ -571,7 +595,8 @@ class TestCommandParser:
         subparsers = _build_parser(argv)._subparsers._group_actions[0].choices
         assert list(subparsers) == list(cli._COMMANDS)
         for name, subparser in subparsers.items():
-            built = [action.dest for action in subparser._actions] != ["help"]
+            # one that argv does not name is bare: not even a -h action
+            built = bool(subparser._actions)
             assert built == (subparser.get_default("func") is not None) == (name == command), name
 
 
@@ -1123,8 +1148,10 @@ class TestEntryPoint:
             ),
             (["verify", "--tol", "0"], ["verify"]),
             (["table", "--policy", "biased:0.2", "--format", "json"], ["simulate", "-n", "100", "--format", "csv"]),
+            (["audit", "psi_ABht", "--format", "json"], ["states", "psi_AB", "--basis", "computational", "--format", "csv"]),
+            (["states", "psi_AB", "--basis", "charlie"], ["audit", "psi_AB", "--format", "csv"]),
         ],
-        ids=["simulate", "verify", "table-simulate"],
+        ids=["simulate", "verify", "table-simulate", "audit-states", "states-audit"],
     )
     def test_a_call_prints_what_it_prints_alone(self, first, second):
         # nothing of one call's arguments or parser may leak into the next call in the process

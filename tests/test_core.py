@@ -193,6 +193,12 @@ class TestExpandInFrame:
         np.testing.assert_allclose(frame_result.coefficients, basis_result.coefficients, atol=1e-12)
         assert abs(frame_result.naive_norm - 1.0) < 1e-10
 
+    def test_product_of_two_bases_is_a_basis(self):
+        a, b = charlie_pair()
+        frame = Frame(a.vectors, a.labels)
+        assert type(tensor_frame(a, b)) is MeasurementBasis
+        assert type(tensor_frame(frame, b)) is type(tensor_frame(b, frame)) is Frame
+
     def test_substitution_frame_golden(self):
         # printed 4-decimal coefficients of the heads-register wrong state
         out = protocol.frame_view(protocol.wrong_state(protocol.WrongStateLabel.ABHT), "bs")

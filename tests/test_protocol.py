@@ -188,6 +188,44 @@ class TestParadoxAudit:
             protocol.paradox_audit(protocol.alice_first_qubit())
 
 
+def shared_bases():
+    """Alice's and Bob's bases, then the audit's three joint bases."""
+    return [protocol.alice_basis(), protocol.bob_basis(), *protocol._audit_bases()]
+
+
+def audit_factors():
+    """The per-qubit factors of the audit's joint bases, in their order."""
+    charlie_a, charlie_b = protocol.charlie_basis("A"), protocol.charlie_basis("B")
+    return [(charlie_a, protocol.bob_basis()), (protocol.alice_basis(), charlie_b), (charlie_a, charlie_b)]
+
+
+class TestSharedBases:
+    """The fixed bases are built once and shared, so no call may write them."""
+
+    def test_each_call_returns_the_same_basis(self):
+        assert all(first is again for first, again in zip(shared_bases(), shared_bases()))
+
+    def test_vectors_are_read_only(self):
+        for basis in shared_bases():
+            assert not basis.vectors.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                basis.vectors[0, 0] = 0
+
+    def test_joint_bases_are_the_per_qubit_products(self):
+        for joint, (a, b) in zip(protocol._audit_bases(), audit_factors()):
+            assert isinstance(joint, core.MeasurementBasis)
+            assert joint.labels == tuple(f"{la}_{lb}" for la in a.labels for lb in b.labels)
+            np.testing.assert_array_equal(joint.vectors, np.kron(a.vectors, b.vectors))
+
+    @pytest.mark.parametrize("key", ["psi_AB", "psi_h0", "psi_t01", "psi_ABht", "psi_ABth"])
+    def test_joint_bases_expand_as_their_factors(self, key):
+        # bit for bit: the audit's figures do not depend on where the product is built
+        state = protocol.lookup(key)
+        for joint, factors in zip(protocol._audit_bases(), audit_factors()):
+            by_factors = core.change_basis(state, factors)
+            np.testing.assert_array_equal(core.change_basis(state, [joint]).coefficients, by_factors.coefficients)
+
+
 def substitution_bs(v):
     """Oracle for the bs view: eliminate the first-qubit |h> component."""
     r2 = np.sqrt(2)
