@@ -502,28 +502,45 @@ _COMMANDS = {
 }
 
 
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    """Give ``p`` command ``name``'s ``--format`` if it takes one, its arguments and its handler."""
+    _, formats, add_arguments, handler = _COMMANDS[name]
+    if formats:
+        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+    add_arguments(p)
+    p.set_defaults(func=handler)
+
+
 def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but ``-h`` and arguments only for
-    argv's first command name: no top-level option takes a value, so
-    argparse selects it, and it reads no more of the others."""
+    """The whole parser, for an argv that ``_parse_args`` does not parse with one command's parser.
+    Every subcommand's name and help, but ``-h`` and arguments only for argv's first command name:
+    no top-level option takes a value, so argparse selects it, and it reads no more of the others."""
     description = "Statevector simulation and numerical audit of the extended Wigner's friend protocol."
     parser = argparse.ArgumentParser(prog="wigner-lab", description=description)
     # given prog, argparse formats no usage line to find the subcommands' prefix
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     command = next((word for word in argv if word in _COMMANDS), None)
-    for name, (help_text, formats, add_arguments, handler) in _COMMANDS.items():
+    for name, (help_text, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
-            if formats:
-                p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-            add_arguments(p)
-            p.set_defaults(func=handler)
+            _add_command(p, name)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser(argv).parse_args(argv)``, but an argv that starts with a command name goes to the
+    one parser ``add_parser`` makes for it alone, unless that leaves words over for the top level."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"wigner-lab {argv[0]}")
+        _add_command(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _build_parser(argv).parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         if sys.stdout is not None:

@@ -576,6 +576,35 @@ class TestParserDigests:
         assert hashlib.sha256(one_spelling(captured.err).encode("utf-8")).hexdigest() == TOP_LEVEL_ERRORS[argv]
 
 
+# Per command, one call that succeeds.
+ONE_CALL = {
+    "states": ["states", "psi_AB"],
+    "verify": ["verify"],
+    "audit": ["audit", "psi_AB"],
+    "synth": ["synth", "psi_h0", "--to-e0"],
+    "simulate": ["simulate", "-n", "5"],
+    "table": ["table"],
+}
+
+
+class WholeParserBuilt(Exception):
+    pass
+
+
+def refuse_whole_parser(*args, **kwargs):
+    raise WholeParserBuilt
+
+
+def call_main(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, a usage error's or ``--help``'s too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestCommandParser:
     """A call builds the -h and the arguments of the subcommand it names and no other's."""
 
@@ -598,6 +627,89 @@ class TestCommandParser:
             # one that argv does not name is bare: not even a -h action
             built = bool(subparser._actions)
             assert built == (subparser.get_default("func") is not None) == (name == command), name
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_an_argv_that_starts_with_a_command_builds_no_top_level(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_build_parser", refuse_whole_parser)
+        assert run_cli(capsys, *ONE_CALL[command])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--bogus"], ["-h", "simulate"], ["bogus", "verify"], []],
+        ids=lambda argv: " ".join(argv) or "no-argv",
+    )
+    def test_other_argv_reach_the_whole_parser(self, monkeypatch, argv):
+        # words that the command leaves over, or no command name first
+        monkeypatch.setattr(cli, "_build_parser", refuse_whole_parser)
+        with pytest.raises(WholeParserBuilt):
+            main(argv)
+
+    @pytest.mark.parametrize("kind", [iter, tuple])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["audit", "psi_AB", "--format", "json"], ["verify", "--bogus"], ["bogus"]], ids=" ".join
+    )
+    def test_any_iterable_argv_prints_what_a_list_prints(self, capsys, argv, kind):
+        assert call_main(capsys, kind(argv)) == call_main(capsys, argv)
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` does: its exit code (None when it returns), stdout,
+    stderr and the items of the namespace it returns."""
+    stdout, stderr, items = io.StringIO(), io.StringIO(), None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            args, code = parse(list(argv)), None
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            items = sorted(vars(args).items())
+    return code, stdout.getvalue(), stderr.getvalue(), items
+
+
+@st.composite
+def command_argv(draw):
+    """A command name, then, as fuzz_argv draws them, mostly its positional
+    and its own flags, with their values or without, and now and then any
+    other flag, a stray word or a later command name; besides, a long flag
+    cut short (an abbreviation, perhaps an ambiguous one), -- or -h."""
+    command = draw(st.sampled_from(list(FUZZ_SUBCOMMANDS)))
+    names, flags = FUZZ_SUBCOMMANDS[command]
+    argv = [command]
+    if names and draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(names)))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["own"] * 8 + ["cut"] * 3 + ["any", "bare", "word", "command", "--", "-h"]))
+        if kind in ("--", "-h"):
+            argv.append(kind)
+            continue
+        if kind == "word":
+            argv.append(draw(st.sampled_from(["psi_AB", "2000", "-1", "bogus"])))
+            continue
+        if kind == "command":
+            argv.append(draw(st.sampled_from(list(FUZZ_SUBCOMMANDS))))
+            continue
+        flag = draw(st.sampled_from(flags if kind in ("own", "cut") else list(FUZZ_FLAGS)))
+        cut = draw(st.integers(3, len(flag))) if kind == "cut" and flag.startswith("--") else len(flag)
+        argv.append(flag[:cut])
+        if FUZZ_FLAGS[flag] is not None and kind != "bare":
+            argv.append(draw(st.sampled_from(FUZZ_FLAGS[flag])))
+    return argv
+
+
+class TestParseArgs:
+    """The parse of one command's parser against the whole parser's, which is the reference."""
+
+    @given(argv=command_argv())
+    @example(argv=["verify", "--bogus"])  # words left over
+    @example(argv=["audit", "psi_AB", "verify"])
+    @example(argv=["simulate", "--", "-n", "5"])
+    @example(argv=["simulate", "-h"])
+    @example(argv=["verify", "--form", "json"])  # abbreviations
+    @example(argv=["table", "--pol", "uniform"])
+    @settings(max_examples=150, deadline=None)
+    def test_one_command_parses_as_the_whole_parser(self, argv):
+        expected = parse_outcome(lambda argv: _build_parser(argv).parse_args(argv), argv)
+        assert parse_outcome(cli._parse_args, argv) == expected
 
 
 class TestSimulate:
