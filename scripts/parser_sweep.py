@@ -1,11 +1,12 @@
 """Check that ``cli._parse_args`` exits, prints and returns what the whole
-parser does, ``_build_parser(argv).parse_args(argv)``, on every argv of up
-to four words from a fixed pool of twenty: 168 421 argv.
+parser does, ``_build_parser().parse_args(argv)``, on every argv of up to
+four words from a fixed pool of twenty: 168 421 argv.
 
 Only the argument code of ``cli.py`` runs (its undecorated functions, ``SEED_ENV_VAR``
 and ``_COMMANDS``), with the library stubbed, so the sweep needs no numpy
 and runs on any Python from 3.10.  ``--reference`` takes the whole parser
-from another ``cli.py``, such as an earlier revision's::
+from another ``cli.py``, such as an earlier revision's, whose
+``_build_parser`` may take the argv too::
 
     git show <rev>:src/wigner_lab/cli.py > old_cli.py
     python scripts/parser_sweep.py --reference old_cli.py
@@ -21,6 +22,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import math
@@ -93,11 +95,12 @@ def main(argv=None) -> int:
     os.environ["COLUMNS"] = "80"  # help and usage wrap the same for both
     new = argument_code(CLI)["_parse_args"]
     build = argument_code(args.reference or CLI)["_build_parser"]
+    takes_argv = bool(inspect.signature(build).parameters)  # shaped by argv, as from c60b35f to 4cbd96e
     checked, differ = 0, []
     for length in range(args.words + 1):
         for words in itertools.product(WORDS, repeat=length):
             checked += 1
-            if outcome(new, words) != outcome(lambda a: build(a).parse_args(a), words):
+            if outcome(new, words) != outcome(lambda a: (build(a) if takes_argv else build()).parse_args(a), words):
                 differ.append(words)
     print(f"{checked} argv checked, {len(differ)} differ")
     for words in differ[:10]:

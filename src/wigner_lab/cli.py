@@ -511,24 +511,20 @@ def _add_command(p: argparse.ArgumentParser, name: str) -> None:
     p.set_defaults(func=handler)
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The whole parser, for an argv that ``_parse_args`` does not parse with one command's parser.
-    Every subcommand's name and help, but ``-h`` and arguments only for argv's first command name:
-    no top-level option takes a value, so argparse selects it, and it reads no more of the others."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser: what ``_parse_args`` falls back to for help, usage errors and leftover words."""
     description = "Statevector simulation and numerical audit of the extended Wigner's friend protocol."
     parser = argparse.ArgumentParser(prog="wigner-lab", description=description)
-    # given prog, argparse formats no usage line to find the subcommands' prefix
+    # each subcommand's prog is "wigner-lab <name>", spelled out as _parse_args spells it,
+    # not derived from a usage line that argparse formats
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    command = next((word for word in argv if word in _COMMANDS), None)
     for name, (help_text, *_) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name == command:
-            _add_command(p, name)
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser(argv).parse_args(argv)``, but an argv that starts with a command name goes to the
+    """``_build_parser().parse_args(argv)``, but an argv that starts with a command name goes to the
     one parser ``add_parser`` makes for it alone, unless that leaves words over for the top level."""
     if argv and argv[0] in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"wigner-lab {argv[0]}")
@@ -536,7 +532,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extras:
             return args
-    return _build_parser(argv).parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -493,7 +493,7 @@ class TestArgvFuzz:
                 os.chdir(cwd)
             assert code in ((0, 2) if usage_error else (0, 1, 2))
             if not usage_error:
-                args = _build_parser(argv).parse_args(argv)
+                args = _build_parser().parse_args(argv)
                 if getattr(args, "trace", None) is not None and args.trace == args.out:
                     assert code == 2, "one file for --out and --trace"
             if code == 2 and not usage_error:
@@ -521,11 +521,13 @@ PARSER_GOLDEN = {
 }
 
 # argv -> sha256 of the usage error the top-level parser prints at 80 columns:
-# an invalid command, a missing one, and an unknown option after a command
+# an invalid command, a missing one, an unknown option after a command, and a
+# word left over after a command's positional and option are consumed
 TOP_LEVEL_ERRORS = {
     ("bogus",): "730e008e0e7ab3279e772907629c4713ff3e021b9d19e6c94fbfc4e92566115d",
     (): "178cc4149f6b36092ac6995d3cd08541e3e6eb7a1f0157a4686b8be5ad738d05",
     ("verify", "--bogus"): "a3fcc37632eb2f9a8ccd02f80abee1d86c2fb39c50e413e8980cb07c61580c22",
+    ("audit", "psi_AB", "--tol", "1e-3", "extra"): "6407344658bd85e6c8c1973bd23d70e9ca6d6dc3a2b720d17bbdb370a6208e74",
 }
 
 
@@ -606,27 +608,11 @@ def call_main(capsys, argv):
 
 
 class TestCommandParser:
-    """A call builds the -h and the arguments of the subcommand it names and no other's."""
+    """A call that starts with a command name is parsed by that command's parser alone."""
 
-    @pytest.mark.parametrize(
-        "argv, command",
-        [
-            (["verify"], "verify"),
-            (["simulate", "-n", "5", "--trace", "table"], "simulate"),
-            (["-h", "simulate"], "simulate"),
-            (["--", "verify", "--format", "json"], "verify"),
-            (["bogus", "audit", "psi_AB", "verify"], "audit"),
-            (["bogus", "-h"], None),
-            ([], None),
-        ],
-    )
-    def test_only_the_first_command_name_gets_arguments(self, argv, command):
-        subparsers = _build_parser(argv)._subparsers._group_actions[0].choices
-        assert list(subparsers) == list(cli._COMMANDS)
-        for name, subparser in subparsers.items():
-            # one that argv does not name is bare: not even a -h action
-            built = bool(subparser._actions)
-            assert built == (subparser.get_default("func") is not None) == (name == command), name
+    @pytest.mark.parametrize("argv", [*ONE_CALL.values(), ["audit", "psi_AB", "--format", "json"]], ids=" ".join)
+    def test_the_whole_parser_parses_each_call_as_its_command_parser(self, argv):
+        assert vars(_build_parser().parse_args(argv)) == vars(cli._parse_args(argv))
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_an_argv_that_starts_with_a_command_builds_no_top_level(self, capsys, monkeypatch, command):
@@ -708,7 +694,7 @@ class TestParseArgs:
     @example(argv=["table", "--pol", "uniform"])
     @settings(max_examples=150, deadline=None)
     def test_one_command_parses_as_the_whole_parser(self, argv):
-        expected = parse_outcome(lambda argv: _build_parser(argv).parse_args(argv), argv)
+        expected = parse_outcome(lambda argv: _build_parser().parse_args(argv), argv)
         assert parse_outcome(cli._parse_args, argv) == expected
 
 
