@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -502,41 +503,25 @@ _COMMANDS = {
 }
 
 
-def _add_command(p: argparse.ArgumentParser, name: str) -> None:
-    """Give ``p`` command ``name``'s ``--format`` if it takes one, its arguments and its handler."""
-    _, formats, add_arguments, handler = _COMMANDS[name]
-    if formats:
-        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    add_arguments(p)
-    p.set_defaults(func=handler)
-
-
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The whole parser: what ``_parse_args`` falls back to for help, usage errors and leftover words."""
+    """The parser, built once per process and reused by every call: each parse makes a fresh
+    namespace, each help or usage print a fresh formatter, every default is immutable, and
+    each handler reads the module's globals when it runs."""
     description = "Statevector simulation and numerical audit of the extended Wigner's friend protocol."
     parser = argparse.ArgumentParser(prog="wigner-lab", description=description)
-    # each subcommand's prog is "wigner-lab <name>", spelled out as _parse_args spells it,
-    # not derived from a usage line that argparse formats
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for name, (help_text, *_) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, formats, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if formats:
+            p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, but an argv that starts with a command name goes to the
-    one parser ``add_parser`` makes for it alone, unless that leaves words over for the top level."""
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"wigner-lab {argv[0]}")
-        _add_command(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         if sys.stdout is not None:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import wigner_lab
 from wigner_lab import cli, core, montecarlo, protocol
 from wigner_lab.cli import _DIGIT_GROUPS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
-from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, TraceChunk
+from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, MistakePolicy, TraceChunk
 
 # The trials the trace encoder writes at once: all share every digit but the last four.
 GROUP = len(_DIGIT_GROUPS)
@@ -589,14 +589,6 @@ ONE_CALL = {
 }
 
 
-class WholeParserBuilt(Exception):
-    pass
-
-
-def refuse_whole_parser(*args, **kwargs):
-    raise WholeParserBuilt
-
-
 def call_main(capsys, argv):
     """Exit code, stdout and stderr of ``main(argv)``, a usage error's or ``--help``'s too."""
     try:
@@ -605,37 +597,6 @@ def call_main(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestCommandParser:
-    """A call that starts with a command name is parsed by that command's parser alone."""
-
-    @pytest.mark.parametrize("argv", [*ONE_CALL.values(), ["audit", "psi_AB", "--format", "json"]], ids=" ".join)
-    def test_the_whole_parser_parses_each_call_as_its_command_parser(self, argv):
-        assert vars(_build_parser().parse_args(argv)) == vars(cli._parse_args(argv))
-
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_an_argv_that_starts_with_a_command_builds_no_top_level(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(cli, "_build_parser", refuse_whole_parser)
-        assert run_cli(capsys, *ONE_CALL[command])[0] == 0
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["verify", "--bogus"], ["-h", "simulate"], ["bogus", "verify"], []],
-        ids=lambda argv: " ".join(argv) or "no-argv",
-    )
-    def test_other_argv_reach_the_whole_parser(self, monkeypatch, argv):
-        # words that the command leaves over, or no command name first
-        monkeypatch.setattr(cli, "_build_parser", refuse_whole_parser)
-        with pytest.raises(WholeParserBuilt):
-            main(argv)
-
-    @pytest.mark.parametrize("kind", [iter, tuple])
-    @pytest.mark.parametrize(
-        "argv", [["verify"], ["audit", "psi_AB", "--format", "json"], ["verify", "--bogus"], ["bogus"]], ids=" ".join
-    )
-    def test_any_iterable_argv_prints_what_a_list_prints(self, capsys, argv, kind):
-        assert call_main(capsys, kind(argv)) == call_main(capsys, argv)
 
 
 def parse_outcome(parse, argv):
@@ -682,20 +643,54 @@ def command_argv(draw):
     return argv
 
 
-class TestParseArgs:
-    """The parse of one command's parser against the whole parser's, which is the reference."""
+class TestCommandParser:
+    """One parser, built on the first call, parses every call in the process."""
 
-    @given(argv=command_argv())
-    @example(argv=["verify", "--bogus"])  # words left over
-    @example(argv=["audit", "psi_AB", "verify"])
-    @example(argv=["simulate", "--", "-n", "5"])
-    @example(argv=["simulate", "-h"])
-    @example(argv=["verify", "--form", "json"])  # abbreviations
-    @example(argv=["table", "--pol", "uniform"])
+    @given(argvs=st.lists(st.one_of(fuzz_argv(), command_argv()), min_size=2, max_size=6))
+    @example(argvs=[["verify", "--bogus"], ["verify"]])  # words left over, then none
+    @example(argvs=[["-h", "simulate"], ["simulate", "-n", "5"]])
+    @example(argvs=[["simulate", "--seed", "x"], ["simulate", "--form", "json"]])
+    @example(argvs=[["table", "--pol", "biased:0.2"], ["table"], ["simulate", "--", "-n", "5"]])
     @settings(max_examples=150, deadline=None)
-    def test_one_command_parses_as_the_whole_parser(self, argv):
-        expected = parse_outcome(lambda argv: _build_parser().parse_args(argv), argv)
-        assert parse_outcome(cli._parse_args, argv) == expected
+    def test_a_reused_parser_parses_as_a_fresh_one(self, argvs):
+        # the calls before leave nothing in the parser that changes the next parse
+        for argv in argvs:
+            expected = parse_outcome(_build_parser.__wrapped__().parse_args, argv)
+            assert parse_outcome(_build_parser().parse_args, argv) == expected
+
+    def test_one_process_builds_one_parser(self, capsys):
+        # successful calls, and help and usage errors: a command's words left
+        # over, no command name first, an unknown command and no word at all
+        _build_parser.cache_clear()
+        for argv in [*ONE_CALL.values(), ["verify", "--bogus"], ["-h", "simulate"], ["bogus", "verify"], []]:
+            call_main(capsys, argv)
+        assert _build_parser.cache_info().misses == 1
+
+    def test_help_wraps_at_each_calls_columns(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        wide = call_main(capsys, ["--help"])
+        monkeypatch.setenv("COLUMNS", "60")
+        narrow = call_main(capsys, ["--help"])
+        assert narrow == parse_outcome(_build_parser.__wrapped__().parse_args, ["--help"])[:3]
+        assert narrow != wide
+
+    def test_every_default_is_immutable(self):
+        # a default is shared by every namespace the one parser makes
+        top = _build_parser()
+        parsers = [top, *top._subparsers._group_actions[0].choices.values()]
+        defaults = [action.default for p in parsers for action in p._actions]
+        defaults += [value for p in parsers for value in p._defaults.values()]
+        assert any(isinstance(default, MistakePolicy) for default in defaults)
+        for default in defaults:
+            hash(default)
+            assert not isinstance(default, (list, dict, set)), default
+
+    @pytest.mark.parametrize("kind", [iter, tuple])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["audit", "psi_AB", "--format", "json"], ["verify", "--bogus"], ["bogus"]], ids=" ".join
+    )
+    def test_any_iterable_argv_prints_what_a_list_prints(self, capsys, argv, kind):
+        assert call_main(capsys, kind(argv)) == call_main(capsys, argv)
 
 
 class TestSimulate:
@@ -1174,14 +1169,20 @@ def module_env():
 
 
 def calls_in_one_process(*argvs):
-    """The exit code and stdout of each ``main(argv)``, called in turn in one fresh interpreter."""
+    """The exit code, stdout and stderr of each ``main(argv)``, called in turn
+    in one fresh interpreter; a usage error's or ``--help``'s too."""
     code = (
         "import contextlib, io, json, sys\n"
         "from wigner_lab.cli import main\n"
         "results = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        results.append([main(argv), out.getvalue()])\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
         "print(json.dumps(results))"
     )
     proc = subprocess.run(
@@ -1248,8 +1249,20 @@ class TestEntryPoint:
             (["table", "--policy", "biased:0.2", "--format", "json"], ["simulate", "-n", "100", "--format", "csv"]),
             (["audit", "psi_ABht", "--format", "json"], ["states", "psi_AB", "--basis", "computational", "--format", "csv"]),
             (["states", "psi_AB", "--basis", "charlie"], ["audit", "psi_AB", "--format", "csv"]),
+            (["verify", "--bogus"], ["verify"]),
+            (["-h"], ["simulate", "-n", "5"]),
+            (["simulate", "--seed", "x"], ["simulate", "-n", "5", "--format", "json"]),
         ],
-        ids=["simulate", "verify", "table-simulate", "audit-states", "states-audit"],
+        ids=[
+            "simulate",
+            "verify",
+            "table-simulate",
+            "audit-states",
+            "states-audit",
+            "usage-error-verify",
+            "help-simulate",
+            "bad-seed-simulate",
+        ],
     )
     def test_a_call_prints_what_it_prints_alone(self, first, second):
         # nothing of one call's arguments or parser may leak into the next call in the process

@@ -1,5 +1,5 @@
-"""Smoke tests: ``scripts/reproduce_paper.py``, ``scripts/parser_sweep.py``
-and the README's Python example run against the library."""
+"""Smoke tests: ``scripts/reproduce_paper.py`` and the README's Python
+example run against the library."""
 
 import os
 import re
@@ -108,10 +108,3 @@ def test_readme_python_example():
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
 
-
-def test_parser_sweep_finds_no_argv_that_differs(monkeypatch, capsys):
-    # the sweep up to two words, its whole parser this tree's
-    monkeypatch.setenv("COLUMNS", "80")  # the sweep sets it
-    sweep = runpy.run_path(str(ROOT / "scripts" / "parser_sweep.py"))
-    assert sweep["main"](["--words", "2"]) == 0
-    assert capsys.readouterr().out == "421 argv checked, 0 differ\n"
