@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, output formats, file I/O, determinism."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -589,6 +590,14 @@ ONE_CALL = {
 }
 
 
+class ParserBuilt(Exception):
+    pass
+
+
+def refuse_parser(*args, **kwargs):
+    raise ParserBuilt
+
+
 def call_main(capsys, argv):
     """Exit code, stdout and stderr of ``main(argv)``, a usage error's or ``--help``'s too."""
     try:
@@ -645,6 +654,33 @@ def command_argv(draw):
 
 class TestCommandParser:
     """One parser, built on the first call, parses every call in the process."""
+
+    @pytest.mark.parametrize("argv", [*ONE_CALL.values(), ["audit", "psi_AB", "--format", "json"]], ids=" ".join)
+    def test_the_whole_parser_parses_each_call_as_its_command_parser(self, argv):
+        # the top level adds only the command's name to what that command's subparser parses
+        command = _build_parser()._subparsers._group_actions[0].choices[argv[0]]
+        alone = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        assert vars(_build_parser().parse_args(argv)) == vars(alone)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_an_argv_that_starts_with_a_command_builds_no_top_level(self, capsys, monkeypatch, command):
+        # once the process has its parser, a call builds no parser at all
+        _build_parser()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse_parser)
+        assert run_cli(capsys, *ONE_CALL[command])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--bogus"], ["-h", "simulate"], ["bogus", "verify"], []],
+        ids=lambda argv: " ".join(argv) or "no-argv",
+    )
+    def test_other_argv_reach_the_whole_parser(self, capsys, monkeypatch, argv):
+        # words that the command leaves over, or no command name first: the one
+        # parser prints a fresh parser's help or usage error, and builds no other
+        expected = parse_outcome(_build_parser.__wrapped__().parse_args, argv)[:3]
+        _build_parser()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse_parser)
+        assert call_main(capsys, argv) == expected
 
     @given(argvs=st.lists(st.one_of(fuzz_argv(), command_argv()), min_size=2, max_size=6))
     @example(argvs=[["verify", "--bogus"], ["verify"]])  # words left over, then none
