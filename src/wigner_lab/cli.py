@@ -454,74 +454,61 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # parser
 
 
-def _states_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name", help="registry key or state JSON path")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--basis", choices=("computational", "charlie"), default="computational")
-    group.add_argument("--frame", choices=("bs", "as"))
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tol_type, default=1e-12)
-
-
-def _audit_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name", help="registry key or state JSON path")
-    p.add_argument("--tol", type=_tol_type, default=protocol.AUDIT_TOL)
-
-
-def _synth_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", help="registry key or vector JSON path")
-    direction = p.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--to-e0", dest="from_e0", action="store_false")
-    direction.add_argument("--from-e0", dest="from_e0", action="store_true")
-    p.add_argument("--out", help="write the matrix JSON here instead of stdout")
-
-
-def _simulate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-n", "--trials", type=int, default=10000)
-    p.add_argument("--seed", type=_seed_type, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0")
-    p.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
-    p.add_argument("--mode", choices=montecarlo.MODES, default="collapse")
-    p.add_argument("--check", action="store_true", help=f"compare against the closed form at {SIGMA_BOUND:g} sigma")
-    p.add_argument("--trace", help="write a per-trial CSV trace to this path")
-    p.add_argument("--out", help="write results here instead of stdout")
-
-
-def _table_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
-
-
-# Per subcommand, in help order: its help, whether it takes --format, what adds its arguments, its handler.
-_COMMANDS = {
-    "states": ("print a named state in a basis or frame view", True, _states_arguments, _cmd_states),
-    "verify": ("verify protocol constants and evolution", True, _verify_arguments, _cmd_verify),
-    "audit": ("four-condition paradox audit of a 2-qubit state", True, _audit_arguments, _cmd_audit),
-    "synth": ("synthesize a unitary moving a unit vector to/from e0", False, _synth_arguments, _cmd_synth),
-    "simulate": ("sample the protocol under a mistake policy", True, _simulate_arguments, _cmd_simulate),
-    "table": ("closed-form mistake table for a policy", True, _table_arguments, _cmd_table),
-}
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and reused by every call: each parse makes a fresh
     namespace, each help or usage print a fresh formatter, every default is immutable, and
     each handler reads the module's globals when it runs."""
+    fmt_parent = argparse.ArgumentParser(add_help=False)
+    fmt_parent.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+
     description = "Statevector simulation and numerical audit of the extended Wigner's friend protocol."
     parser = argparse.ArgumentParser(prog="wigner-lab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, formats, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if formats:
-            p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        add_arguments(p)
-        p.set_defaults(func=handler)
+
+    p_states = sub.add_parser("states", parents=[fmt_parent], help="print a named state in a basis or frame view")
+    p_states.add_argument("name", help="registry key or state JSON path")
+    group = p_states.add_mutually_exclusive_group()
+    group.add_argument("--basis", choices=("computational", "charlie"), default="computational")
+    group.add_argument("--frame", choices=("bs", "as"))
+    p_states.set_defaults(func=_cmd_states)
+
+    p_verify = sub.add_parser("verify", parents=[fmt_parent], help="verify protocol constants and evolution")
+    p_verify.add_argument("--tol", type=_tol_type, default=1e-12)
+    p_verify.set_defaults(func=_cmd_verify)
+
+    p_audit = sub.add_parser("audit", parents=[fmt_parent], help="four-condition paradox audit of a 2-qubit state")
+    p_audit.add_argument("name", help="registry key or state JSON path")
+    p_audit.add_argument("--tol", type=_tol_type, default=protocol.AUDIT_TOL)
+    p_audit.set_defaults(func=_cmd_audit)
+
+    p_synth = sub.add_parser("synth", help="synthesize a unitary moving a unit vector to/from e0")
+    p_synth.add_argument("input", help="registry key or vector JSON path")
+    direction = p_synth.add_mutually_exclusive_group(required=True)
+    direction.add_argument("--to-e0", dest="from_e0", action="store_false")
+    direction.add_argument("--from-e0", dest="from_e0", action="store_true")
+    p_synth.add_argument("--out", help="write the matrix JSON here instead of stdout")
+    p_synth.set_defaults(func=_cmd_synth)
+
+    p_sim = sub.add_parser("simulate", parents=[fmt_parent], help="sample the protocol under a mistake policy")
+    p_sim.add_argument("-n", "--trials", type=int, default=10000)
+    p_sim.add_argument("--seed", type=_seed_type, default=None, help=f"defaults to ${SEED_ENV_VAR} or 0")
+    p_sim.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
+    p_sim.add_argument("--mode", choices=montecarlo.MODES, default="collapse")
+    p_sim.add_argument("--check", action="store_true", help=f"compare against the closed form at {SIGMA_BOUND:g} sigma")
+    p_sim.add_argument("--trace", help="write a per-trial CSV trace to this path")
+    p_sim.add_argument("--out", help="write results here instead of stdout")
+    p_sim.set_defaults(func=_cmd_simulate)
+
+    p_table = sub.add_parser("table", parents=[fmt_parent], help="closed-form mistake table for a policy")
+    p_table.add_argument("--policy", type=_policy_type, default=MistakePolicy("uniform"))
+    p_table.set_defaults(func=_cmd_table)
+
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         if sys.stdout is not None:
@@ -529,9 +516,9 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:  # the shell's code for a writer killed by SIGPIPE
         return 141
-    except (ValueError, KeyError, OSError) as exc:
-        # an OSError's first argument is its errno; its text names the path
-        message = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # an OSError's first argument is its errno and numpy's MemoryError's the shape; their texts say what failed
+        message = exc.args[0] if exc.args and not isinstance(exc, (OSError, MemoryError)) else exc
         _report(f"error: {message}", sys.stderr)  # with stderr closed, the exit code still tells
         return 2
 

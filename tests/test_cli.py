@@ -126,6 +126,17 @@ class TestStates:
         assert code == 2
         assert "2-qubit" in err
 
+    def test_an_allocation_that_fails_exits_2(self, capsys, monkeypatch):
+        # numpy's MemoryError holds the shape as its first argument; its text is the sentence
+        def allocate_too_much(*args):
+            return np.empty(1 << 58, dtype=np.complex128)
+
+        with pytest.raises(MemoryError) as exc:
+            allocate_too_much()
+        assert str(exc.value).startswith("Unable to allocate ")
+        monkeypatch.setattr(core, "change_basis", allocate_too_much)
+        assert run_cli(capsys, "states", "psi_AB") == (2, "", f"error: {exc.value}\n")
+
 
 class TestVerify:
     def test_default_passes(self, capsys):
@@ -662,7 +673,7 @@ class TestCommandParser:
         alone = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         assert vars(_build_parser().parse_args(argv)) == vars(alone)
 
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("command", list(ONE_CALL))
     def test_an_argv_that_starts_with_a_command_builds_no_top_level(self, capsys, monkeypatch, command):
         # once the process has its parser, a call builds no parser at all
         _build_parser()
@@ -1380,6 +1391,26 @@ class TestEntryPoint:
         proc = run_module(command[0], str(path), *command[1:])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("command, qubits", [(("states",), 16), (("synth", "--to-e0"), 14)], ids=["states", "synth"])
+    def test_an_allocation_over_the_memory_limit_exits_2(self, tmp_path, command, qubits):
+        # the 2^16 x 2^16 basis of `states` and the 2^14 x 2^14 matrices of `synth` need more than 1 GiB
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("needs resource.RLIMIT_AS")
+        path = tmp_path / "big.json"
+        document = {"num_qubits": qubits, "amplitudes": [[1, 0]] + [[0, 0]] * (2**qubits - 1)}
+        path.write_text(json.dumps(document), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wigner_lab", command[0], str(path), *command[1:]],
+            env={**module_env(), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_deeply_nested_amplitude_prints_a_short_error(self, tmp_path):
         # json reads 900 levels in a fresh interpreter; the error shows only the first
