@@ -274,7 +274,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     vec = vec / norm
     with _open_out(args.out) as out:
         result = synthesis.synthesize_from_e0(vec) if args.from_e0 else synthesis.synthesize_to_e0(vec)
-        out.write(jsonio.dumps(jsonio.matrix_to_dict(result.matrix)))
+        out.write(jsonio.matrix_json(result.matrix))
     _report(f"residual: {result.residual:.3e}", sys.stdout if args.out is not None else sys.stderr)
     return 0
 

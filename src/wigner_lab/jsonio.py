@@ -7,6 +7,7 @@ significant digits).  All file I/O is UTF-8.
 
 from __future__ import annotations
 
+import functools
 import json
 import reprlib
 from pathlib import Path
@@ -45,10 +46,6 @@ class _ShortJson(reprlib.Repr):
 _SHORT = _ShortJson()
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _from_pair(item) -> complex:
     # JSON true/false arrive as bool, a subclass of int; they are not numbers
     if not (
@@ -77,15 +74,25 @@ def vector_from_dict(data: dict) -> np.ndarray:
     return vector
 
 
-def matrix_to_dict(u: SquareUnitary) -> dict:
-    return {
-        "dim": u.dim,
-        "entries": [[_pair(z) for z in row] for row in u.matrix],
-    }
-
-
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+@functools.lru_cache(maxsize=4)  # a layout holds about 40 bytes per entry
+def _matrix_layout(dim: int) -> str:
+    """``dumps`` of a ``dim`` x ``dim`` matrix document with a ``%s`` slot for
+    each part, in row-major order, real part first."""
+    text = dumps({"dim": dim, "entries": [[["\0", "\0"]] * dim] * dim})
+    return text.replace("%", "%%").replace('"\\u0000"', "%s")
+
+
+def matrix_json(u: SquareUnitary) -> str:
+    """``dumps`` of ``{"dim": d, "entries": [[[re, im], ...], ...]}``, the
+    matrix document: each part spelled as ``json`` spells a finite float, in
+    its dimension's cached layout.  ``ravel`` copies a Fortran-ordered
+    matrix, which has no float view, to row-major order."""
+    parts = u.matrix.ravel().view(np.float64).tolist()
+    return _matrix_layout(u.dim) % tuple(map(float.__repr__, parts))
 
 
 def load_vector(path: str | Path) -> np.ndarray:

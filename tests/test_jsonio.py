@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from wigner_lab import jsonio, protocol
-from wigner_lab.core import StateVector
+from wigner_lab.core import SquareUnitary, StateVector
+from wigner_lab.synthesis import synthesize_from_e0, synthesize_to_e0
 
 
 def read_state(data):
@@ -23,6 +26,25 @@ def matrix_from_document(data):
     """The complex matrix of a matrix document, read with numpy."""
     entries = np.array(data["entries"])
     return entries[..., 0] + 1j * entries[..., 1]
+
+
+def matrix_reference_text(u):
+    """The matrix document built entry by entry and written by ``json``."""
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in u.matrix.tolist()]
+    return json.dumps({"dim": u.dim, "entries": entries}, indent=2) + "\n"
+
+
+@st.composite
+def synthesized_unitaries(draw):
+    """``synthesize_to_e0`` or ``synthesize_from_e0`` (an adjoint, so Fortran
+    ordered) of a drawn vector of 1 to 17 entries."""
+    dim = draw(st.integers(1, 17))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * dim, max_size=2 * dim))
+    vec = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    norm = np.linalg.norm(vec)
+    assume(norm > 1e-3)
+    synthesize = draw(st.sampled_from([synthesize_to_e0, synthesize_from_e0]))
+    return synthesize(vec / norm).matrix
 
 
 class TestStateJson:
@@ -102,7 +124,7 @@ class TestStateJson:
 
 class TestMatrixJson:
     def test_dict_shape(self):
-        data = jsonio.matrix_to_dict(protocol.named_matrices()["A_h0"])
+        data = json.loads(jsonio.matrix_json(protocol.named_matrices()["A_h0"]))
         assert data["dim"] == 4
         assert [len(row) for row in data["entries"]] == [4] * 4
         assert data["entries"][0][1] == [0.0, 0.0]
@@ -115,7 +137,7 @@ class TestMatrixJson:
         def refuse(constant):
             raise AssertionError(f"{constant} in the matrix text")
 
-        parsed = json.loads(jsonio.dumps(jsonio.matrix_to_dict(matrix)), parse_constant=refuse)
+        parsed = json.loads(jsonio.matrix_json(matrix), parse_constant=refuse)
         parts = [x for row in parsed["entries"] for pair in row for x in pair]
         assert all(type(x) is float for x in parts)
         assert parts == [x for z in matrix.matrix.ravel().tolist() for x in (z.real, z.imag)]
@@ -123,14 +145,37 @@ class TestMatrixJson:
     @pytest.mark.parametrize("key", list(protocol.named_matrices()))
     def test_round_trip_is_lossless(self, key):
         matrix = protocol.named_matrices()[key]
-        again = matrix_from_document(jsonio.matrix_to_dict(matrix))
+        again = matrix_from_document(json.loads(jsonio.matrix_json(matrix)))
         np.testing.assert_array_equal(again, matrix.matrix)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "matrix.json"
-        path.write_text(jsonio.dumps(jsonio.matrix_to_dict(protocol.entangle_matrix())), encoding="utf-8")
+        path.write_text(jsonio.matrix_json(protocol.entangle_matrix()), encoding="utf-8")
         again = matrix_from_document(json.loads(path.read_text(encoding="utf-8")))
         np.testing.assert_array_equal(again, protocol.entangle_matrix().matrix)
+
+    @given(synthesized_unitaries())
+    @example(SquareUnitary([[-0.0, 1], [1, -0.0]]))
+    @example(SquareUnitary(np.diag([np.exp(1j * 5e-324), np.exp(1j * 1e-300), -1])))  # subnormal and tiny parts
+    @example(SquareUnitary(np.diag([1, 1j, -1j, -1])))
+    @example(SquareUnitary([[1j]]))
+    def test_text_is_what_json_writes(self, u):
+        text = jsonio.matrix_json(u)
+        assert text == matrix_reference_text(u)
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text  # a fixed point of the stdlib encoder
+
+    def test_text_of_a_fortran_ordered_matrix(self):
+        vec = np.array([0.6, 0.48j, -0.64])
+        u = synthesize_from_e0(vec).matrix
+        assert not u.matrix.flags.c_contiguous  # the adjoint of a row-major matrix
+        assert jsonio.matrix_json(u) == matrix_reference_text(u)
+
+    def test_layout_cache_is_bounded(self):
+        for dim in range(1, 21):
+            jsonio.matrix_json(SquareUnitary(np.eye(dim)))
+        info = jsonio._matrix_layout.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
 
 
 class TestVectorJson:
