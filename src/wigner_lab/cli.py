@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import math
@@ -19,7 +18,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -58,16 +57,16 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{z.imag:+.4f}j"
 
 
-def _render(fmt: str, payload: dict, rows: list[list], lines: list[str]) -> str:
+def _render(fmt: str, payload: dict, rows: Callable[[], list[list]], lines: Callable[[], list[str]]) -> str:
     """One result in the ``--format`` asked for: its JSON payload, its CSV
-    rows or its pretty lines."""
+    rows or its pretty lines, of which only the one printed is built."""
     if fmt == "json":
         return jsonio.dumps(payload)
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(rows())
         return buf.getvalue()
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines()) + "\n"
 
 
 def _columns(rows: list[list[str]]) -> str:
@@ -199,15 +198,22 @@ def _cmd_states(args: argparse.Namespace) -> int:
             "coefficients": [[z.real, z.imag] for z in expansion.coefficients],
             "physical_norm": physical_norm,
         }
-        rows = [["label", "re", "im"]] + [[label, repr(float(z.real)), repr(float(z.imag))] for label, z in terms]
-        lines = [
-            f"{args.name}  ({view})",
-            _columns([[label, _fmt_complex(z)] for label, z in terms]),
-            f"physical_norm  {_fmt(physical_norm)}",
-        ]
         if args.frame is not None:
             payload["naive_norm"] = expansion.naive_norm
-            lines.append(f"naive_norm     {_fmt(expansion.naive_norm)}")
+
+        def rows():
+            return [["label", "re", "im"]] + [[label, repr(float(z.real)), repr(float(z.imag))] for label, z in terms]
+
+        def lines():
+            lines = [
+                f"{args.name}  ({view})",
+                _columns([[label, _fmt_complex(z)] for label, z in terms]),
+                f"physical_norm  {_fmt(physical_norm)}",
+            ]
+            if args.frame is not None:
+                lines.append(f"naive_norm     {_fmt(expansion.naive_norm)}")
+            return lines
+
         out.write(_render(args.format, payload, rows, lines))
     return 0
 
@@ -226,11 +232,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "checks": [{"name": n, "value": v, "passed": v <= tol} for n, v in checks],
             "passed": passed,
         }
-        rows = [["name", "value", "passed"]] + [[n, repr(v), str(v <= tol).lower()] for n, v in checks]
-        lines = [
-            _columns([[n, f"{v:.3e}", "pass" if v <= tol else "FAIL"] for n, v in checks]),
-            f"{'all checks passed' if passed else 'CHECKS FAILED'} (tol {tol:g})",
-        ]
+
+        def rows():
+            return [["name", "value", "passed"]] + [[n, repr(v), str(v <= tol).lower()] for n, v in checks]
+
+        def lines():
+            return [
+                _columns([[n, f"{v:.3e}", "pass" if v <= tol else "FAIL"] for n, v in checks]),
+                f"{'all checks passed' if passed else 'CHECKS FAILED'} (tol {tol:g})",
+            ]
+
         out.write(_render(args.format, payload, rows, lines))
     return 0 if passed else 1
 
@@ -251,12 +262,18 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "p_okok": report.p_okok,
             "contradiction": report.contradiction_flag,
         }
-        rows = [["quantity", "re", "im"]] + [[name, repr(z.real), repr(z.imag)] for name, z in amplitudes.items()]
-        rows.append(["p_okok", repr(report.p_okok), ""])
-        rows.append(["contradiction", str(report.contradiction_flag).lower(), ""])
-        pretty = [[name, _fmt_complex(z)] for name, z in amplitudes.items()]
-        pretty += [["p_okok", f"{report.p_okok:.5f}"], ["contradiction", "yes" if report.contradiction_flag else "no"]]
-        lines = [f"audit {args.name}  (tol {args.tol:g})", _columns(pretty)]
+
+        def rows():
+            rows = [["quantity", "re", "im"]] + [[name, repr(z.real), repr(z.imag)] for name, z in amplitudes.items()]
+            rows.append(["p_okok", repr(report.p_okok), ""])
+            rows.append(["contradiction", str(report.contradiction_flag).lower(), ""])
+            return rows
+
+        def lines():
+            pretty = [[name, _fmt_complex(z)] for name, z in amplitudes.items()]
+            pretty += [["p_okok", f"{report.p_okok:.5f}"], ["contradiction", "yes" if report.contradiction_flag else "no"]]
+            return [f"audit {args.name}  (tol {args.tol:g})", _columns(pretty)]
+
         out.write(_render(args.format, payload, rows, lines))
     return 0
 
@@ -406,24 +423,34 @@ def _simulate_text(fmt: str, config: TrialConfig, result: RunResult, report: Com
         "resultant_states": _dist_json(result.resultant_states),
         "charlie": _dist_json(result.charlie),
     }
-    rows = [["section", "label", "count", "freq"]]
-    lines = [f"simulate  n={config.n_trials}  seed={config.seed}  policy={config.policy.spec()}  mode={config.mode}"]
-    for section, title, dist in (
+    sections = (
         ("resultant_states", "resultant states", result.resultant_states),
         ("charlie", "charlie outcomes", result.charlie),
-    ):
-        rows += [[section, label, str(dist.counts[label]), repr(dist.frequencies[label])] for label in dist.labels]
-        lines.append(title)
-        lines.append(
-            _columns([[label, str(dist.counts[label]), f"{dist.frequencies[label]:.5f}"] for label in dist.labels])
-        )
+    )
     if report is not None:
         payload["check"] = {
             "sigma_bound": SIGMA_BOUND,
             "passed": report.passed,
-            "labels": [dataclasses.asdict(c) for c in report.checks],
+            "labels": [dict(vars(c)) for c in report.checks],  # LabelCheck's fields, in order
         }
-        lines.append(f"check vs closed form ({SIGMA_BOUND:g} sigma): " + ("pass" if report.passed else "FAIL"))
+
+    def rows():
+        rows = [["section", "label", "count", "freq"]]
+        for section, _, dist in sections:
+            rows += [[section, label, str(dist.counts[label]), repr(dist.frequencies[label])] for label in dist.labels]
+        return rows
+
+    def lines():
+        lines = [f"simulate  n={config.n_trials}  seed={config.seed}  policy={config.policy.spec()}  mode={config.mode}"]
+        for _, title, dist in sections:
+            lines.append(title)
+            lines.append(
+                _columns([[label, str(dist.counts[label]), f"{dist.frequencies[label]:.5f}"] for label in dist.labels])
+            )
+        if report is not None:
+            lines.append(f"check vs closed form ({SIGMA_BOUND:g} sigma): " + ("pass" if report.passed else "FAIL"))
+        return lines
+
     return _render(fmt, payload, rows, lines)
 
 
@@ -441,11 +468,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "rows": [row._asdict() for row in mechanisms],
             "resultant_states": dict(aggregate.frequencies),
         }
-        rows = [header] + [[v if isinstance(v, str) else repr(v) for v in row] for row in mechanisms]
-        lines = [
-            _columns([header] + [[v if isinstance(v, str) else _fmt(v) for v in row] for row in mechanisms]),
-            "aggregate  " + "  ".join(f"{label}={_fmt(p)}" for label, p in aggregate.frequencies.items()),
-        ]
+
+        def rows():
+            return [header] + [[v if isinstance(v, str) else repr(v) for v in row] for row in mechanisms]
+
+        def lines():
+            return [
+                _columns([header] + [[v if isinstance(v, str) else _fmt(v) for v in row] for row in mechanisms]),
+                "aggregate  " + "  ".join(f"{label}={_fmt(p)}" for label, p in aggregate.frequencies.items()),
+            ]
+
         out.write(_render(args.format, payload, rows, lines))
     return 0
 

@@ -74,16 +74,105 @@ def vector_from_dict(data: dict) -> np.ndarray:
     return vector
 
 
+# The leaf a layout's skeleton holds in each slot, and its spelling there.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """``x`` as ``json`` spells a float: its shortest repr, or NaN and Infinity."""
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# Each plain leaf type's spelling, the one ``json`` gives it; a subclass of one
+# of them, or any other type, is not plain.
+_SPELL = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+class _NotPlain(Exception):
+    """A payload that only ``json.dumps`` itself writes as it should."""
+
+
+def _walk(obj, leaves: list, shape: list) -> None:
+    """Append ``obj``'s leaves, spelled, to ``leaves``, and its shape to
+    ``shape``: a dict's keys as one tuple, a list's or tuple's length, and
+    None for a leaf, each before the items it holds."""
+    kind = type(obj)
+    if kind is dict:
+        shape.append(tuple(obj))
+        for key, value in obj.items():
+            if type(key) is not str:  # True and 1 are one cache key but two spellings
+                raise _NotPlain
+            _walk(value, leaves, shape)
+    elif kind is list or kind is tuple:
+        shape.append(len(obj))
+        for value in obj:
+            _walk(value, leaves, shape)
+    else:
+        spell = _SPELL.get(kind)
+        if spell is None:
+            if not isinstance(obj, float):  # numpy's float64 is a float and spelled as one
+                raise _NotPlain
+            spell = _float_text
+        shape.append(None)
+        leaves.append(spell(obj))
+
+
+def _layout(skeleton, slots: int) -> str | None:
+    """``json.dumps``'s indent-2 text of ``skeleton``, whose leaves are all
+    ``_SLOT``, with ``%`` escaped and each leaf a ``%s`` slot; None when the
+    text spells ``_SLOT`` other than as its ``slots`` leaves (in a key)."""
+    text = json.dumps(skeleton, indent=2) + "\n"
+    if text.count(_SLOT_TEXT) != slots:
+        return None
+    return text.replace("%", "%%").replace(_SLOT_TEXT, "%s")
+
+
+def _skeleton(tokens):
+    """The payload of a ``_walk`` shape, read from an iterator over it, with ``_SLOT`` for every leaf."""
+    token = next(tokens)
+    if token is None:
+        return _SLOT
+    if isinstance(token, tuple):
+        return {key: _skeleton(tokens) for key in token}
+    return [_skeleton(tokens) for _ in range(token)]
+
+
+@functools.lru_cache(maxsize=64)  # cli-mix makes about 20 shapes
+def _shape_layout(shape: tuple) -> str | None:
+    return _layout(_skeleton(iter(shape)), shape.count(None))
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\n"``: the cached layout of ``obj``'s
+    shape filled with its leaves, each spelled as ``json`` spells it.  A
+    payload with a key that is not a str, a leaf of another type, or a key
+    that spells like a slot is written by ``json.dumps`` itself, so its
+    conversions and errors stay ``json``'s."""
+    leaves, shape = [], []
+    try:
+        _walk(obj, leaves, shape)
+        layout = _shape_layout(tuple(shape))
+    except (_NotPlain, RecursionError):  # a cycle is json's ValueError, deep nesting its RecursionError
+        layout = None
+    if layout is None:
+        return json.dumps(obj, indent=2) + "\n"
+    return layout % tuple(leaves)
 
 
 @functools.lru_cache(maxsize=4)  # a layout holds about 40 bytes per entry
 def _matrix_layout(dim: int) -> str:
     """``dumps`` of a ``dim`` x ``dim`` matrix document with a ``%s`` slot for
     each part, in row-major order, real part first."""
-    text = dumps({"dim": dim, "entries": [[["\0", "\0"]] * dim] * dim})
-    return text.replace("%", "%%").replace('"\\u0000"', "%s")
+    return _layout({"dim": dim, "entries": [[[_SLOT, _SLOT]] * dim] * dim}, 2 * dim * dim)
 
 
 def matrix_json(u: SquareUnitary) -> str:

@@ -34,6 +34,39 @@ def matrix_reference_text(u):
     return json.dumps({"dim": u.dim, "entries": entries}, indent=2) + "\n"
 
 
+def json_text(obj):
+    """What ``jsonio.dumps`` must write for ``obj``: ``json``'s own text, or its TypeError."""
+    try:
+        return json.dumps(obj, indent=2) + "\n"
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+def dumps_text(obj):
+    try:
+        return jsonio.dumps(obj)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+# Keys with unicode, escapes, % and the layout's slot marker "\0", alone or inside a key.
+json_keys = st.text() | st.sampled_from(["\0", '"\0', "\0\"", "%", "%s", "%%", '"', "\\u0000", "\n\t\x7f\u2028"])
+json_leaves = (
+    st.text()
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324])
+    | st.floats().map(np.float64)
+)
+json_payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
 @st.composite
 def synthesized_unitaries(draw):
     """``synthesize_to_e0`` or ``synthesize_from_e0`` (an adjoint, so Fortran
@@ -122,6 +155,42 @@ class TestStateJson:
             read_state({"num_qubits": 1, "amplitudes": [[0.5, 0.0], [0.0, 0.0]]})
 
 
+class TestDumps:
+    @given(json_payloads)
+    @example({True: 1})
+    @example({1: 1})  # the same cache key as {True: 1}, spelled otherwise
+    @example({"\0": 1})  # a key spelled as the slot marker
+    @example([])
+    @example({})
+    @example([[]])
+    @example({"a": object()})
+    @example({"a": np.int64(1)})
+    def test_text_is_what_json_writes(self, obj):
+        assert dumps_text(obj) == json_text(obj)
+
+    def test_keys_that_hash_alike(self):
+        # True == 1, so both dicts have one shape; only json.dumps tells them apart
+        assert jsonio.dumps({True: 1}) == '{\n  "true": 1\n}\n'
+        assert jsonio.dumps({1: 1}) == '{\n  "1": 1\n}\n'
+
+    @pytest.mark.parametrize("obj", [{"a": object()}, [np.int64(1)], {"x": {1.5: np.bool_(True)}}])
+    def test_errors_are_json_errors(self, obj):
+        with pytest.raises(TypeError) as info:
+            jsonio.dumps(obj)
+        assert (TypeError, str(info.value)) == json_text(obj)
+
+    def test_cycle_and_depth_are_json_errors(self):
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(ValueError, match="Circular reference"):
+            jsonio.dumps(cycle)
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        with pytest.raises(RecursionError):
+            jsonio.dumps(deep)
+
+
 class TestMatrixJson:
     def test_dict_shape(self):
         data = json.loads(jsonio.matrix_json(protocol.named_matrices()["A_h0"]))
@@ -173,9 +242,12 @@ class TestMatrixJson:
     def test_layout_cache_is_bounded(self):
         for dim in range(1, 21):
             jsonio.matrix_json(SquareUnitary(np.eye(dim)))
-        info = jsonio._matrix_layout.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
+        for size in range(200):
+            jsonio.dumps({"x": [0.5] * size})
+        for cache in (jsonio._matrix_layout, jsonio._shape_layout):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
 
 
 class TestVectorJson:
