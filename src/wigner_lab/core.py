@@ -10,6 +10,7 @@ per-factor labels with ``_``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -217,7 +218,7 @@ class OutcomeDistribution:
         if self.total > 0 and abs(sum(freqs.values()) - 1.0) > 1e-12:
             raise ValueError("frequencies must sum to 1")
         for label, f in freqs.items():
-            if not np.isfinite(f) or f < 0.0 or f > 1.0 + 1e-12:
+            if not math.isfinite(f) or f < 0.0 or f > 1.0 + 1e-12:
                 raise ValueError(f"frequency out of range for {label!r}: {f!r}")
         object.__setattr__(self, "frequencies", freqs)
 
