@@ -37,6 +37,27 @@ def _unit_vector(v) -> np.ndarray:
     return vec / norm
 
 
+def _phase_reflection(vec: np.ndarray) -> tuple[complex, np.ndarray]:
+    """alpha, the phase of the unit vector's first entry, and the Householder
+    reflection H about w = vec - alpha*e0, so that H vec = alpha*e0; for
+    vec within 1e-12 of alpha*e0 the reflection degenerates and H is I.
+
+    w's first entry, alpha*(|vec[0]| - 1), is computed without cancellation
+    as -alpha*|vec[1:]|^2 / (1 + |vec[0]|) (Parlett 1971; Golub & Van Loan,
+    Algorithm 5.1.1), which keeps H accurate for vec near alpha*e0.
+    """
+    dim = vec.size
+    # the phase of v[0]; a subnormal v[0] has no finite reciprocal, so it gets phase 1, as 0 does
+    alpha = vec[0] / abs(vec[0]) if abs(vec[0]) >= np.finfo(np.float64).tiny else 1.0 + 0.0j
+    tail2 = float(np.vdot(vec[1:], vec[1:]).real)
+    w = vec.copy()
+    w[0] = -alpha * (tail2 / (1.0 + abs(vec[0])))
+    wnorm2 = float(abs(w[0])) ** 2 + tail2
+    if np.sqrt(wnorm2) < _DEGENERATE:
+        return alpha, np.eye(dim, dtype=np.complex128)
+    return alpha, np.eye(dim, dtype=np.complex128) - (2.0 / wnorm2) * np.outer(w, w.conj())
+
+
 def synthesize_to_e0(v) -> SynthesisResult:
     """Unitary U with U v = e0 exactly in phase (no residual global phase).
 
@@ -45,24 +66,19 @@ def synthesize_to_e0(v) -> SynthesisResult:
     reflection degenerates and conj(alpha)*I is returned.
     """
     vec = _unit_vector(v)
-    dim = vec.size
-    # the phase of v[0]; a subnormal v[0] has no finite reciprocal, so it gets phase 1, as 0 does
-    alpha = vec[0] / abs(vec[0]) if abs(vec[0]) >= np.finfo(np.float64).tiny else 1.0 + 0.0j
-    w = vec.copy()
-    w[0] -= alpha
-    wnorm2 = float(np.vdot(w, w).real)
-    if np.sqrt(wnorm2) < _DEGENERATE:
-        matrix = np.conj(alpha) * np.eye(dim, dtype=np.complex128)
-    else:
-        matrix = np.conj(alpha) * (np.eye(dim, dtype=np.complex128) - (2.0 / wnorm2) * np.outer(w, w.conj()))
-    residual = float(np.linalg.norm(matrix @ vec - np.eye(1, dim, dtype=np.complex128)[0]))
+    alpha, reflection = _phase_reflection(vec)
+    matrix = np.conj(alpha) * reflection
+    residual = float(np.linalg.norm(matrix @ vec - np.eye(1, vec.size, dtype=np.complex128)[0]))
     return SynthesisResult(SquareUnitary(matrix), residual)
 
 
 def synthesize_from_e0(t) -> SynthesisResult:
-    """Unitary U with U e0 = t; the adjoint of ``synthesize_to_e0(t)``."""
-    vec = _unit_vector(t)
-    matrix = synthesize_to_e0(vec).matrix.adjoint()
-    residual = float(np.linalg.norm(matrix.matrix[:, 0] - vec))  # U e0 is U's first column
-    return SynthesisResult(matrix, residual)
+    """Unitary U with U e0 = t; the adjoint of ``synthesize_to_e0(t)``.
 
+    The reflection is Hermitian, so that adjoint is alpha times it, built
+    here directly, in row-major order."""
+    vec = _unit_vector(t)
+    alpha, reflection = _phase_reflection(vec)
+    matrix = alpha * reflection
+    residual = float(np.linalg.norm(matrix[:, 0] - vec))  # U e0 is U's first column
+    return SynthesisResult(SquareUnitary(matrix), residual)

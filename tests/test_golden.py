@@ -247,13 +247,13 @@ CALL_GOLDEN = {
     ("verify", "--tol", "0"): "440a92652aae857a967a1dc6a9e74724c68fc591d834829cde6747752fc85d86",
     ("verify", "--tol", "0", "--format", "json"): "641d9603b055b172acbba5ec5bdcd346b4ef6930bcf7d28e654e31e706a14f07",
     ("verify", "--tol", "0", "--format", "csv"): "43ff0ecc64c98f1e593ec015f323e713831757dafcc3f97d0a5eedf68820180a",
-    ("synth", "psi_h0", "--to-e0"): "4f0bc04d3417859ccb39e7b4e55be35ec4bd2481c35dde170d70d467bf931c39",
+    ("synth", "psi_h0", "--to-e0"): "583b83182a84f288815979c823625d45a2dfc1fbf6a86084dd979ea8bc7bc5e1",
     ("synth", "psi_h0", "--to-e0", "--out", "u.json"): (
-        "12812e8c2074e23d423c5ba54910474bfd00e3cc4e2406bc58b06fad104cc2d5"
+        "3448c7cf869f904b43bd90ff0c14b63c2f5c894a9a4562bf825957b85ba7a0c3"
     ),
-    ("synth", "psi_AB", "--from-e0"): "1d46d853c022047d4a4aacb7459cb76639dea1979c4b55eb5f5c74a4ac0f06c2",
+    ("synth", "psi_AB", "--from-e0"): "543bf60af3446ed674503abfabb9f23bf135e9422a81fe99d76abc48ddbc4be3",
     ("synth", "psi_AB", "--from-e0", "--out", "u.json"): (
-        "be9a759e08d07313ab1a1aebd8b2ea7678b041596bf83507d6e5852ad4d21725"
+        "a1c48d814e56e1492868f14452c47624ca7e0e55c4abad72e69c2f90f7a0855b"
     ),
 }
 

@@ -69,8 +69,8 @@ json_payloads = st.recursive(
 
 @st.composite
 def synthesized_unitaries(draw):
-    """``synthesize_to_e0`` or ``synthesize_from_e0`` (an adjoint, so Fortran
-    ordered) of a drawn vector of 1 to 17 entries."""
+    """``synthesize_to_e0`` or ``synthesize_from_e0`` of a drawn vector of 1
+    to 17 entries."""
     dim = draw(st.integers(1, 17))
     parts = draw(st.lists(st.floats(-1, 1), min_size=2 * dim, max_size=2 * dim))
     vec = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
@@ -235,8 +235,8 @@ class TestMatrixJson:
 
     def test_text_of_a_fortran_ordered_matrix(self):
         vec = np.array([0.6, 0.48j, -0.64])
-        u = synthesize_from_e0(vec).matrix
-        assert not u.matrix.flags.c_contiguous  # the adjoint of a row-major matrix
+        u = SquareUnitary(np.asfortranarray(synthesize_from_e0(vec).matrix.matrix))
+        assert not u.matrix.flags.c_contiguous  # column-major: no float view without a copy
         assert jsonio.matrix_json(u) == matrix_reference_text(u)
 
     def test_layout_cache_is_bounded(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wigner_lab import core, protocol, synthesis
 from wigner_lab.synthesis import synthesize_from_e0, synthesize_to_e0
@@ -90,3 +92,32 @@ class TestSynthesizeFromE0:
             back = synthesize_from_e0(v).matrix
             assert np.linalg.norm(back.matrix @ (to.matrix @ v) - v) <= 1e-10
 
+
+
+def near_phase_times_e0(dim, phase, log_delta, seed):
+    """The unit vector along alpha*e0 + delta*u: alpha = exp(i*phase),
+    delta = 10**log_delta and u a random complex unit vector."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = np.exp(1j * phase) * e0(dim) + 10.0**log_delta * u / np.linalg.norm(u)
+    return v / np.linalg.norm(v)
+
+
+class TestNearAPhaseTimesE0:
+    """A vector near alpha*e0 is synthesized as accurately as any other: the
+    reflection's first entry is computed without cancellation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.floats(-np.pi, np.pi),
+        st.floats(-16, 0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, 0.0, -6.0, 45)  # to_e0 rejected its own matrix: residual 1e-6
+    @example(2, 0.0, -3.0, 0)  # from_e0's residual exceeded 1e-12
+    def test_both_directions_succeed(self, dim, phase, log_delta, seed):
+        v = near_phase_times_e0(dim, phase, log_delta, seed)
+        to, back = synthesize_to_e0(v), synthesize_from_e0(v)
+        assert to.residual <= synthesis._DEGENERATE
+        assert back.residual <= synthesis._DEGENERATE
