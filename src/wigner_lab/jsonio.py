@@ -86,8 +86,8 @@ def _float_text(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-# Each plain leaf type's spelling, the one ``json`` gives it; a subclass of one
-# of them, or any other type, is not plain.
+# Each leaf type's spelling, the one ``json`` gives it.  Of the other types,
+# only a float subclass is spelled here; the rest go to ``json.dumps``.
 _SPELL = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
@@ -97,20 +97,17 @@ _SPELL = {
 }
 
 
-class _NotPlain(Exception):
-    """A payload that only ``json.dumps`` itself writes as it should."""
-
-
 def _walk(obj, leaves: list, shape: list) -> None:
     """Append ``obj``'s leaves, spelled, to ``leaves``, and its shape to
     ``shape``: a dict's keys as one tuple, a list's or tuple's length, and
-    None for a leaf, each before the items it holds."""
+    None for a leaf, each before the items it holds.  TypeError for a
+    payload that only ``json.dumps`` itself writes as it should."""
     kind = type(obj)
     if kind is dict:
         shape.append(tuple(obj))
         for key, value in obj.items():
             if type(key) is not str:  # True and 1 are one cache key but two spellings
-                raise _NotPlain
+                raise TypeError
             _walk(value, leaves, shape)
     elif kind is list or kind is tuple:
         shape.append(len(obj))
@@ -120,7 +117,7 @@ def _walk(obj, leaves: list, shape: list) -> None:
         spell = _SPELL.get(kind)
         if spell is None:
             if not isinstance(obj, float):  # numpy's float64 is a float and spelled as one
-                raise _NotPlain
+                raise TypeError
             spell = _float_text
         shape.append(None)
         leaves.append(spell(obj))
@@ -152,7 +149,7 @@ def _shape_layout(shape: tuple) -> str | None:
 
 
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\n"``: the cached layout of ``obj``'s
+    """``json.dumps(obj, indent=2)`` and a newline: the cached layout of ``obj``'s
     shape filled with its leaves, each spelled as ``json`` spells it.  A
     payload with a key that is not a str, a leaf of another type, or a key
     that spells like a slot is written by ``json.dumps`` itself, so its
@@ -161,7 +158,7 @@ def dumps(obj) -> str:
     try:
         _walk(obj, leaves, shape)
         layout = _shape_layout(tuple(shape))
-    except (_NotPlain, RecursionError):  # a cycle is json's ValueError, deep nesting its RecursionError
+    except (TypeError, RecursionError):  # a cycle is json's ValueError, deep nesting its RecursionError
         layout = None
     if layout is None:
         return json.dumps(obj, indent=2) + "\n"
