@@ -218,7 +218,7 @@ class OutcomeDistribution:
         if self.total > 0 and abs(sum(freqs.values()) - 1.0) > 1e-12:
             raise ValueError("frequencies must sum to 1")
         for label, f in freqs.items():
-            if not math.isfinite(f) or f < 0.0 or f > 1.0 + 1e-12:
+            if f < 0.0 or f > 1.0 + 1e-12 or not math.isfinite(f):  # a huge int is out of range, not an overflow
                 raise ValueError(f"frequency out of range for {label!r}: {f!r}")
         object.__setattr__(self, "frequencies", freqs)
 

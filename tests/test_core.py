@@ -317,3 +317,13 @@ class TestOutcomeDistribution:
         dist = OutcomeDistribution.from_counts({"x": 0, "y": 0})
         assert dist.total == 0
         assert dist.probability("x") == 0.0
+
+    @pytest.mark.parametrize("freq", [float("nan"), float("inf"), -float("inf"), -0.5, 1.5, 10**400])
+    def test_frequency_out_of_range(self, freq):
+        with pytest.raises(ValueError, match="out of range"):
+            OutcomeDistribution({"x": freq})
+
+    @pytest.mark.parametrize("freq", ["0.5", None, 0.5j])
+    def test_frequency_not_a_number(self, freq):
+        with pytest.raises(TypeError):
+            OutcomeDistribution({"x": freq})
