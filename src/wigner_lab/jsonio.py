@@ -143,7 +143,7 @@ def _skeleton(tokens):
     return [_skeleton(tokens) for _ in range(token)]
 
 
-@functools.lru_cache(maxsize=64)  # cli-mix makes about 20 shapes
+@functools.lru_cache(maxsize=64)  # cli-mix makes 8 shapes
 def _shape_layout(shape: tuple) -> str | None:
     return _layout(_skeleton(iter(shape)), shape.count(None))
 
