@@ -95,9 +95,6 @@ class SquareUnitary:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def adjoint(self) -> SquareUnitary:
-        return SquareUnitary(self.matrix.conj().T)
-
 
 @dataclass(frozen=True, eq=False)
 class Frame:
@@ -146,12 +143,16 @@ def computational_basis(labels: Sequence[str] = ("0", "1")) -> MeasurementBasis:
 
 
 def _product(factors: Sequence[Frame]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Kronecker product of the factors, labels joined with ``_``, first factor most significant."""
+    """Kronecker product of the factors, labels joined with ``_``, first factor most significant.
+
+    Each step is ``np.kron``'s own elementwise multiply of the same two
+    operands, so the bits are its bits, without its per-call shape setup."""
     if not factors:
         raise ValueError("at least one basis required")
     matrix, labels = factors[0].vectors, factors[0].labels
     for factor in factors[1:]:
-        matrix = np.kron(matrix, factor.vectors)
+        dim = matrix.shape[0] * factor.dim
+        matrix = (matrix[:, None, :, None] * factor.vectors[None, :, None, :]).reshape(dim, dim)
         labels = tuple(f"{la}{LABEL_SEP}{lb}" for la in labels for lb in factor.labels)
     return matrix, labels
 

@@ -179,18 +179,6 @@ def bob_basis() -> MeasurementBasis:
     return computational_basis(BOB_LABELS)
 
 
-@lru_cache(maxsize=None)
-def _audit_bases() -> tuple[MeasurementBasis, MeasurementBasis, MeasurementBasis]:
-    """The audit's three two-qubit bases, built once: Charlie's on A with
-    Bob's, Alice's with Charlie's on B, and Charlie's on both."""
-    charlie_a, charlie_b = charlie_basis("A"), charlie_basis("B")
-    return (
-        tensor_frame(charlie_a, bob_basis()),
-        tensor_frame(alice_basis(), charlie_b),
-        tensor_frame(charlie_a, charlie_b),
-    )
-
-
 def paradox_audit(state: StateVector, tol: float = AUDIT_TOL) -> ParadoxReport:
     """Compute the four quantities whose joint pattern is contradictory:
     the |h1> amplitude, the |0>|ok>_A and |t>|ok>_B expansion coefficients,
@@ -204,10 +192,10 @@ def paradox_audit(state: StateVector, tol: float = AUDIT_TOL) -> ParadoxReport:
     if state.num_qubits != 2:
         raise ValueError(f"audit requires a 2-qubit state, got {state.num_qubits} qubits")
     amp_h1 = complex(state.amplitudes[1])
-    basis_a, basis_b, basis_ab = _audit_bases()
-    amp_0okA = core.change_basis(state, [basis_a]).coefficient("ok_0")
-    amp_tokB = core.change_basis(state, [basis_b]).coefficient("t_ok")
-    joint = core.change_basis(state, [basis_ab])
+    charlie_a, charlie_b = charlie_basis("A"), charlie_basis("B")
+    amp_0okA = core.change_basis(state, [charlie_a, bob_basis()]).coefficient("ok_0")
+    amp_tokB = core.change_basis(state, [alice_basis(), charlie_b]).coefficient("t_ok")
+    joint = core.change_basis(state, [charlie_a, charlie_b])
     p_okok = abs(joint.coefficient("ok_ok")) ** 2
     flag = (
         abs(amp_h1) <= tol

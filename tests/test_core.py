@@ -1,5 +1,8 @@
 """Unit and property tests for the statevector substrate."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -179,6 +182,62 @@ class TestChangeBasis:
         ]
         out = core.change_basis(v, bases)
         assert abs(out.naive_norm - 1.0) <= 1e-10
+
+
+def protocol_bases():
+    return [protocol.alice_basis(), protocol.bob_basis(), *charlie_pair(), computational_basis()]
+
+
+def special_frame(dim, rng):
+    """A frame with +-0.0 and 5e-324 parts, kept invertible by a dominant diagonal."""
+    parts = rng.uniform(-1, 1, size=(dim, dim, 2))
+    special = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=parts.shape)
+    mask = rng.random(parts.shape) < 0.5
+    mask[np.arange(dim), np.arange(dim), 0] = False
+    parts = np.where(mask, special, parts)
+    parts[np.arange(dim), np.arange(dim), 0] += 5.0
+    return Frame(parts[..., 0] + 1j * parts[..., 1], [str(k) for k in range(dim)])
+
+
+def random_frame(dim, rng, fortran=False):
+    vectors = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    frame = Frame(np.asfortranarray(vectors) if fortran else vectors, [str(k) for k in range(dim)])
+    assert frame.vectors.flags.f_contiguous == fortran or dim == 1
+    return frame
+
+
+class TestProduct:
+    """``core._product`` is ``np.kron``, bit for bit, with its labels joined in the same order."""
+
+    @staticmethod
+    def assert_kron_bits(factors):
+        matrix, labels = core._product(factors)
+        expected = functools.reduce(np.kron, [f.vectors for f in factors])
+        assert (matrix.shape, matrix.strides) == (expected.shape, expected.strides)
+        parts, expected_parts = (np.ascontiguousarray(m).view(np.float64) for m in (matrix, expected))
+        np.testing.assert_array_equal(parts, expected_parts)
+        np.testing.assert_array_equal(np.signbit(parts), np.signbit(expected_parts))
+        assert labels == tuple("_".join(names) for names in itertools.product(*[f.labels for f in factors]))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_protocol_bases(self, size):
+        for factors in itertools.product(protocol_bases(), repeat=size):
+            self.assert_kron_bits(factors)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_random_complex_factors(self, size):
+        rng = np.random.default_rng(4180 + size)
+        for dims in itertools.product(range(1, 5), repeat=size):
+            for order in itertools.product([False, True], repeat=size):
+                self.assert_kron_bits([random_frame(d, rng, fortran) for d, fortran in zip(dims, order)])
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_signed_zero_and_subnormal_parts(self, size):
+        rng = np.random.default_rng(4190 + size)
+        for dims in itertools.product(range(1, 5), repeat=size):
+            factors = [special_frame(d, rng) for d in dims]
+            assert any(np.signbit(f.vectors.view(np.float64)).any() for f in factors)
+            self.assert_kron_bits(factors)
 
 
 class TestExpandInFrame:

@@ -83,7 +83,7 @@ class TestSynthesizeFromE0:
         for v in random_unit_vectors(dim, 10, seed=31 + dim):
             forward = synthesize_to_e0(v).matrix
             backward = synthesize_from_e0(v).matrix
-            assert np.abs(backward.matrix - forward.adjoint().matrix).max() <= 1e-12
+            assert np.abs(backward.matrix - forward.matrix.conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_round_trip_fixes_input(self, dim):
