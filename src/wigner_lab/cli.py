@@ -40,7 +40,6 @@ from .montecarlo import (
 )
 
 SEED_ENV_VAR = "WIGNER_LAB_SEED"
-SYNTH_NORM_TOL = 1e-8
 # The one-qubit basis {0, 1} that `states --basis computational` puts on every qubit.
 _QUBIT_BASIS = core.computational_basis()
 
@@ -168,7 +167,7 @@ def _resolve_state(name: str) -> StateVector:
 def _resolve_vector(name: str) -> np.ndarray:
     if Path(name).is_file():
         return jsonio.load_vector(name)
-    return np.array(_resolve_state(name).amplitudes)
+    return _resolve_state(name).amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +282,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    vec = _resolve_vector(args.input)
-    with np.errstate(over="ignore"):  # a huge entry makes the norm inf: rejected
-        norm = float(np.linalg.norm(vec))
-    if not math.isfinite(norm) or abs(norm - 1.0) > SYNTH_NORM_TOL:  # a NaN norm fails every compare
-        raise ValueError(f"input is not a unit vector: norm = {norm!r}")
-    vec = vec / norm
-    with _open_out(args.out) as out:
+    vec = synthesis.unit_vector(_resolve_vector(args.input))  # a refused input never opens --out
+    with _open_out(args.out) as out:  # synthesize divides vec by its norm again; the output's bits rely on it
         result = synthesis.synthesize_from_e0(vec) if args.from_e0 else synthesis.synthesize_to_e0(vec)
         out.write(jsonio.matrix_json(result.matrix))
     _report(f"residual: {result.residual:.3e}", sys.stdout if args.out is not None else sys.stderr)

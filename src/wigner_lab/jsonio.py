@@ -68,8 +68,8 @@ def vector_from_dict(data: dict) -> np.ndarray:
         raise ValueError('a state must be a JSON object with an "amplitudes" list')
     vector = np.array([_from_pair(a) for a in data["amplitudes"]], dtype=np.complex128)
     n, size = data.get("num_qubits"), vector.size
-    # JSON true is not 1; a size that is no power of two has no qubit count
-    if n is not None and (isinstance(n, bool) or size & (size - 1) or n != size.bit_length() - 1):
+    # JSON true is not 1; no amplitudes, or a size that is no power of two, has no qubit count
+    if n is not None and (isinstance(n, bool) or not size or size & (size - 1) or n != size.bit_length() - 1):
         raise ValueError(f"num_qubits {_SHORT.repr(n)} does not match {size} amplitudes")
     return vector
 

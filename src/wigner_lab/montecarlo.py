@@ -292,6 +292,9 @@ def _setting_bounds(policy: MistakePolicy, mode: str) -> list[list[int]]:
     return [[(s_k << 64) // s[-1] for s_k in s] for s in sums]
 
 
+# A counts-stream window cycles through exactly 8 settings (correct, uniform, alternating,
+# analytic uniform, one biased eps per size): every call after the first window hits, and a
+# ninth would make every call miss.  cli-mix's simulate reuses 3 policies and draws each biased eps fresh.
 @lru_cache(maxsize=8)
 def _cell_tables(policy: MistakePolicy, mode: str) -> _CellTables:
     """Build the guide tables of a setting from its exact cell bounds."""

@@ -229,9 +229,9 @@ def frame_view(state: StateVector, view: str) -> ExpansionCoefficients:
     """
     if state.num_qubits != 2:
         raise ValueError(f"frame views require a 2-qubit state, got {state.num_qubits} qubits")
-    if view.lower() not in _FRAME_VIEWS:
+    if view not in _FRAME_VIEWS:
         raise ValueError(f"unknown view {view!r}, expected 'bs' or 'as'")
-    return core.expand_in_frame(state, _substitution_frame(view.lower()))
+    return core.expand_in_frame(state, _substitution_frame(view))
 
 
 # ---------------------------------------------------------------------------

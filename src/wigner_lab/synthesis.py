@@ -5,12 +5,14 @@ Works in any dimension >= 1, not only qubit registers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SquareUnitary, StateVector, _as_complex_vector
+from .core import SquareUnitary, StateVector
 
+NORM_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 _DEGENERATE = 1e-12
 
@@ -25,15 +27,15 @@ class SynthesisResult:
             raise ValueError(f"synthesis residual {self.residual!r} exceeds {RESIDUAL_TOL!r}")
 
 
-def _unit_vector(v) -> np.ndarray:
-    vec = v.amplitudes.copy() if isinstance(v, StateVector) else _as_complex_vector(v)
-    if vec.size < 1:
-        raise ValueError("vector must have dimension >= 1")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("cannot synthesize from the zero vector")
-    if abs(norm - 1.0) > RESIDUAL_TOL:
-        raise ValueError(f"vector is not unit: norm = {norm!r}")
+def unit_vector(v) -> np.ndarray:
+    """``v``, a StateVector or amplitudes, over its norm, which must be finite
+    and within ``NORM_TOL`` of 1: the one input check of ``synth`` and of both
+    synthesize functions.  An empty, zero, NaN or infinite vector fails it."""
+    vec = np.asarray(v.amplitudes if isinstance(v, StateVector) else v, dtype=np.complex128).reshape(-1)
+    with np.errstate(over="ignore"):  # a huge entry makes the norm inf: refused
+        norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:  # a NaN norm fails every compare
+        raise ValueError(f"input is not a unit vector: norm = {norm!r}")
     return vec / norm
 
 
@@ -65,7 +67,7 @@ def synthesize_to_e0(v) -> SynthesisResult:
     v[0]), rescaled by conj(alpha); for v within 1e-12 of alpha*e0 the
     reflection degenerates and conj(alpha)*I is returned.
     """
-    vec = _unit_vector(v)
+    vec = unit_vector(v)
     alpha, reflection = _phase_reflection(vec)
     matrix = np.conj(alpha) * reflection
     residual = float(np.linalg.norm(matrix @ vec - np.eye(1, vec.size, dtype=np.complex128)[0]))
@@ -77,7 +79,7 @@ def synthesize_from_e0(t) -> SynthesisResult:
 
     The reflection is Hermitian, so that adjoint is alpha times it, built
     here directly, in row-major order."""
-    vec = _unit_vector(t)
+    vec = unit_vector(t)
     alpha, reflection = _phase_reflection(vec)
     matrix = alpha * reflection
     residual = float(np.linalg.norm(matrix[:, 0] - vec))  # U e0 is U's first column

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, output formats, file I/O, determinism."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wigner_lab
-from wigner_lab import cli, core, montecarlo, protocol
+from wigner_lab import cli, core, montecarlo, protocol, synthesis
 from wigner_lab.cli import _DIGIT_GROUPS, _TRACE_TAILS, _build_parser, _write_trace_rows, main
 from wigner_lab.montecarlo import _CHUNK, CHARLIE_LABELS, STATE_LABELS, MistakePolicy, TraceChunk
 
@@ -44,6 +45,18 @@ MALFORMED_DOCUMENTS = [
     '{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}',
 ]
 BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "-1e-300", "abc"]
+# Vectors on each side of the one unit-vector rule (a finite norm within 1e-8
+# of 1) that synth and both synthesize functions apply: (amplitudes, unit).
+UNIT_RULE_CASES = [
+    pytest.param([0.6 * (1 + 5e-9), 0.8j * (1 + 5e-9)], True, id="norm-1+5e-9"),
+    pytest.param([0.6 * (1 - 5e-9), 0.8j * (1 - 5e-9)], True, id="norm-1-5e-9"),
+    pytest.param([0.6 * (1 + 2e-8), 0.8j * (1 + 2e-8)], False, id="norm-1+2e-8"),
+    pytest.param([0.6 * (1 - 2e-8), 0.8j * (1 - 2e-8)], False, id="norm-1-2e-8"),
+    pytest.param([0.6, complex(0.0, math.nan)], False, id="nan-part"),
+    pytest.param([math.inf, 0.8j], False, id="inf-part"),
+    pytest.param([0j, 0j], False, id="zero"),
+    pytest.param([], False, id="empty"),
+]
 
 
 def state_document(state):
@@ -268,6 +281,42 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", str(path), "--to-e0")
         assert code == 2
         assert err == "error: input is not a unit vector: norm = nan\n"
+
+    @pytest.mark.parametrize(("amplitudes", "unit"), UNIT_RULE_CASES)
+    def test_library_and_cli_apply_one_unit_rule(self, capsys, tmp_path, amplitudes, unit):
+        path = tmp_path / "v.json"
+        parts = [[z.real, z.imag] for z in map(complex, amplitudes)]
+        path.write_text(json.dumps({"amplitudes": parts}), encoding="utf-8")
+        vector = np.array(amplitudes, dtype=np.complex128)
+        errors = set()
+        for synthesize in (synthesis.synthesize_to_e0, synthesis.synthesize_from_e0):
+            if unit:
+                synthesize(vector)
+                continue
+            with pytest.raises(ValueError, match="^input is not a unit vector: norm = ") as exc:
+                synthesize(vector)
+            errors.add(f"error: {exc.value}\n")
+        for direction in ("--to-e0", "--from-e0"):
+            code, _, err = run_cli(capsys, "synth", str(path), direction)
+            assert code == (0 if unit else 2)
+            if not unit:
+                errors.add(err)
+        assert len(errors) == (0 if unit else 1)
+
+    def test_a_refused_input_leaves_an_existing_out_file(self, capsys, tmp_path):
+        # the input is checked before --out is opened, and opening it would truncate it
+        vector, out_path = tmp_path / "v.json", tmp_path / "u.json"
+        vector.write_text(json.dumps({"amplitudes": [[0.5, 0.0], [0.0, 0.0]]}), encoding="utf-8")
+        out_path.write_bytes(b'{"kept": true}\n')
+        code, _, err = run_cli(capsys, "synth", str(vector), "--from-e0", "--out", str(out_path))
+        assert code == 2
+        assert err == "error: input is not a unit vector: norm = 0.5\n"
+        assert out_path.read_bytes() == b'{"kept": true}\n'
+
+    def test_the_unit_rule_lives_in_synthesis_alone(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        called = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not [name for name in called if name.endswith("linalg.norm")]
 
     @pytest.mark.parametrize("text", MALFORMED_DOCUMENTS)
     def test_malformed_vector_json_exits_2(self, capsys, tmp_path, text):

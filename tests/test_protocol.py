@@ -5,6 +5,8 @@ Printed 4-decimal constants are asserted at 1e-4; exact surd identities at
 substitution algebra, independent of the library expansion paths.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,12 @@ class TestFrameViews:
     def test_unknown_view(self):
         with pytest.raises(ValueError, match="view"):
             protocol.frame_view(protocol.target_state(), "cs")
+
+    @pytest.mark.parametrize("view", ["BS", None, 1])
+    def test_a_view_is_bs_or_as_as_written(self, view):
+        # no case folding: "BS" is not "bs", and a view that is no str is refused as unknown
+        with pytest.raises(ValueError, match=re.escape(f"unknown view {view!r}")):
+            protocol.frame_view(protocol.target_state(), view)
 
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError, match="2-qubit"):

@@ -59,11 +59,11 @@ class TestSynthesizeToE0:
         assert result.residual <= 1e-15
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="not unit"):
+        with pytest.raises(ValueError, match="not a unit vector"):
             synthesize_to_e0(np.array([0.5, 0.0]))
 
     def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero vector"):
+        with pytest.raises(ValueError, match="norm = 0.0"):
             synthesize_to_e0(np.zeros(3))
 
 
